@@ -10,18 +10,21 @@ attaches per-edge progress indicators that the online planner follows.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import dijkstra
 
 from .buchi import BuchiAutomaton, to_buchi
 from .errors import InternalConsistencyError, ValidationError
 from .ltl import Formula, parse
-from .ts import TransitionSystem, min_weight_matrix
+# min_weight_matrix is unused here; perfbench/spans.py patches it on this module
+from .ts import TransitionSystem, min_weight_matrix  # noqa: F401
 
 INF = math.inf
 
@@ -64,7 +67,11 @@ class ProductAutomaton:
         for e in range(len(self.edge_src)):
             out[self.edge_src[e]].append(e)
         self.out_edges = tuple(tuple(es) for es in out)
-        self._min_w: np.ndarray | None = None
+        # edges turned around (dst -> src): every offline analysis searches
+        # backwards from a target set over this one sparse graph
+        self.reverse = csr_array(
+            (self.edge_weight, (self.edge_dst, self.edge_src)), shape=(self.n, self.n)
+        )
         # offline analysis results
         self.f_inf: np.ndarray | None = None
         self.s_pi_inf: np.ndarray | None = None
@@ -74,36 +81,11 @@ class ProductAutomaton:
         self.ind_pi: np.ndarray | None = None
         self.ind_phi: np.ndarray | None = None
 
-    @property
-    def min_w(self) -> np.ndarray:
-        """All-pairs minimum path weight over the product graph."""
-        if self._min_w is None:
-            edges = zip(
-                self.edge_src.tolist(),
-                self.edge_dst.tolist(),
-                self.edge_weight.tolist(),
-            )
-            self._min_w = min_weight_matrix(self.n, edges)
-        return self._min_w
-
     def successor_states(self, state: int) -> tuple[int, ...]:
         return tuple(int(self.edge_dst[e]) for e in self.out_edges[state])
 
     def state_name(self, state: int) -> str:
         return f"({self.ts.state_name(int(self.ts_of[state]))}, {int(self.ba_of[state])})"
-
-    def summary(self) -> str:
-        parts = [
-            f"product states: {self.n}",
-            f"edges: {len(self.edge_src)}",
-            f"accepting states: {int(self.accepting.sum())}",
-            f"surveillance states: {int(self.surveillance.sum())}",
-        ]
-        if self.f_inf is not None:
-            parts.append(f"recurrent accepting states: {int(self.f_inf.sum())}")
-        if self.s_pi_inf is not None:
-            parts.append(f"recurrent surveillance states: {int(self.s_pi_inf.sum())}")
-        return "\n".join(parts)
 
 
 def build_product(
@@ -162,10 +144,18 @@ def build_product(
     )
 
 
-def _distance_to_set(min_w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _distance_to_set(product: ProductAutomaton, mask: np.ndarray) -> np.ndarray:
+    """Least path weight from each state into the marked set (0 inside it)."""
     if not mask.any():
-        return np.full(min_w.shape[0], INF)
-    return np.min(min_w[:, mask], axis=1)
+        return np.full(product.n, INF)
+    return dijkstra(product.reverse, indices=np.flatnonzero(mask), min_only=True)
+
+
+def _has_successor_in(product: ProductAutomaton, mask: np.ndarray) -> np.ndarray:
+    """States with at least one edge, self-loops included, into the marked set."""
+    hit = np.zeros(product.n, dtype=bool)
+    hit[product.edge_src[mask[product.edge_dst]]] = True
+    return hit
 
 
 def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]:
@@ -176,17 +166,13 @@ def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]
     The result are exactly the states visitable infinitely often by a single
     run that sees both sets infinitely often.
     """
-    n = product.n
-    adj = np.zeros((n, n), dtype=bool)
-    adj[product.edge_src, product.edge_dst] = True
-    min_w = product.min_w
     f_inf = product.accepting.copy()
     s_inf = product.surveillance.copy()
     while True:
-        reach_s = _distance_to_set(min_w, s_inf) < INF
-        new_f = f_inf & ((adj.astype(np.uint8) @ reach_s.astype(np.uint8)) > 0)
-        reach_f = _distance_to_set(min_w, new_f) < INF
-        new_s = s_inf & ((adj.astype(np.uint8) @ reach_f.astype(np.uint8)) > 0)
+        reach_s = _distance_to_set(product, s_inf) < INF
+        new_f = f_inf & _has_successor_in(product, reach_s)
+        reach_f = _distance_to_set(product, new_f) < INF
+        new_s = s_inf & _has_successor_in(product, reach_f)
         if np.array_equal(new_f, f_inf) and np.array_equal(new_s, s_inf):
             break
         f_inf, s_inf = new_f, new_s
@@ -195,7 +181,7 @@ def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]
 
 def surveillance_distance(product: ProductAutomaton, s_inf: np.ndarray) -> np.ndarray:
     """Minimum weight from each state to the recurrent surveillance set."""
-    return _distance_to_set(product.min_w, s_inf)
+    return _distance_to_set(product, s_inf)
 
 
 def mission_distance(
@@ -207,17 +193,31 @@ def mission_distance(
     accepting state and continuing to surveillance from there; the first is
     the least weight of the reach leg among the totals' minimizers. States
     that cannot reach the accepting core get infinity in both parts.
+
+    Both parts come from one Dijkstra over the reversed graph that orders
+    labels ``(total, reach)`` lexicographically, seeded with ``(w_pi(f), 0)``
+    on the core. Off the core, a state's label is its best successor's label
+    plus the edge weight in both parts, so that edge shortens both strictly.
     """
-    n = product.n
-    if not f_inf.any():
-        return np.full(n, INF), np.full(n, INF)
-    reach = product.min_w[:, f_inf]
-    totals = reach + w_pi[f_inf][None, :]
-    v = np.min(totals, axis=1)
-    tied = totals == v[:, None]
-    u = np.min(np.where(tied, reach, INF), axis=1)
-    u[v == INF] = INF
-    return u, v
+    rev = product.reverse
+    preds, weights, starts = rev.indices.tolist(), rev.data.tolist(), rev.indptr.tolist()
+    best = [(INF, INF)] * product.n
+    heap = [(float(w_pi[f]), 0.0, int(f)) for f in np.flatnonzero(f_inf & (w_pi < INF))]
+    for total, reach, f in heap:
+        best[f] = (total, reach)
+    heapq.heapify(heap)
+    while heap:
+        total, reach, p = heapq.heappop(heap)
+        if (total, reach) != best[p]:
+            continue
+        for k in range(starts[p], starts[p + 1]):
+            q, w = preds[k], weights[k]
+            label = (total + w, reach + w)
+            if label < best[q]:
+                best[q] = label
+                heapq.heappush(heap, (label[0], label[1], q))
+    fields = np.array(best, dtype=np.float64).reshape(product.n, 2)
+    return fields[:, 1].copy(), fields[:, 0].copy()
 
 
 def compute_indicators(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]:

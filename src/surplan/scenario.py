@@ -10,7 +10,8 @@ experiment settings (seed, runs, iterations per run).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LtlSyntaxError, ScenarioError, ValidationError
@@ -44,7 +45,6 @@ class Scenario:
     iterations: int
     runs: int
     run_seeds: tuple[int, ...] | None = None
-    options: dict = field(default_factory=dict)
 
 
 def grid_state_name(row: int, col: int) -> str:
@@ -377,8 +377,10 @@ def _validated_scenario(**kwargs) -> Scenario:
 
     visibility = kwargs["visibility"]
     horizon = kwargs["horizon"]
-    if visibility <= 0:
-        raise ScenarioError(f"visibility must be positive, got {visibility}")
+    if not math.isfinite(visibility) or visibility <= 0:
+        raise ScenarioError(f"visibility must be finite and positive, got {visibility}")
+    if not math.isfinite(horizon):
+        raise ScenarioError(f"horizon must be finite, got {horizon}")
     if horizon < ts.max_weight:
         raise ScenarioError(
             f"horizon {horizon} is below the largest transition weight {ts.max_weight};"

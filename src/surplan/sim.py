@@ -15,7 +15,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -57,7 +57,6 @@ class RunResult:
     records: list[StepRecord]
     accepting_positions: list[int]
     step_seconds: list[float]
-    field_snapshots: list[np.ndarray] | None = None
 
     @property
     def rewards(self) -> list[float]:
@@ -159,13 +158,11 @@ def run_single(
     run_index: int,
     rng: np.random.Generator,
     iterations: int | None = None,
-    record_fields: bool = False,
 ) -> RunResult:
     """Execute the planner once against freshly burned-in reward dynamics.
 
     The planner and the reward dynamics share ``rng``, so a run is fully
-    reproducible from its seed.  When ``record_fields`` is set, the reward
-    field as seen by each decision is snapshotted for later inspection.
+    reproducible from its seed.
     """
     iterations = scenario.iterations if iterations is None else iterations
     ts = scenario.ts
@@ -209,17 +206,15 @@ def run_single(
             survey=bool(product.surveillance[initial]),
         )
     ]
-    snapshots: list[np.ndarray] | None = [] if record_fields else None
+    prefix_ts = [int(product.ts_of[initial])]
     step_seconds: list[float] = []
 
     for _ in range(iterations):
-        prefix_ts = planner.alpha()
-        if snapshots is not None:
-            snapshots.append(fld.values.copy())
         started = time.perf_counter()
         info = planner.step(fld)
         step_seconds.append(time.perf_counter() - started)
         cost = evaluator.cost(prefix_ts, info.ts_state, fld)
+        prefix_ts.append(info.ts_state)
         reward = dynamics.on_collect(fld, info.ts_state)
         dynamics.evolve(fld, info.weight)
         records.append(
@@ -243,7 +238,6 @@ def run_single(
         records=records,
         accepting_positions=list(planner.accepting_positions),
         step_seconds=step_seconds,
-        field_snapshots=snapshots,
     )
 
 
@@ -257,7 +251,6 @@ def run_seed_for(scenario: Scenario, run_index: int) -> list[int] | int:
 def run_experiment(
     scenario: Scenario,
     offline: OfflineResult | None = None,
-    record_fields: bool = False,
 ) -> ExperimentResult:
     """Run the offline phase once and the planner ``scenario.runs`` times."""
     started = time.perf_counter()
@@ -268,7 +261,7 @@ def run_experiment(
     runs = []
     for r in range(scenario.runs):
         rng = np.random.default_rng(run_seed_for(scenario, r))
-        runs.append(run_single(offline, scenario, r, rng, record_fields=record_fields))
+        runs.append(run_single(offline, scenario, r, rng))
     return ExperimentResult(
         scenario=scenario,
         offline=offline,

@@ -47,7 +47,7 @@ from surplan.sim import check_alternation, check_never_visits, run_experiment
 from surplan.ts import local_runs, run_times
 
 from conftest import random_formula, random_product, random_ts, record_criterion
-from test_product import distances_oracle, inf_sets_oracle
+from test_product import distances_oracle, inf_sets_oracle, product_min_w_oracle
 from test_rewards import pot_oracles
 
 INF = math.inf
@@ -227,7 +227,8 @@ def test_criterion_4_long_runs_satisfy_the_mission():
     base = default_case_study(seed=11, runs=5, iterations=1000)
     offline = offline_phase(base.ts, base.formula, base.surveillance_prop)
     trimmed = offline.trimmed
-    finite = trimmed.min_w[np.isfinite(trimmed.min_w)]
+    min_w = np.array(product_min_w_oracle(trimmed))
+    finite = min_w[np.isfinite(min_w)]
     diameter = float(finite.max())
     # One accepting-core cycle is two legs, and the step preference lets each
     # leg idle for up to the full 50-weight threshold before its descent: the

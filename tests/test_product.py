@@ -7,6 +7,7 @@ the library's vectorized code paths or scipy.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from surplan.product import (
     trim_product,
     verify_descent,
 )
+from surplan.ts import TransitionSystem
 
 from conftest import dijkstra_oracle, random_product, random_ts, tarjan_scc
 
@@ -167,11 +169,18 @@ def test_build_product_matches_definition():
             assert bool(product.surveillance[p]) == ("sur" in ts.label(q))
 
 
-def test_min_w_matches_heap_dijkstra():
+def test_surveillance_distance_matches_heap_dijkstra():
     rng = np.random.default_rng(72)
     for _ in range(15):
         product = random_product(rng, int(rng.integers(2, 25)), int(rng.integers(2, 60)))
-        assert np.array_equal(product.min_w, np.array(product_min_w_oracle(product)))
+        min_w = product_min_w_oracle(product)
+        for density in (0.0, 0.1, 0.3, 1.0):
+            mask = rng.random(product.n) < density
+            expect = [
+                min((min_w[p][s] for s in range(product.n) if mask[s]), default=INF)
+                for p in range(product.n)
+            ]
+            assert np.array_equal(surveillance_distance(product, mask), np.array(expect))
 
 
 def test_inf_sets_match_scc_oracle():
@@ -280,6 +289,31 @@ def test_tampered_indicators_are_caught():
     product.ind_pi = np.zeros_like(product.ind_pi)
     with pytest.raises(InternalConsistencyError):
         verify_descent(product)
+
+
+def fractional_ts(seed):
+    """Small random system whose weights are not exact binary fractions."""
+    r = random.Random(seed)
+    n = r.randint(4, 12)
+    names = [f"s{i}" for i in range(n)]
+    transitions = {}
+    for a in names:
+        for b in r.sample(names, r.randint(1, 3)):
+            transitions[(a, b)] = r.choice((0.1, 0.2, 0.3, 0.7, 1.1))
+    labels = {a: {p for p in ("a", "b", "sur") if r.random() < 0.3} for a in names}
+    return TransitionSystem(names, names[0], transitions, ("a", "b", "sur"), labels)
+
+
+def test_fractional_weights_keep_mission_descent():
+    # Float sums of 0.1, 0.2, ... depend on the order they are added in; the
+    # mission metric must still descend strictly along some edge.
+    for seed in range(300):
+        result = offline_phase(fractional_ts(seed), "G F a & G F b & G F sur", "sur")
+        trimmed = result.trimmed
+        for p in range(trimmed.n):
+            if trimmed.f_inf[p] or trimmed.w_phi_v[p] == INF:
+                continue
+            assert any(trimmed.ind_phi[e] for e in trimmed.out_edges[p]), (seed, p)
 
 
 def test_offline_phase_on_triangle(triangle_ts):

@@ -192,6 +192,17 @@ def test_rejections(tmp_path):
         load_scenario(tmp_path / "missing.ini")
 
 
+@pytest.mark.parametrize(
+    "line", ["horizon = inf", "horizon = nan", "visibility = inf", "visibility = nan"]
+)
+def test_non_finite_planner_values_rejected(tmp_path, line):
+    key = line.split(" = ")[0]
+    text = MINIMAL_GRID.replace(f"{key} = 6", line)
+    assert line in text
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(write(tmp_path, text))
+
+
 def test_run_seeds_accepted_when_length_matches(tmp_path):
     text = MINIMAL_GRID.replace("seed = 1", "seed = 1\nruns = 3\nrun-seeds = 11 22 33")
     sc = load_scenario(write(tmp_path, text))
