@@ -19,9 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, MissionInfeasible
+from .localruns import LocalRunCache
 from .product import OfflineResult, ProductAutomaton
-from .rewards import RewardField, RunBundle, build_run_bundle
-from .ts import TransitionSystem, enumerate_budget_runs
+from .rewards import RewardField
+# unused here; perfbench/spans.py patches both on this module
+from .rewards import build_run_bundle  # noqa: F401
+from .ts import TransitionSystem, enumerate_budget_runs  # noqa: F401
 
 SURVEILLANCE = "surveillance"
 MISSION = "mission"
@@ -99,49 +102,16 @@ class Planner:
             [0] if product.f_inf[product.initial] else []
         )
 
+        self.local_runs = (
+            offline.local_run_cache(visibility, horizon)
+            if isinstance(offline, OfflineResult)
+            else LocalRunCache(product.ts, product, visibility, horizon)
+        )
+
         self._elapsed_raw = 0.0
         self._elapsed_masked = 0.0
         self._last_accepting: int | None = 0 if product.f_inf[product.initial] else None
         self._survey_since_accepting = self.survey_flags[0]
-
-        self._weight_of: dict[tuple[int, int], float] = {}
-        for e in range(len(product.edge_src)):
-            self._weight_of[
-                (int(product.edge_src[e]), int(product.edge_dst[e]))
-            ] = float(product.edge_weight[e])
-        self._visible_mask: dict[int, np.ndarray] = {}
-        self._bundles: dict[int, RunBundle] = {}
-
-    # -- local run bundles ------------------------------------------------
-
-    def _allowed_mask(self, q_k: int) -> np.ndarray:
-        cached = self._visible_mask.get(q_k)
-        if cached is None:
-            visible_ts = self.ts.min_weights[q_k] <= self.visibility
-            cached = visible_ts[self.product.ts_of]
-            self._visible_mask[q_k] = cached
-        return cached
-
-    def _bundle_for_edge(self, edge: int) -> RunBundle:
-        cached = self._bundles.get(edge)
-        if cached is None:
-            product = self.product
-            src = int(product.edge_src[edge])
-            dst = int(product.edge_dst[edge])
-            q_k = int(product.ts_of[src])
-            runs = enumerate_budget_runs(
-                product.successor_states,
-                lambda a, b: self._weight_of[(a, b)],
-                self._allowed_mask(q_k),
-                dst,
-                float(product.edge_weight[edge]),
-                self.horizon,
-            )
-            cached = build_run_bundle(
-                runs, lambda p: int(product.ts_of[p]), q_k
-            )
-            self._bundles[edge] = cached
-        return cached
 
     # -- public views ------------------------------------------------------
 
@@ -209,7 +179,7 @@ class Planner:
         product = self.product
         edges = product.out_edges[p_k]
         pots = [
-            self.potential.evaluate(self._bundle_for_edge(e), field.values)
+            self.potential.evaluate(self.local_runs.for_edge(e), field.values)
             for e in edges
         ]
         max_pot = max(pots)
@@ -337,7 +307,8 @@ class CostEvaluator:
     visibility region, the indicator compares distances to surveyed states,
     and elapsed weight counts from the latest surveyed position of the given
     prefix (from its start when none). Used for post-hoc reporting, not for
-    control.
+    control. ``local_runs`` shares a planner's local-run cache; by default the
+    evaluator keeps its own.
     """
 
     def __init__(
@@ -348,40 +319,38 @@ class CostEvaluator:
         visibility: float,
         horizon: float,
         surveillance_prop: str = "sur",
+        local_runs: LocalRunCache | None = None,
     ):
+        if local_runs is None:
+            local_runs = LocalRunCache(ts, None, visibility, horizon)
+        elif (local_runs.ts, local_runs.visibility, local_runs.horizon) != (ts, visibility, horizon):
+            raise ContractError("a shared local-run cache must match the evaluator")
         self.ts = ts
         self.potential = potential
         self.preference = preference
         self.visibility = float(visibility)
         self.horizon = float(horizon)
+        self.local_runs = local_runs
         self.surveyed = [
             q for q in range(ts.n) if surveillance_prop in ts.label(q)
         ]
-        self._bundles: dict[tuple[int, int], RunBundle] = {}
+        self._surveyed = frozenset(self.surveyed)
+        # least weight from each state to some surveyed state
+        self._to_surveyed = (
+            ts.min_weights[:, self.surveyed].min(axis=1) if self.surveyed else None
+        )
 
-    def _bundle(self, q_k: int, q: int) -> RunBundle:
-        key = (q_k, q)
-        cached = self._bundles.get(key)
-        if cached is None:
-            allowed = self.ts.min_weights[q_k] <= self.visibility
-            runs = enumerate_budget_runs(
-                self.ts.successors,
-                self.ts.weight,
-                allowed,
-                q,
-                self.ts.weight(q_k, q),
-                self.horizon,
-            )
-            cached = build_run_bundle(runs, lambda n: n, q_k)
-            self._bundles[key] = cached
-        return cached
+    def indicator(self, q: int, q_next: int) -> int:
+        """:func:`ts_shortening_indicator` over the evaluator's surveyed states."""
+        if self._to_surveyed is None:
+            return 0
+        return int(self._to_surveyed[q_next] < self._to_surveyed[q])
 
     def elapsed(self, prefix: Sequence[int]) -> float:
         """Weight accumulated since the latest surveyed state of the prefix."""
         total = 0.0
-        surveyed = set(self.surveyed)
         for i in range(len(prefix) - 1, 0, -1):
-            if prefix[i] in surveyed:
+            if prefix[i] in self._surveyed:
                 return total
             total += self.ts.weight(prefix[i - 1], prefix[i])
         return total
@@ -389,13 +358,12 @@ class CostEvaluator:
     def cost(self, prefix: Sequence[int], chosen: int, field: RewardField) -> float:
         """The trade-off value of moving from the prefix's end to ``chosen``."""
         q_k = prefix[-1]
+        bundle = self.local_runs.system_bundle
         pots = {
-            q: self.potential.evaluate(self._bundle(q_k, q), field.values)
+            q: self.potential.evaluate(bundle(q_k, q), field.values)
             for q in self.ts.successors(q_k)
         }
         if chosen not in pots:
             raise ContractError("cost is defined only for successors")
         pref_value = float(self.preference(self.elapsed(prefix), max(pots.values())))
-        return pots[chosen] + ts_shortening_indicator(
-            self.ts, q_k, chosen, self.surveyed
-        ) * pref_value
+        return pots[chosen] + self.indicator(q_k, chosen) * pref_value

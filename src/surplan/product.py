@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .buchi import BuchiAutomaton, to_buchi
 from .errors import InternalConsistencyError, ValidationError
+from .localruns import LocalRunCache
 from .ltl import Formula, parse
 # min_weight_matrix is unused here; perfbench/spans.py patches it on this module
 from .ts import TransitionSystem, min_weight_matrix  # noqa: F401
@@ -80,9 +81,6 @@ class ProductAutomaton:
         self.w_phi_v: np.ndarray | None = None
         self.ind_pi: np.ndarray | None = None
         self.ind_phi: np.ndarray | None = None
-
-    def successor_states(self, state: int) -> tuple[int, ...]:
-        return tuple(int(self.edge_dst[e]) for e in self.out_edges[state])
 
     def state_name(self, state: int) -> str:
         return f"({self.ts.state_name(int(self.ts_of[state]))}, {int(self.ba_of[state])})"
@@ -336,6 +334,18 @@ class OfflineResult:
     feasible: bool
     accepting_label_condition: bool
     timings: dict[str, float] = field(default_factory=dict)
+    # local-run caches by (visibility, horizon), filled during the online phase
+    local_run_caches: dict[tuple[float, float], LocalRunCache] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def local_run_cache(self, visibility: float, horizon: float) -> LocalRunCache:
+        """The cache every run over this result shares for these values."""
+        key = (float(visibility), float(horizon))
+        cache = self.local_run_caches.get(key)
+        if cache is None:
+            cache = self.local_run_caches[key] = LocalRunCache(self.ts, self.trimmed, *key)
+        return cache
 
 
 def offline_phase(

@@ -139,6 +139,8 @@ class ExperimentResult:
     runs: list[RunResult]
     stats: ExperimentStats
     offline_seconds: float
+    # LocalRunCache.sizes() of the offline result's cache after the runs
+    local_runs: dict[str, int]
 
     @property
     def step_seconds(self) -> list[float]:
@@ -187,6 +189,7 @@ def run_single(
         scenario.visibility,
         scenario.horizon,
         surveillance_prop=scenario.surveillance_prop,
+        local_runs=planner.local_runs,
     )
     product = planner.product
 
@@ -268,6 +271,7 @@ def run_experiment(
         runs=runs,
         stats=compute_stats(runs),
         offline_seconds=offline_seconds,
+        local_runs=offline.local_run_cache(scenario.visibility, scenario.horizon).sizes(),
     )
 
 
@@ -409,6 +413,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "stats": result.stats.as_dict(),
         "offline_seconds": result.offline_seconds,
         "online_step_seconds_median": float(np.median(step_seconds)) if step_seconds else None,
+        "local_runs": result.local_runs,
     }
     paths["stats_json"].write_text(json.dumps(payload, indent=2) + "\n")
     return paths

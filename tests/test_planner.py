@@ -1,5 +1,7 @@
 """Online planner: stepping invariants, bookkeeping, subgoal switching."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from surplan.rewards import (
     ThresholdPreference,
     CubicRampPreference,
 )
-from surplan.scenario import build_grid
+from surplan.scenario import build_grid, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,7 @@ def test_prefix_is_a_valid_product_run(grid_offline):
     product = planner.product
     assert planner.prefix[0] == product.initial
     for a, b in zip(planner.prefix, planner.prefix[1:]):
-        assert b in product.successor_states(a)
+        assert b in [int(product.edge_dst[e]) for e in product.out_edges[a]]
     # times accumulate the traversed edge weights
     for i, (a, b) in enumerate(zip(planner.prefix, planner.prefix[1:])):
         w = planner.times[i + 1] - planner.times[i]
@@ -234,7 +236,7 @@ def test_attraction_public_view_matches_step_choice(grid_offline):
         p_k = planner.current
         values = {
             s: planner.attraction(s, field)
-            for s in planner.product.successor_states(p_k)
+            for s in planner.product.edge_dst[list(planner.product.out_edges[p_k])].tolist()
         }
         info = planner.step(field)
         assert info.attractions == tuple(
@@ -279,3 +281,30 @@ def test_cost_evaluator_rejects_non_successor(triangle_ts):
     field = RewardField(triangle_ts.n)
     with pytest.raises(ContractError):
         ev.cost([triangle_ts.state_id("q0")], triangle_ts.state_id("q2"), field)
+
+
+def test_cost_evaluator_indicator_matches_definition(triangle_ts):
+    grid = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini")
+    for ts in (grid.ts, triangle_ts):
+        ev = CostEvaluator(
+            ts, MaxSumPotential(15.0), ThresholdPreference(50.0), 6.0, 9.0, "sur"
+        )
+        assert ev.surveyed
+        for q, q_next in ts.weight_of:
+            assert ev.indicator(q, q_next) == ts_shortening_indicator(
+                ts, q, q_next, ev.surveyed
+            )
+
+
+def test_cost_evaluator_rejects_a_mismatched_shared_cache(triangle_offline):
+    planner, _ = make_planner(triangle_offline, visibility=3.0, horizon=6.0)
+    with pytest.raises(ContractError):
+        CostEvaluator(
+            planner.ts,
+            MaxSumPotential(15.0),
+            ThresholdPreference(50.0),
+            3.0,
+            7.0,
+            "sur",
+            local_runs=planner.local_runs,
+        )

@@ -1,5 +1,8 @@
 """Reward fields, their dynamics, and the scoring functions over local runs."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,32 @@ def test_fractional_time_accumulates():
     assert field.values[0] == 8.0
     dyn.evolve(field, 0.75)
     assert field.values[0] == 7.0
+
+
+def test_fractional_weights_do_not_drift_over_long_runs():
+    """The whole-unit tolerance never gains or loses a unit over 10^5 moves
+    with decimal weights: the units taken always equal the floor of the
+    exact decimal sum."""
+    decimals = ("0.1", "0.2", "0.3", "0.7", "1.1")
+    weights = [(float(d), Fraction(d)) for d in decimals]
+    dyn = DecaySpawnDynamics(np.random.default_rng(0))
+    units = 0
+    unit_step = dyn._unit_step
+
+    def counted(values):
+        nonlocal units
+        units += 1
+        unit_step(values)
+
+    dyn._unit_step = counted
+    field = RewardField(1)
+    exact = Fraction(0)
+    for pick in np.random.default_rng(11).integers(len(weights), size=100_000):
+        dt, exact_dt = weights[pick]
+        dyn.evolve(field, dt)
+        exact += exact_dt
+        assert units == math.floor(exact)
+    assert field.clock == pytest.approx(float(exact))
 
 
 def test_spawn_only_on_empty_states():

@@ -107,6 +107,18 @@ def test_trace_round_trip_and_stats_recomputation(tmp_path, triangle_result):
     assert payload["offline_seconds"] >= 0.0
 
 
+def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
+    scenario, result = triangle_result
+    payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
+    block = payload["local_runs"]
+    assert set(block) == {"system_bundles", "planner_bundles", "rows"}
+    cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
+    assert block["system_bundles"] <= len(cache.system)
+    assert block["planner_bundles"] <= len(cache.planner)
+    assert block["system_bundles"] >= 1 and block["planner_bundles"] >= 1
+    assert block["rows"] >= block["system_bundles"] + block["planner_bundles"]
+
+
 def test_timeseries_accumulates_and_resets(tmp_path, triangle_result):
     _, result = triangle_result
     path = tmp_path / "ts.csv"
