@@ -8,18 +8,23 @@ postponed subformula (an until or an eventually) owes a discharge; acceptance
 tracks those debts per transition and is then reduced to a single accepting
 set by the usual counter construction.
 
+Past the tableau, the construction runs on integer letter indices into
+``canonical_letters`` and on ``(src, letter, dst)`` arrays: debt marks are
+bitmasks, the counter levels come from a lookup table, and pruning and
+quotienting are array passes. Only the final automaton becomes a
+:class:`BuchiAutomaton`.
+
 Every ordering in the construction is derived from canonical formula and
 letter orders, so automaton state numbering is reproducible across processes.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ContractError, ValidationError
 from .ltl import (
@@ -188,10 +193,10 @@ def _combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, .
 
 
 def _state_successors(
-    state: frozenset, letter: Letter, memo: dict
+    members: Sequence[Formula], letter: Letter, memo: dict
 ) -> tuple[_Choice, ...]:
     choices: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY),)
-    for member in sorted(state, key=_formula_key):
+    for member in members:
         choices = _combine(choices, _sat(member, letter, memo))
         if not choices:
             break
@@ -212,196 +217,275 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     normalized = nnf(formula)
     untils = until_like_subformulas(normalized)
     n_untils = len(untils)
-    until_index = {u: i for i, u in enumerate(untils)}
     letters = canonical_letters(props)
-    memo: dict = {}
 
-    # Obligation-set automaton with per-transition debt bookkeeping.
-    start = frozenset((normalized,))
-    states: dict[frozenset, int] = {start: 0}
-    order: list[frozenset] = [start]
-    # edges[s] = list of (letter index, target state, frozenset of satisfied debt indices)
-    edges: list[list[tuple[int, int, frozenset[int]]]] = []
-    frontier = [start]
+    order, edges, masks = _obligation_automaton(normalized, untils, letters)
+    pairs, src, letter, dst = _counter_levels(edges, masks, n_untils)
+    accepting = pairs % (n_untils + 1) == n_untils
+
+    # prune dead states; the initial state stays, without moves when dead
+    alive = _alive_states(len(pairs), accepting, src, dst)
+    keep = alive.copy()
+    keep[0] = True
+    remap = np.cumsum(keep) - 1
+    moves = alive[src] & alive[dst]
+    pairs, accepting = pairs[keep], (accepting & alive)[keep]
+    src, letter, dst = remap[src[moves]], letter[moves], remap[dst[moves]]
+    initial = int(remap[0])
+
+    blocks = _quotient_bisimulation(len(letters), accepting, src, letter, dst)
+    n_blocks = int(blocks.max()) + 1
+    if n_blocks < len(pairs):
+        # one representative description per block: its first member's
+        pairs = pairs[np.unique(blocks, return_index=True)[1]]
+        initial = int(blocks[initial])
+        accepting = np.isin(np.arange(n_blocks), blocks[accepting])
+        src, letter, dst = _quotient_transitions(letters, blocks, src, letter, dst)
+
+    descriptions = []
+    for pair in pairs.tolist():
+        state, level = divmod(pair, n_untils + 1)
+        members = ", ".join(sorted(_formula_key(f) for f in order[state]))
+        descriptions.append("{" + members + f"}} @{level}")
+    return BuchiAutomaton(
+        len(pairs),
+        initial,
+        props,
+        zip(src.tolist(), [letters[li] for li in letter.tolist()], dst.tolist()),
+        np.flatnonzero(accepting).tolist(),
+        descriptions,
+    )
+
+
+def _obligation_automaton(
+    start: Formula, untils: list[Formula], letters: list[Letter]
+) -> tuple[list[frozenset], list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
+    """Obligation-set automaton with per-transition debt bookkeeping.
+
+    States are numbered breadth-first in discovery order, and each state's
+    edges are listed letter by letter in the order the tableau yields them.
+    Returns the states, one ``(letter, target, marks)`` array triple per
+    state, and the debt bitmask of every marks index: bit ``i`` is set when
+    ``untils[i]`` was discharged on the edge or not examined on it.
+    """
+    memo: dict = {}
+    # marks index of every (discharged, examined) pair, via its debt bitmask
+    marks_of: dict[tuple[frozenset, frozenset], int] = {}
+    mask_index: dict[int, int] = {}
+    first = frozenset((start,))
+    states: dict[frozenset, int] = {first: 0}
+    order: list[frozenset] = [first]
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    frontier = [first]
     while frontier:
         new_frontier: list[frozenset] = []
         for state in frontier:
-            out: list[tuple[int, int, frozenset[int]]] = []
+            members = sorted(state, key=_formula_key)
+            out_letter: list[int] = []
+            out_target: list[int] = []
+            out_marks: list[int] = []
             for li, letter in enumerate(letters):
-                seen: set[tuple[int, frozenset[int]]] = set()
-                for nxt, dis, pro in _state_successors(state, letter, memo):
-                    marks = frozenset(
-                        i
-                        for i, u in enumerate(untils)
-                        if u not in pro or u in dis
-                    )
+                seen: set[tuple[frozenset, int]] = set()
+                for nxt, dis, pro in _state_successors(members, letter, memo):
+                    marks = marks_of.get((dis, pro))
+                    if marks is None:
+                        mask = sum(
+                            1 << i
+                            for i, u in enumerate(untils)
+                            if u not in pro or u in dis
+                        )
+                        marks = mask_index.setdefault(mask, len(mask_index))
+                        marks_of[dis, pro] = marks
                     key = (nxt, marks)
                     if key in seen:
                         continue
                     seen.add(key)
-                    if nxt not in states:
-                        states[nxt] = len(order)
+                    target = states.get(nxt)
+                    if target is None:
+                        target = states[nxt] = len(order)
                         order.append(nxt)
                         new_frontier.append(nxt)
-                    out.append((li, states[nxt], marks))
-            edges.append(out)
-            # edges is aligned with discovery order; states expand in order
+                    out_letter.append(li)
+                    out_target.append(target)
+                    out_marks.append(marks)
+            edges.append(
+                (
+                    np.array(out_letter, dtype=np.int64),
+                    np.array(out_target, dtype=np.int64),
+                    np.array(out_marks, dtype=np.int64),
+                )
+            )
         frontier = new_frontier
-    # Discovery appended edge lists in the same order states were discovered,
-    # but the loop above appends per frontier; rebuild aligned edge table.
     if len(edges) != len(order):
         raise ContractError("internal bookkeeping mismatch")
+    return order, edges, list(mask_index)
 
-    # Counter construction: wait for debt 0, then 1, ..., then n-1; a state at
-    # level n_untils certifies one full round of discharges and restarts.
-    level_states: dict[tuple[int, int], int] = {}
-    level_order: list[tuple[int, int]] = []
-    level_edges: list[tuple[int, int, int]] = []
 
-    def level_id(state: int, level: int) -> int:
-        key = (state, level)
-        if key not in level_states:
-            level_states[key] = len(level_order)
-            level_order.append(key)
-        return level_states[key]
+def _counter_levels(
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    masks: list[int],
+    n_untils: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Counter construction: wait for debt 0, then 1, ..., then n-1; a state
+    at level n_untils certifies one full round of discharges and restarts.
 
-    initial_id = level_id(0, 0)
-    pending = [ (0, 0) ]
-    done: set[tuple[int, int]] = set()
-    while pending:
-        state, level = pending.pop()
-        if (state, level) in done:
-            continue
-        done.add((state, level))
-        src = level_id(state, level)
-        effective = 0 if level == n_untils else level
-        for li, target, marks in edges[state]:
-            j = effective
-            while j < n_untils and j in marks:
+    Counter states ``state * (n_untils + 1) + level`` are explored depth
+    first from state 0 at level 0. Returns them in numbering order, and the
+    transitions as ``(src, letter, dst)`` arrays in exploration order.
+    """
+    width = n_untils + 1
+    # next level after an edge with these marks, by the level it leaves
+    table = np.empty((len(masks), width), dtype=np.int64)
+    for m, mask in enumerate(masks):
+        for level in range(width):
+            j = 0 if level == n_untils else level
+            while j < n_untils and mask >> j & 1:
                 j += 1
-            dst = level_id(target, j)
-            level_edges.append((src, li, dst))
-            if (target, j) not in done:
-                pending.append((target, j))
+            table[m, level] = j
 
-    n = len(level_order)
-    accepting = frozenset(
-        i for i, (_, level) in enumerate(level_order) if level == n_untils
+    ids: dict[int, int] = {0: 0}
+    pending = [0]
+    done: set[int] = set()
+    src_parts: list[np.ndarray] = []
+    letter_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    # Numbered and pushed exactly as a DFS that walks the edge list, numbers
+    # each target on first sight and pushes every target not yet done: new
+    # ids go in first-occurrence order, and a target pushed twice is popped
+    # at its last push, so only that push matters.
+    while pending:
+        pair = pending.pop()
+        if pair in done:
+            continue
+        done.add(pair)
+        state, level = divmod(pair, width)
+        out_letter, out_target, out_marks = edges[state]
+        targets = out_target * width + table[out_marks, level]
+        distinct, first, inverse = np.unique(
+            targets, return_index=True, return_inverse=True
+        )
+        distinct = distinct.tolist()
+        target_ids = np.empty(len(distinct), dtype=np.int64)
+        for k in np.argsort(first).tolist():
+            target_ids[k] = ids.setdefault(distinct[k], len(ids))
+        last = len(targets) - 1 - np.unique(targets[::-1], return_index=True)[1]
+        for k in np.argsort(last).tolist():
+            if distinct[k] not in done:
+                pending.append(distinct[k])
+        src_parts.append(np.full(len(targets), ids[pair], dtype=np.int64))
+        letter_parts.append(out_letter)
+        dst_parts.append(target_ids[inverse])
+    pairs = np.array(list(ids), dtype=np.int64)
+    return (
+        pairs,
+        np.concatenate(src_parts),
+        np.concatenate(letter_parts),
+        np.concatenate(dst_parts),
     )
-    transitions = [
-        (s, letters[li], t) for s, li, t in level_edges
-    ]
-    descriptions = tuple(
-        "{"
-        + ", ".join(sorted(_formula_key(f) for f in order[state]))
-        + f"}} @{level}"
-        for state, level in level_order
-    )
-    ba = BuchiAutomaton(n, initial_id, props, transitions, accepting, descriptions)
-    ba = _prune_dead(ba)
-    ba = _quotient_bisimulation(ba)
-    return ba
 
 
-def _prune_dead(ba: BuchiAutomaton) -> BuchiAutomaton:
-    """Drop states that cannot contribute to any accepting run."""
-    n = ba.n_states
-    if n == 0:
-        return ba
-    rows = [e[0] for e in ba.transitions]
-    cols = [e[2] for e in ba.transitions]
-    graph = csr_array((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+def _alive_states(
+    n: int, accepting: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Mask of the states that can contribute to an accepting run: those
+    that reach an accepting state whose strongly connected component holds
+    a move."""
+    pairs = np.unique(src * n + dst)
+    heads, tails = np.divmod(pairs, n)
+    ones = np.ones(len(pairs))
+    graph = csr_array((ones, (heads, tails)), shape=(n, n))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     has_internal_edge = np.zeros(n_comp, dtype=bool)
-    for s, _, t in ba.transitions:
-        if labels[s] == labels[t]:
-            has_internal_edge[labels[s]] = True
+    has_internal_edge[labels[heads[labels[heads] == labels[tails]]]] = True
     good_comp = np.zeros(n_comp, dtype=bool)
-    for s in ba.accepting:
-        if has_internal_edge[labels[s]]:
-            good_comp[labels[s]] = True
-    alive = np.array([good_comp[labels[i]] for i in range(n)])
+    good_comp[labels[accepting & has_internal_edge[labels]]] = True
+    alive = good_comp[labels]
+    if not alive.any():
+        return alive
     # backward closure: anything that reaches an alive state stays
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s, _, t in ba.transitions:
-        preds[t].append(s)
-    stack = [i for i in range(n) if alive[i]]
-    while stack:
-        i = stack.pop()
-        for p in preds[i]:
-            if not alive[p]:
-                alive[p] = True
-                stack.append(p)
-    if alive.all():
-        return ba
-    keep = sorted({int(i) for i in np.flatnonzero(alive)} | {ba.initial})
-    remap = {old: new for new, old in enumerate(keep)}
-    transitions = [
-        (remap[s], letter, remap[t])
-        for s, letter, t in ba.transitions
-        if alive[s] and alive[t]
-    ]
-    return BuchiAutomaton(
-        len(keep),
-        remap[ba.initial],
-        ba.propositions,
-        transitions,
-        [remap[s] for s in ba.accepting if s in remap and alive[s]],
-        [ba.descriptions[old] for old in keep] if ba.descriptions else (),
-    )
+    reverse = csr_array((ones, (tails, heads)), shape=(n, n))
+    return np.isfinite(dijkstra(reverse, indices=np.flatnonzero(alive), min_only=True))
 
 
-def _quotient_bisimulation(ba: BuchiAutomaton) -> BuchiAutomaton:
-    """Merge states with identical acceptance flag and branching behavior."""
-    n = ba.n_states
-    if n <= 1:
-        return ba
-    letters = ba.letters()
-    letter_index = {letter: i for i, letter in enumerate(letters)}
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, letter, t in ba.transitions:
-        out[s].append((letter_index[letter], t))
-    blocks = [1 if i in ba.accepting else 0 for i in range(n)]
+def _quotient_bisimulation(
+    n_letters: int,
+    accepting: np.ndarray,
+    src: np.ndarray,
+    letter: np.ndarray,
+    dst: np.ndarray,
+) -> np.ndarray:
+    """Block of every state in the coarsest partition that separates
+    acceptance and is stable under every letter's moves.
+
+    Blocks are numbered by the rank of their signature: a block's own number,
+    then for each letter with moves (ascending) the sorted blocks reached.
+    """
+    blocks = accepting.astype(np.int64)
     while True:
-        sigs = []
-        for i in range(n):
-            per_letter: dict[int, set[int]] = {}
-            for li, t in out[i]:
-                per_letter.setdefault(li, set()).add(blocks[t])
-            sig = (
-                blocks[i],
-                tuple(
-                    (li, tuple(sorted(bs))) for li, bs in sorted(per_letter.items())
-                ),
-            )
-            sigs.append(sig)
+        sigs = _signatures(blocks, n_letters, src, letter, dst)
         ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        new_blocks = [ranking[sig] for sig in sigs]
-        if new_blocks == blocks:
-            break
+        new_blocks = np.array([ranking[sig] for sig in sigs], dtype=np.int64)
+        if np.array_equal(new_blocks, blocks):
+            return blocks
         blocks = new_blocks
-    n_blocks = len(set(blocks))
-    if n_blocks == n:
-        return ba
-    transitions = sorted(
-        set(
-            (blocks[s], letter, blocks[t]) for s, letter, t in ba.transitions
-        ),
-        key=lambda e: (e[0], sorted(e[1]), e[2]),
-    )
-    rep_desc = [""] * n_blocks
-    if ba.descriptions:
-        for i in range(n):
-            if not rep_desc[blocks[i]]:
-                rep_desc[blocks[i]] = ba.descriptions[i]
-    return BuchiAutomaton(
-        n_blocks,
-        blocks[ba.initial],
-        ba.propositions,
-        transitions,
-        sorted(set(blocks[s] for s in ba.accepting)),
-        rep_desc,
-    )
+
+
+def _signatures(
+    blocks: np.ndarray,
+    n_letters: int,
+    src: np.ndarray,
+    letter: np.ndarray,
+    dst: np.ndarray,
+) -> list[tuple[int, ...]]:
+    """Per state, the flat token tuple of its signature.
+
+    The nested signature ``(block, ((letter, (blocks...)), ...))`` is written
+    as ``block, letter, blocks..., -1, letter, blocks..., -1, ..., -1``. Since
+    ``-1`` sorts below every letter and block, where a nested tuple runs out
+    first the token tuple meets a ``-1`` first, so both sort alike.
+    """
+    base = int(blocks.max()) + 1
+    keys = np.unique((src * n_letters + letter) * base + blocks[dst])
+    state, rest = np.divmod(keys, n_letters * base)
+    move_letter, move_block = np.divmod(rest, base)
+    sigs = [(b, -1) for b in blocks.tolist()]
+    if not len(keys):
+        return sigs
+    new_state = np.ones(len(keys), dtype=bool)
+    new_state[1:] = state[1:] != state[:-1]
+    new_group = new_state.copy()
+    new_group[1:] |= move_letter[1:] != move_letter[:-1]
+    end_group = np.append(new_group[1:], True)
+    end_state = np.append(new_state[1:], True)
+    # each move emits its block, preceded by the state's block and the letter
+    # where a state or letter group starts, and followed by -1 where one ends
+    stop = np.full(len(keys), -1)
+    tokens = np.stack([blocks[state], move_letter, move_block, stop, stop], axis=1)
+    emit = np.stack([new_state, new_group, np.ones_like(new_state), end_group, end_state], axis=1)
+    flat = tokens[emit].tolist()
+    ends = np.cumsum(emit.sum(axis=1))[end_state].tolist()
+    for i, lo, hi in zip(state[new_state].tolist(), [0] + ends[:-1], ends):
+        sigs[i] = tuple(flat[lo:hi])
+    return sigs
+
+
+def _quotient_transitions(
+    letters: list[Letter],
+    blocks: np.ndarray,
+    src: np.ndarray,
+    letter: np.ndarray,
+    dst: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct moves between blocks, sorted by source, the letter's sorted
+    proposition list, and target."""
+    n_letters, n_blocks = len(letters), int(blocks.max()) + 1
+    by_name = np.array(sorted(range(n_letters), key=lambda i: sorted(letters[i])))
+    rank = np.empty(n_letters, dtype=np.int64)
+    rank[by_name] = np.arange(n_letters)
+    keys = np.unique((blocks[src] * n_letters + rank[letter]) * n_blocks + blocks[dst])
+    head, rest = np.divmod(keys, n_letters * n_blocks)
+    letter_rank, tail = np.divmod(rest, n_blocks)
+    return head, by_name[letter_rank], tail
 
 
 def find_accepting_lasso_run(

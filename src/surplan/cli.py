@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import ContractError, LtlSyntaxError, MissionInfeasible, ScenarioError, ValidationError
-from .product import check_accepting_label_condition, offline_phase
+from .product import offline_phase
 from .scenario import load_scenario
 from .sim import emit_outputs, format_stats, recompute_stats_from_trace, run_experiment
 
@@ -41,7 +41,7 @@ def _overrides(args: argparse.Namespace) -> dict:
 def command_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    label_ok = check_accepting_label_condition(offline.ba, scenario.surveillance_prop)
+    label_ok = offline.accepting_label_condition
     print(f"scenario:            {scenario.name}")
     print(f"states:              {scenario.ts.n}")
     print(f"mission:             {scenario.formula_text}")
@@ -49,6 +49,8 @@ def command_check(args: argparse.Namespace) -> int:
     print(f"product states:      {offline.product.n} ({offline.trimmed.n} after trimming)")
     print(f"surveillance states: {int(offline.trimmed.s_pi_inf.sum())} recurrent in product")
     print(f"optimality condition: {'holds' if label_ok else 'does not hold'}")
+    for stage, seconds in offline.timings.items():
+        print(f"{stage + ' time:':<21}{seconds:.3f}s")
     total = sum(offline.timings.values())
     print(f"offline time:        {total:.2f}s")
     if not offline.feasible:

@@ -141,8 +141,10 @@ def _mission_formula(text: str, surveillance_prop: str, propositions: set[str]) 
     return And(formula, recurrent)
 
 
-def _parse_grid_cells(text: str, prop: str) -> set[tuple[int, int]]:
-    """Parse cells like ``0,0 4,1-8`` (single cells and column ranges)."""
+def _parse_grid_cells(text: str, prop: str, rows: int, cols: int) -> set[tuple[int, int]]:
+    """Parse cells like ``0,0 4,1-8`` (single cells and column ranges) of a
+    ``rows`` x ``cols`` grid; a cell outside the grid is refused before any
+    range is expanded."""
     cells: set[tuple[int, int]] = set()
     for token in text.split():
         try:
@@ -150,14 +152,19 @@ def _parse_grid_cells(text: str, prop: str) -> set[tuple[int, int]]:
             row = int(row_part)
             if "-" in col_part:
                 lo, hi = col_part.split("-")
-                cols = range(int(lo), int(hi) + 1)
+                span = range(int(lo), int(hi) + 1)
             else:
-                cols = range(int(col_part), int(col_part) + 1)
+                span = range(int(col_part), int(col_part) + 1)
         except ValueError as exc:
             raise ScenarioError(
                 f"label {prop!r}: bad grid cell {token!r}, expected row,col or row,col-col"
             ) from exc
-        for col in cols:
+        for col in (span[0], span[-1]) if span else ():
+            if not (0 <= row < rows and 0 <= col < cols):
+                raise ScenarioError(
+                    f"label {prop!r} names cell {(row, col)} outside the {rows}x{cols} grid"
+                )
+        for col in span:
             cells.add((row, col))
     return cells
 
@@ -219,20 +226,26 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
         if rows is None or cols is None:
             raise ScenarioError("[grid] requires rows and cols")
         initial_raw = grid.require("initial")
-        initial_cells = _parse_grid_cells(initial_raw, "initial")
+        initial_cells = _parse_grid_cells(initial_raw, "initial", rows, cols)
         if len(initial_cells) != 1:
             raise ScenarioError(f"[grid] initial must name exactly one cell, got {initial_raw!r}")
-        labels = {prop: _parse_grid_cells(text, prop) for prop, text in labels_section.items()}
-        ts = build_grid(
-            rows,
-            cols,
-            labels,
-            next(iter(initial_cells)),
-            horizontal=grid.get_float("horizontal-weight", _GRID_DEFAULT_HORIZONTAL),
-            vertical=grid.get_float("vertical-weight", _GRID_DEFAULT_VERTICAL),
-            diagonal=grid.get_float("diagonal-weight", _GRID_DEFAULT_DIAGONAL),
-            self_loop=grid.get_float("self-loop-weight"),
-        )
+        labels = {
+            prop: _parse_grid_cells(text, prop, rows, cols)
+            for prop, text in labels_section.items()
+        }
+        try:
+            ts = build_grid(
+                rows,
+                cols,
+                labels,
+                next(iter(initial_cells)),
+                horizontal=grid.get_float("horizontal-weight", _GRID_DEFAULT_HORIZONTAL),
+                vertical=grid.get_float("vertical-weight", _GRID_DEFAULT_VERTICAL),
+                diagonal=grid.get_float("diagonal-weight", _GRID_DEFAULT_DIAGONAL),
+                self_loop=grid.get_float("self-loop-weight"),
+            )
+        except ValidationError as exc:
+            raise ScenarioError(f"transition system rejected: {exc}") from exc
         grid.check_unknown()
         return ts
 
@@ -283,7 +296,8 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"scenario file not found: {path}")
-    parser = configparser.ConfigParser()
+    # values are taken literally: a '%' is part of the value, not a reference
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         with open(path) as handle:
@@ -401,16 +415,24 @@ def _validated_scenario(**kwargs) -> Scenario:
         )
     if not 0.0 <= kwargs["spawn_probability"] <= 1.0:
         raise ScenarioError(f"spawn-probability must lie in [0, 1], got {kwargs['spawn_probability']}")
-    if kwargs["refresh_value"] < 0:
-        raise ScenarioError(f"refresh-value must be non-negative, got {kwargs['refresh_value']}")
-    if kwargs["preference_threshold"] <= 0:
-        raise ScenarioError(f"pref-threshold must be positive, got {kwargs['preference_threshold']}")
+    if not (math.isfinite(kwargs["refresh_value"]) and kwargs["refresh_value"] >= 0):
+        raise ScenarioError(
+            f"refresh-value must be finite and non-negative, got {kwargs['refresh_value']}"
+        )
+    if not (math.isfinite(kwargs["preference_threshold"]) and kwargs["preference_threshold"] > 0):
+        raise ScenarioError(
+            f"pref-threshold must be finite and positive, got {kwargs['preference_threshold']}"
+        )
     if kwargs["burn_in"] < 0:
         raise ScenarioError(f"burn-in must be non-negative, got {kwargs['burn_in']}")
     if kwargs["iterations"] < 1:
         raise ScenarioError(f"iterations must be at least 1, got {kwargs['iterations']}")
     if kwargs["runs"] < 1:
         raise ScenarioError(f"runs must be at least 1, got {kwargs['runs']}")
+    # numpy seeds its generators from non-negative integers only
+    seeds = [kwargs["seed"], *(kwargs["run_seeds"] or ())]
+    if min(seeds) < 0:
+        raise ScenarioError(f"seeds must be non-negative, got {min(seeds)}")
 
     return Scenario(formula=formula, **kwargs)
 

@@ -412,6 +412,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "iterations": result.scenario.iterations,
         "stats": result.stats.as_dict(),
         "offline_seconds": result.offline_seconds,
+        "offline_stages": result.offline.timings,
         "online_step_seconds_median": float(np.median(step_seconds)) if step_seconds else None,
         "local_runs": result.local_runs,
     }

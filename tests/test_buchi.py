@@ -1,7 +1,15 @@
 """Automaton construction: language correctness, witnesses, determinism."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import surplan
 
 from surplan.buchi import (
     BuchiAutomaton,
@@ -11,6 +19,7 @@ from surplan.buchi import (
     to_buchi,
 )
 from surplan.errors import ContractError
+from surplan.scenario import load_scenario
 from surplan.ltl import (
     enumerate_lassos,
     formula_satisfied_on_lasso,
@@ -19,6 +28,11 @@ from surplan.ltl import (
 )
 
 from conftest import random_formula
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the 7-proposition patrol mission of the benchmark's large_mission workload
+LARGE_MISSION = "G F p1 & G F p2 & G F p3 & G F p4 & G F p5 & G !u & G F sur"
+LARGE_MISSION_PROPS = ["p1", "p2", "p3", "p4", "p5", "u", "sur"]
 
 
 def all_lassos(props, max_stem=2, max_loop=2):
@@ -170,3 +184,51 @@ def test_mission_shape_has_surveillance_guarded_acceptance():
     for _, letter, t in ba.transitions:
         if t in ba.accepting:
             assert "sur" in letter
+
+
+def automaton_pin(ba):
+    digest = hashlib.sha256(ba.to_text().encode()).hexdigest()[:16]
+    return ba.n_states, len(ba.transitions), digest
+
+
+@pytest.mark.parametrize(
+    "name, pin",
+    [
+        ("default_grid.ini", (11, 160, "c3232d794d83c6c5")),
+        ("triangle.ini", (4, 56, "0cf3a4d3d5be7b0e")),
+        ("infeasible.ini", (2, 6, "3bf89fb438a8b7c4")),
+    ],
+)
+def test_shipped_scenario_automata_are_pinned(name, pin):
+    scenario = load_scenario(SCENARIOS / name)
+    assert automaton_pin(to_buchi(scenario.formula, scenario.ts.propositions)) == pin
+
+
+def test_seven_proposition_mission_automaton_is_pinned():
+    ba = to_buchi(parse(LARGE_MISSION, LARGE_MISSION_PROPS), LARGE_MISSION_PROPS)
+    assert automaton_pin(ba) == (7, 832, "0a1bcf7df82adf8b")
+
+
+def test_automaton_numbering_is_independent_of_the_hash_seed():
+    script = (
+        "import hashlib, sys\n"
+        "from surplan.buchi import to_buchi\n"
+        "from surplan.scenario import load_scenario\n"
+        "s = load_scenario(sys.argv[1])\n"
+        "ba = to_buchi(s.formula, s.ts.propositions)\n"
+        "print(hashlib.sha256(ba.to_text().encode()).hexdigest()[:16])\n"
+    )
+    src = str(Path(surplan.__file__).resolve().parent.parent)
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(SCENARIOS / "default_grid.ini")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        digests.add(done.stdout.strip())
+    assert digests == {"c3232d794d83c6c5"}

@@ -1,6 +1,7 @@
 """Command-line interface contract: exit codes, outputs, and overrides."""
 
 import json
+import re
 from pathlib import Path
 
 from surplan.cli import main
@@ -17,6 +18,12 @@ def test_check_reports_feasible_scenario(capsys):
     assert "feasible:            yes" in out
     assert "states:              100" in out
     assert "optimality condition: holds" in out
+    # one line per offline stage, just above the total
+    lines = out.splitlines()
+    total = next(i for i, line in enumerate(lines) if line.startswith("offline time:"))
+    stages = ("automaton", "product", "distances", "trim")
+    for stage, line in zip(stages, lines[total - 4 : total], strict=True):
+        assert re.fullmatch(rf"{stage} time: +\d+\.\d{{3}}s", line), line
 
 
 def test_check_reports_infeasible_scenario(capsys):

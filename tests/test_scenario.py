@@ -1,8 +1,14 @@
 """Scenario files: grids, explicit systems, validation, overrides."""
 
+import math
+import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surplan.errors import ScenarioError
 from surplan.ltl import Always, And, Atom, Eventually, parse
@@ -13,6 +19,7 @@ from surplan.scenario import (
     grid_state_name,
     load_scenario,
 )
+from surplan.sim import run_seed_for
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -256,3 +263,112 @@ horizon = 4
     sc = load_scenario(write(tmp_path, text))
     assert sc.surveillance_prop == "SUR"
     assert "SUR" in sc.ts.label(sc.ts.state_id("Camp"))
+
+
+@pytest.mark.parametrize("weight", ["-1", "0", "nan", "inf"])
+def test_bad_grid_weights_raise_scenario_error(tmp_path, weight):
+    text = MINIMAL_GRID.replace("cols = 3\n", f"cols = 3\nhorizontal-weight = {weight}\n")
+    with pytest.raises(ScenarioError, match="finite positive weight"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "old, new", [("seed = 1", "seed = 5%"), ("formula = G F sur", "formula = %(x)s G F sur")]
+)
+def test_percent_signs_are_literal(tmp_path, old, new):
+    with pytest.raises(ScenarioError):
+        load_scenario(write(tmp_path, MINIMAL_GRID.replace(old, new)))
+    # a literal '%' is kept in the value, not substituted away
+    text = MINIMAL_GRID.replace("[labels]\n", "[labels]\nhot% = 0,0\n")
+    assert "hot%" in load_scenario(write(tmp_path, text)).ts.propositions
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["refresh-value = nan", "refresh-value = inf", "pref-threshold = nan", "pref-threshold = inf"],
+)
+def test_non_finite_reward_values_rejected(tmp_path, line):
+    section = "[dynamics]" if line.startswith("refresh") else "[planner]"
+    text = MINIMAL_GRID.replace(f"{section}\n", f"{section}\n{line}\n")
+    if section not in MINIMAL_GRID:
+        text = MINIMAL_GRID + f"\n{section}\n{line}\n"
+    with pytest.raises(ScenarioError, match=line.split(" = ")[0]):
+        load_scenario(write(tmp_path, text))
+
+
+def test_negative_seeds_rejected(tmp_path):
+    with pytest.raises(ScenarioError, match="non-negative"):
+        load_scenario(write(tmp_path, MINIMAL_GRID.replace("seed = 1", "seed = -1")))
+    text = MINIMAL_GRID.replace("seed = 1", "seed = 1\nruns = 2\nrun-seeds = 4 -2")
+    with pytest.raises(ScenarioError, match="non-negative"):
+        load_scenario(write(tmp_path, text))
+    with pytest.raises(ScenarioError, match="non-negative"):
+        load_scenario(write(tmp_path, MINIMAL_GRID), {"seed": -3})
+
+
+def test_label_range_outside_grid_rejected_before_expansion(tmp_path):
+    # expanding this range cell by cell would not finish
+    text = MINIMAL_GRID.replace("sur = 2,2", "sur = 2,0-1000000000000")
+    with pytest.raises(ScenarioError, match="outside the 3x3 grid"):
+        load_scenario(write(tmp_path, text))
+    with pytest.raises(ScenarioError, match="outside the 3x3 grid"):
+        load_scenario(write(tmp_path, MINIMAL_GRID.replace("sur = 2,2", "sur = -1,0")))
+    # an empty range names no cell
+    text = MINIMAL_GRID.replace("sur = 2,2", "sur = 2,2 0,5-4")
+    assert load_scenario(write(tmp_path, text)).ts.n == 9
+
+
+SHIPPED = {path.name: path.read_text() for path in sorted(SCENARIOS.glob("*.ini"))}
+VALUE_LINE = re.compile(r"^[\w-]+ = ")
+JUNK = [
+    "", "inf", "-inf", "nan", "0", "-1", "0.5", "-2.5", "1e308", "1e-9", "3/2",
+    "abc", "%", "5%", "%(x)s", "1,", ",", "0,0-", "x:y", ":1", "q0:", "q0:-1",
+    "G F", "!", "(", "--", "0,0 1,1", "r0c0", "max-sum", "cubic",
+]
+CELL_INTS = st.integers(-3, 10**12)
+CELLS = st.one_of(
+    st.builds("{},{}".format, CELL_INTS, CELL_INTS),
+    st.builds("{},{}-{}".format, CELL_INTS, CELL_INTS, CELL_INTS),
+)
+VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(-(10**9), 10**9).map(str),
+    st.fractions(max_denominator=8).map(lambda f: str(float(f))),
+    st.floats().map(repr),
+    st.sampled_from(JUNK),
+    CELLS,
+)
+# grids larger than 30x30 are slow to load until the visibility check stops
+# building the all-pairs weight matrix
+GRID_SIDES = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(JUNK))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_scenarios_load_or_raise_scenario_error(data):
+    name = data.draw(st.sampled_from(sorted(SHIPPED)), label="file")
+    lines = SHIPPED[name].splitlines()
+    slots = [i for i, line in enumerate(lines) if VALUE_LINE.match(line)]
+    count = data.draw(st.integers(1, 3), label="count")
+    for i in data.draw(st.permutations(slots), label="order")[:count]:
+        key = lines[i].split(" = ", 1)[0]
+        value = data.draw(GRID_SIDES if key in ("rows", "cols") else VALUES, label=key)
+        lines[i] = f"{key} = {value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            scenario = load_scenario(path)
+        except ScenarioError:
+            return
+    assert isinstance(scenario, Scenario)
+    assert scenario.ts.n <= 30 * 30
+    for value in (
+        scenario.visibility,
+        scenario.horizon,
+        scenario.refresh_value,
+        scenario.preference_threshold,
+        scenario.spawn_probability,
+    ):
+        assert math.isfinite(value)
+    np.random.default_rng(run_seed_for(scenario, 0))

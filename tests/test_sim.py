@@ -119,6 +119,18 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     assert block["rows"] >= block["system_bundles"] + block["planner_bundles"]
 
 
+def test_stats_json_reports_offline_stage_timings(tmp_path):
+    scenario = load_scenario(SCENARIOS / "triangle.ini", {"runs": 1, "iterations": 5})
+    result = run_experiment(scenario)
+    payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
+    stages = payload["offline_stages"]
+    assert list(stages) == ["automaton", "product", "distances", "trim"]
+    assert stages == result.offline.timings
+    assert all(seconds >= 0.0 for seconds in stages.values())
+    # the stages are timed inside the offline phase that offline_seconds spans
+    assert sum(stages.values()) <= payload["offline_seconds"] + 1e-9
+
+
 def test_timeseries_accumulates_and_resets(tmp_path, triangle_result):
     _, result = triangle_result
     path = tmp_path / "ts.csv"
