@@ -2,20 +2,23 @@
 
 The translation unfolds a formula in negation normal form into obligation
 sets: each automaton state is the set of subformulas that still must hold.
-Reading a letter rewrites every obligation into the requirements it places on
-the current position plus the obligations it passes to the next one. Each
-postponed subformula (an until or an eventually) owes a discharge; acceptance
-tracks those debts per transition and is then reduced to a single accepting
-set by the usual counter construction.
+Each obligation is rewritten into guarded choices: the obligations it passes
+to the next position, together with a guard on the current letter (the
+propositions it must hold and those it must not). Each postponed subformula
+(an until or an eventually) owes a discharge; acceptance tracks those debts
+per transition and is then reduced to a single accepting set by the usual
+counter construction.
 
-Past the tableau, the construction runs on integer letter indices into
-``canonical_letters`` and on ``(src, letter, dst)`` arrays: debt marks are
-bitmasks, the counter levels come from a lookup table, and pruning and
-quotienting are array passes. Only the final automaton becomes a
-:class:`BuchiAutomaton`.
+A state's guarded choices are worked out once, and expanded to the letters
+that satisfy their guards in one array pass. Past the tableau, the
+construction runs on integer letter indices into ``canonical_letters`` and
+on ``(src, letter, dst)`` arrays: debt marks are bitmasks, the counter levels
+come from a lookup table, and pruning and quotienting are array passes. Only
+the final automaton becomes a :class:`BuchiAutomaton`.
 
 Every ordering in the construction is derived from canonical formula and
-letter orders, so automaton state numbering is reproducible across processes.
+letter orders and from insertion-ordered dicts, never from set iteration, so
+automaton state numbering is reproducible across processes.
 """
 
 from __future__ import annotations
@@ -125,79 +128,90 @@ def until_like_subformulas(formula: Formula) -> list[Formula]:
 
 _EMPTY = frozenset()
 
-# A choice is (obligations passed to the next position,
-#              postponed subformulas discharged right now,
-#              postponed subformulas whose requirement was examined right now).
-_Choice = tuple[frozenset, frozenset, frozenset]
+# A guarded choice is (obligations passed to the next position,
+#                      postponed subformulas discharged right now,
+#                      postponed subformulas whose requirement was examined right now,
+#                      propositions the letter must hold, propositions it must not),
+# the last two as bitmasks over the sorted propositions.
+_Choice = tuple[frozenset, frozenset, frozenset, int, int]
 
 
-def _sat(formula: Formula, letter: Letter, memo: dict) -> tuple[_Choice, ...]:
-    key = (formula, letter)
-    cached = memo.get(key)
+def _sat(formula: Formula, prop_bit: dict[str, int], memo: dict) -> tuple[_Choice, ...]:
+    """Guarded choices of one obligation, in a deterministic order."""
+    cached = memo.get(formula)
     if cached is not None:
         return cached
     if isinstance(formula, TrueConst):
-        result: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY),)
+        result: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY, 0, 0),)
     elif isinstance(formula, Atom):
-        result = ((_EMPTY, _EMPTY, _EMPTY),) if formula.name in letter else ()
+        result = ((_EMPTY, _EMPTY, _EMPTY, prop_bit[formula.name], 0),)
     elif isinstance(formula, Not):
         sub = formula.sub
         if isinstance(sub, TrueConst):
             result = ()
         elif isinstance(sub, Atom):
-            result = ((_EMPTY, _EMPTY, _EMPTY),) if sub.name not in letter else ()
+            result = ((_EMPTY, _EMPTY, _EMPTY, 0, prop_bit[sub.name]),)
         else:
             raise ContractError("negation below non-atomic formula; normalize first")
     elif isinstance(formula, And):
         result = _combine(
-            _sat(formula.left, letter, memo), _sat(formula.right, letter, memo)
+            _sat(formula.left, prop_bit, memo), _sat(formula.right, prop_bit, memo)
         )
     elif isinstance(formula, Or):
-        merged = set(_sat(formula.left, letter, memo))
-        merged.update(_sat(formula.right, letter, memo))
-        result = tuple(merged)
+        result = tuple(
+            dict.fromkeys(
+                _sat(formula.left, prop_bit, memo) + _sat(formula.right, prop_bit, memo)
+            )
+        )
     elif isinstance(formula, Next):
-        result = ((frozenset((formula.sub,)), _EMPTY, _EMPTY),)
+        result = ((frozenset((formula.sub,)), _EMPTY, _EMPTY, 0, 0),)
     elif isinstance(formula, Until):
         mark = frozenset((formula,))
-        choices = set()
-        for nxt, dis, pro in _sat(formula.right, letter, memo):
-            choices.add((nxt, dis | mark, pro | mark))
-        for nxt, dis, pro in _sat(formula.left, letter, memo):
-            choices.add((nxt | mark, dis, pro | mark))
+        choices = {}
+        for nxt, dis, pro, pos, neg in _sat(formula.right, prop_bit, memo):
+            choices[nxt, dis | mark, pro | mark, pos, neg] = None
+        for nxt, dis, pro, pos, neg in _sat(formula.left, prop_bit, memo):
+            choices[nxt | mark, dis, pro | mark, pos, neg] = None
         result = tuple(choices)
     elif isinstance(formula, Eventually):
         mark = frozenset((formula,))
-        choices = set()
-        for nxt, dis, pro in _sat(formula.sub, letter, memo):
-            choices.add((nxt, dis | mark, pro | mark))
-        choices.add((mark, _EMPTY, mark))
+        choices = {}
+        for nxt, dis, pro, pos, neg in _sat(formula.sub, prop_bit, memo):
+            choices[nxt, dis | mark, pro | mark, pos, neg] = None
+        choices[mark, _EMPTY, mark, 0, 0] = None
         result = tuple(choices)
     elif isinstance(formula, Always):
         keep = frozenset((formula,))
         result = tuple(
-            (nxt | keep, dis, pro) for nxt, dis, pro in _sat(formula.sub, letter, memo)
+            dict.fromkeys(
+                (nxt | keep, dis, pro, pos, neg)
+                for nxt, dis, pro, pos, neg in _sat(formula.sub, prop_bit, memo)
+            )
         )
     else:
         raise TypeError(f"unknown formula node {formula!r}")
-    memo[key] = result
+    memo[formula] = result
     return result
 
 
 def _combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, ...]:
-    out = set()
-    for na, da, pa in a:
-        for nb, db, pb in b:
-            out.add((na | nb, da | db, pa | pb))
+    """Both choices at once; a pair whose guards contradict is dropped."""
+    out = {}
+    for na, da, pa, pos_a, neg_a in a:
+        for nb, db, pb, pos_b, neg_b in b:
+            pos, neg = pos_a | pos_b, neg_a | neg_b
+            if not pos & neg:
+                out[na | nb, da | db, pa | pb, pos, neg] = None
     return tuple(out)
 
 
-def _state_successors(
-    members: Sequence[Formula], letter: Letter, memo: dict
+def _state_choices(
+    members: Sequence[Formula], prop_bit: dict[str, int], memo: dict
 ) -> tuple[_Choice, ...]:
-    choices: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY),)
+    """Guarded choices of an obligation state whose members are in order."""
+    choices: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY, 0, 0),)
     for member in members:
-        choices = _combine(choices, _sat(member, letter, memo))
+        choices = _combine(choices, _sat(member, prop_bit, memo))
         if not choices:
             break
     return choices
@@ -219,7 +233,7 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     n_untils = len(untils)
     letters = canonical_letters(props)
 
-    order, edges, masks = _obligation_automaton(normalized, untils, letters)
+    order, edges, masks = _obligation_automaton(normalized, untils, sorted(props))
     pairs, src, letter, dst = _counter_levels(edges, masks, n_untils)
     accepting = pairs % (n_untils + 1) == n_untils
 
@@ -258,16 +272,23 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
 
 
 def _obligation_automaton(
-    start: Formula, untils: list[Formula], letters: list[Letter]
+    start: Formula, untils: list[Formula], props: list[str]
 ) -> tuple[list[frozenset], list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
     """Obligation-set automaton with per-transition debt bookkeeping.
 
-    States are numbered breadth-first in discovery order, and each state's
-    edges are listed letter by letter in the order the tableau yields them.
-    Returns the states, one ``(letter, target, marks)`` array triple per
-    state, and the debt bitmask of every marks index: bit ``i`` is set when
-    ``untils[i]`` was discharged on the edge or not examined on it.
+    States are numbered breadth-first in discovery order. Each state's
+    guarded choices are worked out once and then expanded to the letters
+    that satisfy their guards; since the index of a letter in
+    ``canonical_letters`` is its own bitmask over the sorted propositions,
+    that is one match matrix per state. Edges are listed letter by letter,
+    in choice order within a letter, without repeating a ``(target, marks)``
+    pair, and new targets are numbered in order of first sight. Returns the
+    states, one ``(letter, target, marks)`` array triple per state, and the
+    debt bitmask of every marks index: bit ``i`` is set when ``untils[i]``
+    was discharged on the edge or not examined on it.
     """
+    prop_bit = {p: 1 << i for i, p in enumerate(props)}
+    letter_bits = np.arange(1 << len(props), dtype=np.int64)[:, None]
     memo: dict = {}
     # marks index of every (discharged, examined) pair, via its debt bitmask
     marks_of: dict[tuple[frozenset, frozenset], int] = {}
@@ -280,41 +301,45 @@ def _obligation_automaton(
     while frontier:
         new_frontier: list[frozenset] = []
         for state in frontier:
-            members = sorted(state, key=_formula_key)
-            out_letter: list[int] = []
-            out_target: list[int] = []
-            out_marks: list[int] = []
-            for li, letter in enumerate(letters):
-                seen: set[tuple[frozenset, int]] = set()
-                for nxt, dis, pro in _state_successors(members, letter, memo):
-                    marks = marks_of.get((dis, pro))
-                    if marks is None:
-                        mask = sum(
-                            1 << i
-                            for i, u in enumerate(untils)
-                            if u not in pro or u in dis
-                        )
-                        marks = mask_index.setdefault(mask, len(mask_index))
-                        marks_of[dis, pro] = marks
-                    key = (nxt, marks)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    target = states.get(nxt)
-                    if target is None:
-                        target = states[nxt] = len(order)
-                        order.append(nxt)
-                        new_frontier.append(nxt)
-                    out_letter.append(li)
-                    out_target.append(target)
-                    out_marks.append(marks)
-            edges.append(
-                (
-                    np.array(out_letter, dtype=np.int64),
-                    np.array(out_target, dtype=np.int64),
-                    np.array(out_marks, dtype=np.int64),
-                )
-            )
+            choices = _state_choices(sorted(state, key=_formula_key), prop_bit, memo)
+            # distinct (next, marks) moves, numbered in choice order
+            moves: dict[tuple[frozenset, int], int] = {}
+            move_of_choice: list[int] = []
+            for nxt, dis, pro, _, _ in choices:
+                marks = marks_of.get((dis, pro))
+                if marks is None:
+                    mask = sum(
+                        1 << i
+                        for i, u in enumerate(untils)
+                        if u not in pro or u in dis
+                    )
+                    marks = mask_index.setdefault(mask, len(mask_index))
+                    marks_of[dis, pro] = marks
+                move_of_choice.append(moves.setdefault((nxt, marks), len(moves)))
+            pos = np.array([c[3] for c in choices], dtype=np.int64)
+            neg = np.array([c[4] for c in choices], dtype=np.int64)
+            matches = ((pos & ~letter_bits) == 0) & ((neg & letter_bits) == 0)
+            # row-major: letter by letter, choices in order within a letter
+            out_letter, choice = np.nonzero(matches)
+            out_move = np.array(move_of_choice, dtype=np.int64)[choice]
+            # the first listing of each (letter, move) pair, in listing order
+            keys = out_letter * len(moves) + out_move
+            keep = np.sort(np.unique(keys, return_index=True)[1])
+            out_letter, out_move = out_letter[keep], out_move[keep]
+            move_list = list(moves)
+            move_target = np.zeros(len(moves), dtype=np.int64)
+            move_marks = np.array([marks for _, marks in move_list], dtype=np.int64)
+            # targets are numbered in order of first sight along the edges
+            seen_at = np.unique(out_move, return_index=True)[1]
+            for m in out_move[np.sort(seen_at)].tolist():
+                nxt = move_list[m][0]
+                target = states.get(nxt)
+                if target is None:
+                    target = states[nxt] = len(order)
+                    order.append(nxt)
+                    new_frontier.append(nxt)
+                move_target[m] = target
+            edges.append((out_letter, move_target[out_move], move_marks[out_move]))
         frontier = new_frontier
     if len(edges) != len(order):
         raise ContractError("internal bookkeeping mismatch")
@@ -486,200 +511,3 @@ def _quotient_transitions(
     head, rest = np.divmod(keys, n_letters * n_blocks)
     letter_rank, tail = np.divmod(rest, n_blocks)
     return head, by_name[letter_rank], tail
-
-
-def find_accepting_lasso_run(
-    ba: BuchiAutomaton, stem: Sequence[Letter], loop: Sequence[Letter]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
-    """Witness run of the automaton over the lasso word, if one exists.
-
-    Nodes pair an automaton state with a word position; the loop's last
-    position wraps to its first. Returns a path from the initial node and a
-    cycle through an accepting node (endpoints repeated), or None when the
-    word is rejected.
-    """
-    if len(loop) == 0:
-        raise ContractError("the loop part of a lasso must be nonempty")
-    word = [frozenset(x) for x in stem] + [frozenset(x) for x in loop]
-    n_pos = len(word)
-    wrap = len(stem)
-
-    def succ_pos(i: int) -> int:
-        return i + 1 if i + 1 < n_pos else wrap
-
-    start = (ba.initial, 0)
-    parents: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    nodes: list[tuple[int, int]] = [start]
-    adj: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    queue = [start]
-    while queue:
-        node = queue.pop()
-        state, pos = node
-        targets = []
-        for t in ba.successors(state, word[pos]):
-            nxt = (t, succ_pos(pos))
-            targets.append(nxt)
-            if nxt not in parents:
-                parents[nxt] = node
-                nodes.append(nxt)
-                queue.append(nxt)
-        adj[node] = targets
-    idx = {node: i for i, node in enumerate(nodes)}
-    rows, cols = [], []
-    for node, targets in adj.items():
-        for t in targets:
-            rows.append(idx[node])
-            cols.append(idx[t])
-    if rows:
-        graph = csr_array(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-            shape=(len(nodes), len(nodes)),
-        )
-        _, labels = connected_components(graph, directed=True, connection="strong")
-    else:
-        labels = np.arange(len(nodes))
-    internal = set()
-    for node, targets in adj.items():
-        for t in targets:
-            if labels[idx[node]] == labels[idx[t]]:
-                internal.add(labels[idx[node]])
-    anchor = None
-    for node in nodes:
-        state, _ = node
-        if state in ba.accepting and labels[idx[node]] in internal:
-            anchor = node
-            break
-    if anchor is None:
-        return None
-
-    path: list[tuple[int, int]] = []
-    cursor: tuple[int, int] | None = anchor
-    while cursor is not None:
-        path.append(cursor)
-        cursor = parents[cursor]
-    path.reverse()
-
-    # shortest cycle through the anchor inside its component
-    component = labels[idx[anchor]]
-    cycle_parents: dict[tuple[int, int], tuple[int, int]] = {}
-    frontier = [anchor]
-    found = None
-    visited = {anchor}
-    while frontier and found is None:
-        nxt_frontier = []
-        for node in frontier:
-            for t in adj.get(node, []):
-                if labels[idx[t]] != component:
-                    continue
-                if t == anchor:
-                    found = node
-                    break
-                if t not in visited:
-                    visited.add(t)
-                    cycle_parents[t] = node
-                    nxt_frontier.append(t)
-            if found is not None:
-                break
-        frontier = nxt_frontier
-    if found is None:
-        return None
-    chain = [found]
-    while chain[-1] != anchor:
-        chain.append(cycle_parents[chain[-1]])
-    chain.reverse()
-    cycle = chain + [anchor]
-    return path, cycle
-
-
-def lasso_accepts(
-    ba: BuchiAutomaton, stem: Sequence[Letter], loop: Sequence[Letter]
-) -> bool:
-    """Whether the automaton accepts stem followed by loop repeated forever."""
-    return find_accepting_lasso_run(ba, stem, loop) is not None
-
-
-def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
-
-
-def _closure_reflexive(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    reach = v | np.eye(n, dtype=bool)
-    steps = max(1, int(np.ceil(np.log2(max(n, 2)))) + 1)
-    for _ in range(steps):
-        reach = reach | _bool_matmul(reach, reach)
-    return reach
-
-
-def lasso_acceptance_table(
-    ba: BuchiAutomaton, max_stem: int, max_loop: int
-) -> np.ndarray:
-    """Acceptance of every lasso from ``enumerate_lassos`` over the automaton
-    alphabet, vectorized across words.
-
-    One traversal relation per loop word is composed from per-letter boolean
-    matrices while tracking whether an accepting state was entered; a loop is
-    viable from the states that can reach a strongly connected component
-    containing such a flagged traversal. Checked against
-    :func:`lasso_accepts` on samples in the test suite.
-    """
-    letters = ba.letters()
-    n_letters = len(letters)
-    size = ba.n_states
-    acc = np.zeros(size, dtype=bool)
-    for s in ba.accepting:
-        acc[s] = True
-    letter_index = {letter: i for i, letter in enumerate(letters)}
-    step = np.zeros((n_letters, size, size), dtype=bool)
-    for s, letter, t in ba.transitions:
-        step[letter_index[letter], s, t] = True
-    step_f = step & acc[None, None, :]
-
-    chunks: list[np.ndarray] = []
-    for stem_len in range(max_stem + 1):
-        for loop_len in range(1, max_loop + 1):
-            # reachable state sets after every stem of this length
-            stems = np.zeros((1, size), dtype=bool)
-            stems[0, ba.initial] = True
-            for _ in range(stem_len):
-                parts = [_bool_matmul(stems, step[d]) for d in range(n_letters)]
-                stems = np.stack(parts, axis=1).reshape(-1, size)
-            # viable start states per loop of this length
-            pairs: list[tuple[np.ndarray, np.ndarray]] = [
-                (step[d], step_f[d]) for d in range(n_letters)
-            ]
-            for _ in range(loop_len - 1):
-                nxt: list[tuple[np.ndarray, np.ndarray]] = []
-                for v, vf in pairs:
-                    for d in range(n_letters):
-                        nxt.append(
-                            (
-                                _bool_matmul(v, step[d]),
-                                _bool_matmul(vf, step[d])
-                                | _bool_matmul(v, step_f[d]),
-                            )
-                        )
-                pairs = nxt
-            good_starts = np.zeros((len(pairs), size), dtype=bool)
-            for li, (v, vf) in enumerate(pairs):
-                if not v.any():
-                    continue
-                graph = csr_array(v.astype(np.int8))
-                _, labels = connected_components(
-                    graph, directed=True, connection="strong"
-                )
-                same = labels[:, None] == labels[None, :]
-                flagged = vf & same
-                if not flagged.any():
-                    continue
-                good_nodes = np.zeros(size, dtype=bool)
-                xs, ys = np.nonzero(flagged)
-                good_labels = set(labels[x] for x in xs) | set(labels[y] for y in ys)
-                for i in range(size):
-                    if labels[i] in good_labels:
-                        good_nodes[i] = True
-                reach = _closure_reflexive(v)
-                good_starts[li] = (reach & good_nodes[None, :]).any(axis=1)
-            table = _bool_matmul(stems, good_starts.T)
-            chunks.append(table.ravel())
-    return np.concatenate(chunks)

@@ -414,6 +414,8 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "offline_seconds": result.offline_seconds,
         "offline_stages": result.offline.timings,
         "online_step_seconds_median": float(np.median(step_seconds)) if step_seconds else None,
+        "online_step_seconds_p95": float(np.percentile(step_seconds, 95)) if step_seconds else None,
+        "online_step_seconds_max": max(step_seconds) if step_seconds else None,
         "local_runs": result.local_runs,
     }
     paths["stats_json"].write_text(json.dumps(payload, indent=2) + "\n")

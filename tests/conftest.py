@@ -8,16 +8,19 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from surplan.errors import ContractError
 from surplan.ltl import (
     Always,
     And,
     Atom,
     Eventually,
     Formula,
+    Letter,
     Next,
     Not,
     Or,
@@ -165,6 +168,103 @@ def random_formula(rng: np.random.Generator, props: list[str], depth: int) -> Fo
     if kind == 5:
         return Eventually(sub())
     return Always(sub())
+
+
+def random_formula_cases(n: int) -> list[tuple[Formula, list[str]]]:
+    """``n`` random formulas with 1-5 propositions and depth 1-5, each with
+    its propositions; case ``i`` depends on ``i`` alone."""
+    props = ["a", "b", "c", "d", "e"]
+    cases = []
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        case_props = props[: 1 + seed % 5]
+        cases.append((random_formula(rng, case_props, 1 + seed // 5 % 5), case_props))
+    return cases
+
+
+# Per-letter tableau: the obligation choices of a formula, or of an
+# obligation state, on one concrete letter. ``surplan.buchi`` computes guarded
+# choices once per state instead; expanded to a letter they must give the
+# same choices as these.
+
+_EMPTY = frozenset()
+
+# A choice is (obligations passed to the next position,
+#              postponed subformulas discharged right now,
+#              postponed subformulas whose requirement was examined right now).
+_Choice = tuple[frozenset, frozenset, frozenset]
+
+
+def _sat(formula: Formula, letter: Letter, memo: dict) -> tuple[_Choice, ...]:
+    key = (formula, letter)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if isinstance(formula, TrueConst):
+        result: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY),)
+    elif isinstance(formula, Atom):
+        result = ((_EMPTY, _EMPTY, _EMPTY),) if formula.name in letter else ()
+    elif isinstance(formula, Not):
+        sub = formula.sub
+        if isinstance(sub, TrueConst):
+            result = ()
+        elif isinstance(sub, Atom):
+            result = ((_EMPTY, _EMPTY, _EMPTY),) if sub.name not in letter else ()
+        else:
+            raise ContractError("negation below non-atomic formula; normalize first")
+    elif isinstance(formula, And):
+        result = _combine(
+            _sat(formula.left, letter, memo), _sat(formula.right, letter, memo)
+        )
+    elif isinstance(formula, Or):
+        merged = set(_sat(formula.left, letter, memo))
+        merged.update(_sat(formula.right, letter, memo))
+        result = tuple(merged)
+    elif isinstance(formula, Next):
+        result = ((frozenset((formula.sub,)), _EMPTY, _EMPTY),)
+    elif isinstance(formula, Until):
+        mark = frozenset((formula,))
+        choices = set()
+        for nxt, dis, pro in _sat(formula.right, letter, memo):
+            choices.add((nxt, dis | mark, pro | mark))
+        for nxt, dis, pro in _sat(formula.left, letter, memo):
+            choices.add((nxt | mark, dis, pro | mark))
+        result = tuple(choices)
+    elif isinstance(formula, Eventually):
+        mark = frozenset((formula,))
+        choices = set()
+        for nxt, dis, pro in _sat(formula.sub, letter, memo):
+            choices.add((nxt, dis | mark, pro | mark))
+        choices.add((mark, _EMPTY, mark))
+        result = tuple(choices)
+    elif isinstance(formula, Always):
+        keep = frozenset((formula,))
+        result = tuple(
+            (nxt | keep, dis, pro) for nxt, dis, pro in _sat(formula.sub, letter, memo)
+        )
+    else:
+        raise TypeError(f"unknown formula node {formula!r}")
+    memo[key] = result
+    return result
+
+
+def _combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, ...]:
+    out = set()
+    for na, da, pa in a:
+        for nb, db, pb in b:
+            out.add((na | nb, da | db, pa | pb))
+    return tuple(out)
+
+
+def _state_successors(
+    members: Sequence[Formula], letter: Letter, memo: dict
+) -> tuple[_Choice, ...]:
+    choices: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY),)
+    for member in members:
+        choices = _combine(choices, _sat(member, letter, memo))
+        if not choices:
+            break
+    return choices
 
 
 def random_product(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surplan.buchi import lasso_acceptance_table, lasso_accepts, to_buchi
+from surplan.buchi import to_buchi
 from surplan.cli import main as cli_main
 from surplan.errors import MissionInfeasible
 from surplan.ltl import (
@@ -47,6 +47,7 @@ from surplan.sim import check_alternation, check_never_visits, run_experiment
 from surplan.ts import local_runs, run_times
 
 from conftest import random_formula, random_product, random_ts, record_criterion
+from lasso_runs import lasso_acceptance_table, lasso_accepts
 from test_product import distances_oracle, inf_sets_oracle, product_min_w_oracle
 from test_rewards import pot_oracles
 

@@ -13,21 +13,25 @@ import surplan
 
 from surplan.buchi import (
     BuchiAutomaton,
-    find_accepting_lasso_run,
-    lasso_acceptance_table,
-    lasso_accepts,
+    _obligation_automaton,
+    _state_choices,
     to_buchi,
+    until_like_subformulas,
 )
 from surplan.errors import ContractError
 from surplan.scenario import load_scenario
 from surplan.ltl import (
+    atoms,
+    canonical_letters,
     enumerate_lassos,
     formula_satisfied_on_lasso,
+    nnf,
     parse,
     semantic_lasso_table,
 )
 
-from conftest import random_formula
+from conftest import _state_successors, random_formula, random_formula_cases
+from lasso_runs import find_accepting_lasso_run, lasso_acceptance_table, lasso_accepts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # the 7-proposition patrol mission of the benchmark's large_mission workload
@@ -212,16 +216,20 @@ def test_seven_proposition_mission_automaton_is_pinned():
 def test_automaton_numbering_is_independent_of_the_hash_seed():
     script = (
         "import hashlib, sys\n"
+        "from conftest import random_formula_cases\n"
         "from surplan.buchi import to_buchi\n"
         "from surplan.scenario import load_scenario\n"
         "s = load_scenario(sys.argv[1])\n"
-        "ba = to_buchi(s.formula, s.ts.propositions)\n"
-        "print(hashlib.sha256(ba.to_text().encode()).hexdigest()[:16])\n"
+        "cases = [(s.formula, s.ts.propositions)] + random_formula_cases(100)\n"
+        "for f, props in cases:\n"
+        "    ba = to_buchi(f, props)\n"
+        "    print(hashlib.sha256(ba.to_text().encode()).hexdigest()[:16])\n"
     )
     src = str(Path(surplan.__file__).resolve().parent.parent)
-    digests = set()
+    tests = str(Path(__file__).resolve().parent)
+    digests = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join([src, tests]))
         done = subprocess.run(
             [sys.executable, "-c", script, str(SCENARIOS / "default_grid.ini")],
             env=env,
@@ -230,5 +238,67 @@ def test_automaton_numbering_is_independent_of_the_hash_seed():
             timeout=120,
             check=True,
         )
-        digests.add(done.stdout.strip())
-    assert digests == {"c3232d794d83c6c5"}
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 101
+    assert digests[0][0] == "c3232d794d83c6c5"
+    assert digests[0] == digests[1]
+
+
+def test_random_formula_automata_are_pinned():
+    # the quotient merges no states in 70 of these 100 automata, so their
+    # state numbering is the construction's exploration order
+    digests = [automaton_pin(to_buchi(f, props))[2] for f, props in random_formula_cases(100)]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] == "c331f17bb43dda96"
+
+
+def _debt_mask(untils, discharged, examined):
+    return sum(
+        1 << i for i, u in enumerate(untils) if u not in examined or u in discharged
+    )
+
+
+def _oracle_cases():
+    cases = [("large_mission", parse(LARGE_MISSION, LARGE_MISSION_PROPS), LARGE_MISSION_PROPS)]
+    for name in ("default_grid.ini", "triangle.ini", "infeasible.ini"):
+        scenario = load_scenario(SCENARIOS / name)
+        cases.append((name, scenario.formula, scenario.ts.propositions))
+    for i, (f, props) in enumerate(random_formula_cases(200)):
+        cases.append((f"random {i}", f, props))
+    return cases
+
+
+def test_guarded_choices_match_the_per_letter_tableau():
+    """Every reachable obligation state, expanded to every letter, gives the
+    per-letter tableau's choices, and its edges are exactly those choices'
+    (next state, debt mask) pairs."""
+    checked = 0
+    for name, formula, extra in _oracle_cases():
+        props = sorted(atoms(formula) | set(extra))
+        normalized = nnf(formula)
+        untils = until_like_subformulas(normalized)
+        letters = canonical_letters(props)
+        prop_bit = {p: 1 << i for i, p in enumerate(props)}
+        order, edges, masks = _obligation_automaton(normalized, untils, props)
+        memo, oracle_memo = {}, {}
+        for state, (out_letter, out_target, out_marks) in zip(order, edges):
+            members = sorted(state, key=str)
+            guarded = _state_choices(members, prop_bit, memo)
+            for li, letter in enumerate(letters):
+                expected = set(_state_successors(members, letter, oracle_memo))
+                expanded = {
+                    (nxt, dis, pro)
+                    for nxt, dis, pro, pos, neg in guarded
+                    if pos & ~li == 0 and neg & li == 0
+                }
+                assert expanded == expected, (name, sorted(map(str, state)), sorted(letter))
+                on_letter = out_letter == li
+                listed = [
+                    (order[t], masks[m])
+                    for t, m in zip(out_target[on_letter].tolist(), out_marks[on_letter].tolist())
+                ]
+                assert len(listed) == len(set(listed))
+                assert set(listed) == {
+                    (nxt, _debt_mask(untils, dis, pro)) for nxt, dis, pro in expected
+                }, (name, sorted(map(str, state)), sorted(letter))
+                checked += 1
+    assert checked > 10_000

@@ -119,6 +119,16 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     assert block["rows"] >= block["system_bundles"] + block["planner_bundles"]
 
 
+def test_stats_json_reports_step_latency_tail(tmp_path, triangle_result):
+    _, result = triangle_result
+    payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
+    median = payload["online_step_seconds_median"]
+    p95 = payload["online_step_seconds_p95"]
+    top = payload["online_step_seconds_max"]
+    assert 0.0 < median <= p95 <= top
+    assert top == max(result.step_seconds)
+
+
 def test_stats_json_reports_offline_stage_timings(tmp_path):
     scenario = load_scenario(SCENARIOS / "triangle.ini", {"runs": 1, "iterations": 5})
     result = run_experiment(scenario)
