@@ -108,6 +108,11 @@ class Planner:
             else LocalRunCache(product.ts, product, visibility, horizon)
         )
 
+        # decisions with more than one candidate within the tie tolerance of
+        # the best, and decisions whose best attraction was exactly zero
+        self.tied_steps = 0
+        self.zero_attraction_steps = 0
+
         self._elapsed_raw = 0.0
         self._elapsed_masked = 0.0
         self._last_accepting: int | None = 0 if product.f_inf[product.initial] else None
@@ -217,7 +222,10 @@ class Planner:
             for i, a in enumerate(attractions)
             if a >= best - ATTRACTION_TIE_TOLERANCE
         ]
+        if len(ties) > 1:
+            self.tied_steps += 1
         if best == 0.0:
+            self.zero_attraction_steps += 1
             # Degenerate corner: a ramp preference with zero potential
             # everywhere scores every move 0, including the shortening ones.
             # Restricting the tie to shortening edges preserves progress

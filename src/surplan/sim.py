@@ -57,6 +57,9 @@ class RunResult:
     records: list[StepRecord]
     accepting_positions: list[int]
     step_seconds: list[float]
+    # Planner.tied_steps and Planner.zero_attraction_steps after the run
+    ties: int = 0
+    zero_attraction_steps: int = 0
 
     @property
     def rewards(self) -> list[float]:
@@ -141,6 +144,14 @@ class ExperimentResult:
     offline_seconds: float
     # LocalRunCache.sizes() of the offline result's cache after the runs
     local_runs: dict[str, int]
+
+    @property
+    def planner(self) -> dict[str, int]:
+        """Tied decisions and zero-attraction fallbacks, summed over runs."""
+        return {
+            "ties": sum(run.ties for run in self.runs),
+            "zero_attraction_steps": sum(run.zero_attraction_steps for run in self.runs),
+        }
 
     @property
     def step_seconds(self) -> list[float]:
@@ -241,6 +252,8 @@ def run_single(
         records=records,
         accepting_positions=list(planner.accepting_positions),
         step_seconds=step_seconds,
+        ties=planner.tied_steps,
+        zero_attraction_steps=planner.zero_attraction_steps,
     )
 
 
@@ -417,6 +430,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "online_step_seconds_p95": float(np.percentile(step_seconds, 95)) if step_seconds else None,
         "online_step_seconds_max": max(step_seconds) if step_seconds else None,
         "local_runs": result.local_runs,
+        "planner": result.planner,
     }
     paths["stats_json"].write_text(json.dumps(payload, indent=2) + "\n")
     return paths

@@ -311,6 +311,103 @@ def random_product(
     )
 
 
+class LocalRunOracle:
+    """Local runs of one system move at a time, by the per-move recurrence.
+
+    ``bundle(q_k, q)`` expands the runs after the move ``q_k -> q`` alone,
+    one array step per run length, and packs them padded, ordered by length
+    and, within a length, by parent row and then successor order. With a
+    product it also pushes sets of automaton states along every row (one
+    boolean matrix product per run length) to find which start states admit
+    each row. Visibility comes from :func:`dijkstra_oracle`.
+    """
+
+    def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
+        self.ts = ts
+        self.product = product
+        self.visibility = float(visibility)
+        self.horizon = float(horizon)
+        self.distance = np.array(dijkstra_oracle(ts.n, ts.weight_of))
+        self.indptr = np.cumsum([0] + [len(js) for js in ts.succ])
+        self.succ = np.array([j for js in ts.succ for j in js], dtype=np.int64)
+        self.weight = np.array(
+            [ts.weight_of[(i, j)] for i, js in enumerate(ts.succ) for j in js]
+        )
+        if product is not None:
+            ba = product.ba
+            self.delta = {
+                letter: np.zeros((ba.n_states, ba.n_states), dtype=bool)
+                for letter in set(ts.labels)
+            }
+            for letter, matrix in self.delta.items():
+                for s in range(ba.n_states):
+                    matrix[s, list(ba.successors(s, letter))] = True
+            self.kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+            self.kept[product.ts_of, product.ba_of] = True
+
+    def bundle(self, q_k: int, q: int):
+        """``(ts_states, valid, cumw, novel, admits)``; ``admits`` is None
+        without a product. Raises ContractError when the move has no run."""
+        entry = self.ts.weight_of[(q_k, q)]
+        allowed = self.distance[q_k] <= self.visibility
+        if not allowed[q] or entry > self.horizon:
+            raise ContractError("a local run set must contain at least one run")
+        states, cums = np.array([q]), np.array([0.0])
+        levels = [(None, states, cums)]
+        while True:
+            starts = self.indptr[states]
+            counts = self.indptr[states + 1] - starts
+            parent = np.repeat(np.arange(len(states)), counts)
+            first = np.cumsum(counts) - counts
+            move = np.arange(len(parent)) + np.repeat(starts - first, counts)
+            nxt = self.succ[move]
+            total = cums[parent] + self.weight[move]
+            fits = allowed[nxt] & (total + entry <= self.horizon)
+            if not fits.any():
+                break
+            states, cums = nxt[fits], total[fits]
+            levels.append((parent[fits], states, cums))
+
+        width = len(levels)
+        n_rows = sum(len(level[1]) for level in levels)
+        ts_states = np.full((n_rows, width), -1, dtype=np.int64)
+        valid = np.zeros((n_rows, width), dtype=bool)
+        cumw = np.zeros((n_rows, width), dtype=np.float64)
+        novel = np.zeros((n_rows, width), dtype=bool)
+        path = np.array([[q]])
+        path_cumw = np.array([[0.0]])
+        path_novel = np.array([[q != q_k]])
+        row = 0
+        for length, (parent, states, cums) in enumerate(levels, start=1):
+            if length > 1:
+                earlier = path[parent]
+                fresh = (states != q_k) & ~(earlier == states[:, None]).any(axis=1)
+                path = np.column_stack((earlier, states))
+                path_cumw = np.column_stack((path_cumw[parent], cums))
+                path_novel = np.column_stack((path_novel[parent], fresh))
+            end = row + len(states)
+            ts_states[row:end, :length] = path
+            valid[row:end, :length] = True
+            cumw[row:end, :length] = path_cumw
+            novel[row:end, :length] = path_novel
+            row = end
+
+        admits = None
+        if self.product is not None:
+            # reach[r, s0, s]: automaton state s can sit at the end of row r
+            # on some trimmed product path that starts in (q, s0)
+            reach = np.diag(self.kept[q])[None]
+            last = np.array([q])
+            admitted = [reach.any(axis=2)]
+            for parent, states, _ in levels[1:]:
+                step = np.stack([self.delta[self.ts.labels[p]] for p in last[parent]])
+                reach = np.matmul(reach[parent], step) & self.kept[states][:, None, :]
+                last = states
+                admitted.append(reach.any(axis=2))
+            admits = np.concatenate(admitted)
+        return ts_states, valid, cumw, novel, admits
+
+
 @pytest.fixture(scope="session")
 def triangle_ts() -> TransitionSystem:
     return TransitionSystem(

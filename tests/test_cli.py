@@ -1,5 +1,6 @@
 """Command-line interface contract: exit codes, outputs, and overrides."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -84,3 +85,31 @@ def test_bad_override_exits_with_usage_error(capsys):
 def test_missing_scenario_file_exits_with_usage_error(capsys):
     assert main(["check", "no/such/file.ini"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# SHA-256 of the files `surplan run` writes for each shipped scenario
+SHIPPED_OUTPUTS = {
+    "default_grid.ini": {
+        "trace.csv": "f4226aa1069dcb1843ed645f589fc630b3165e89a62e75d3dcdd3e08889bd524",
+        "timeseries.csv": "2ccbac7fcdd876543dc500a17d2eeeca28c283cf3efa39c7a83e0c38a16aab0a",
+        "stats.txt": "4bac1463de051af088115e0675d74122390080d4cea573de9cdaeea74dda9db5",
+    },
+    "triangle.ini": {
+        "trace.csv": "17f46ce217c46fdbd243eb459021b7a510175206c6b77a22463db1b6b2a0d10f",
+        "timeseries.csv": "fa8420cb4ee74523087c9557cdc1f1d92c0fea510ce434b5baa7a94425b65bfb",
+        "stats.txt": "d3e0961bba9f7558fdba2d076bacc20ba90f9e04617b1d78f96d721a8f47537d",
+    },
+}
+
+
+def test_shipped_scenario_outputs_are_pinned(tmp_path, capsys):
+    """The shipped scenarios' outputs are byte-identical to the pinned ones."""
+    for scenario, digests in SHIPPED_OUTPUTS.items():
+        out_dir = tmp_path / scenario
+        assert main(["run", str(SCENARIO_DIR / scenario), "--out", str(out_dir)]) == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, (
+                scenario,
+                name,
+            )
+    capsys.readouterr()

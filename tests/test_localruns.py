@@ -1,5 +1,6 @@
-"""Shared local-run cache: equivalence with the definitional enumeration, and
-one build per bundle across runs, experiments and callers."""
+"""Shared local-run cache: equivalence with the definitional enumeration and
+with the per-move recurrence, and one build per fan and per subset across
+runs, experiments and callers."""
 
 import dataclasses
 from collections import Counter
@@ -17,7 +18,7 @@ from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
-from conftest import random_product, random_ts
+from conftest import LocalRunOracle, random_product, random_ts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 POTENTIALS = (MaxSumPotential(15.0), MaxSinglePotential())
@@ -35,10 +36,35 @@ def assert_same_scores(mine, reference, fields):
             assert potential.evaluate(mine, values) == potential.evaluate(reference, values)
 
 
+def assert_fans_match_oracle(cache, oracle):
+    """Every system bundle, and with a product every admits array, is
+    array-equal to the per-move recurrence; a move without runs raises."""
+    ts = cache.ts
+    for q_k in range(ts.n):
+        for q in ts.successors(q_k):
+            try:
+                expected = oracle.bundle(q_k, q)
+            except ContractError:
+                with pytest.raises(ContractError):
+                    cache.system_bundle(q_k, q)
+                continue
+            bundle = cache.system_bundle(q_k, q)
+            arrays = (bundle.ts_states, bundle.valid, bundle.cumw, bundle.novel)
+            if cache.product is not None:
+                arrays += (cache._admits[q_k * ts.n + q],)
+            assert len(arrays) == len([a for a in expected if a is not None])
+            for mine, reference in zip(arrays, expected):
+                assert mine.dtype == reference.dtype
+                assert mine.shape == reference.shape
+                assert np.array_equal(mine, reference)
+
+
 def check_against_reference(ts, trimmed, visibility, horizon, fields):
-    """Every system edge and every trimmed edge scores exactly like the
-    enumeration it replaces; returns the number of bundles compared."""
+    """Every system bundle equals the per-move recurrence, and every system
+    edge and every trimmed edge scores exactly like the enumeration it
+    replaces; returns the number of bundles compared."""
     cache = LocalRunCache(ts, trimmed, visibility, horizon)
+    assert_fans_match_oracle(cache, LocalRunOracle(ts, trimmed, visibility, horizon))
     compared = 0
     for q_k in range(ts.n):
         allowed = ts.min_weights[q_k] <= visibility
@@ -185,11 +211,53 @@ def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
     assert narrower > 0
 
 
+def test_a_move_out_of_sight_raises_only_when_asked_for():
+    """A fan leaves out a successor beyond the visibility range; its siblings
+    still build, on a planner cache and on a product-less one, and only a
+    lookup of that move raises."""
+    rng = np.random.default_rng(31)
+    visibility, horizon = 2.0, 7.0
+
+    def split_fan(ts, distance):
+        for q_k in range(ts.n):
+            hidden = [q for q in ts.successors(q_k) if distance[q_k, q] > visibility]
+            seen = [q for q in ts.successors(q_k) if distance[q_k, q] <= visibility]
+            if hidden and seen:
+                return q_k, hidden[0], seen
+        return None
+
+    for _ in range(200):
+        ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=6, weights=(1.0, 4.0))
+        split = split_fan(ts, LocalRunOracle(ts, None, visibility, horizon).distance)
+        if split is not None:
+            break
+    else:
+        pytest.fail("no system with a hidden sibling was drawn")
+    q_k, q_hidden, siblings = split
+    trimmed = random_trimmed_product(rng, ts)
+    for cache in (
+        LocalRunCache(ts, trimmed, visibility, horizon),
+        LocalRunCache(ts, None, visibility, horizon),
+    ):
+        oracle = LocalRunOracle(ts, cache.product, visibility, horizon)
+        # the hidden move is asked for first, so it is the one to expand the fan
+        with pytest.raises(ContractError):
+            cache.system_bundle(q_k, q_hidden)
+        assert cache.sizes()["fans"] == 1
+        for q in siblings:
+            assert np.array_equal(cache.system_bundle(q_k, q).cumw, oracle.bundle(q_k, q)[2])
+        with pytest.raises(ContractError):
+            cache.system_bundle(q_k, q_hidden)
+        assert cache.sizes()["fans"] == 1
+        assert (cache.hits, cache.misses) == (len(siblings), 2)
+        assert_fans_match_oracle(cache, oracle)
+
+
 def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch):
     scenario = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 3, "iterations": 40})
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     builds = Counter()
-    for name in ("_build_system", "_build_subset"):
+    for name in ("_build_fan", "_build_subset"):
         original = getattr(LocalRunCache, name)
 
         def counted(self, key, name=name, original=original):
@@ -203,8 +271,21 @@ def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch)
         dataclasses.replace(scenario, potential_name="max-single"), offline=offline
     )
     cache = offline.local_run_cache(scenario.visibility, scenario.horizon)
+    n = offline.ts.n
+    # each system state is expanded at most once, and each expansion builds
+    # the bundle of every move out of it that has runs
     assert max(builds.values()) == 1
-    assert sum(1 for name, _ in builds if name == "_build_system") == len(cache.system)
+    fanned = {key for name, key in builds if name == "_build_fan"}
+    assert fanned == {key // n for key in cache.system}
+    assert len(cache.system) == sum(
+        sum(1 for q in offline.ts.successors(q_k) if q_k * n + q in cache.system)
+        for q_k in fanned
+    )
+    assert all(
+        q_k * n + q in cache.system for q_k in fanned for q in offline.ts.successors(q_k)
+    )
     assert sum(1 for name, _ in builds if name == "_build_subset") == len(cache.planner)
     assert first.local_runs["planner_bundles"] > 0
     assert second.local_runs == cache.sizes()
+    assert second.local_runs["fans"] == len(fanned)
+    assert second.local_runs["misses"] == len(fanned) + len(cache.planner)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from surplan.planner import ATTRACTION_TIE_TOLERANCE, Planner
 from surplan.product import offline_phase
 from surplan.scenario import load_scenario
 from surplan.sim import (
@@ -111,12 +112,46 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     scenario, result = triangle_result
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
-    assert set(block) == {"system_bundles", "planner_bundles", "rows"}
+    assert set(block) == {"system_bundles", "planner_bundles", "rows", "fans", "hits", "misses"}
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     assert block["system_bundles"] <= len(cache.system)
     assert block["planner_bundles"] <= len(cache.planner)
     assert block["system_bundles"] >= 1 and block["planner_bundles"] >= 1
     assert block["rows"] >= block["system_bundles"] + block["planner_bundles"]
+    # every miss expanded one fan or built one subset; every other lookup hit
+    assert 1 <= block["fans"] <= block["system_bundles"]
+    assert block["misses"] == block["fans"] + block["planner_bundles"]
+    assert block["hits"] > block["misses"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    # with max-single, a decision that sees no reward scores every move 0
+    [{}, {"potential": "max-single", "preference": "cubic"}],
+)
+def test_stats_json_reports_planner_ties_and_zero_attraction_steps(
+    tmp_path, monkeypatch, overrides
+):
+    infos = []
+    original = Planner.step
+
+    def recorded(self, field):
+        infos.append(original(self, field))
+        return infos[-1]
+
+    monkeypatch.setattr(Planner, "step", recorded)
+    result = run_experiment(load_scenario(SCENARIOS / "triangle.ini", overrides))
+    payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
+    ties = sum(
+        1
+        for info in infos
+        if sum(a >= max(info.attractions) - ATTRACTION_TIE_TOLERANCE for a in info.attractions) > 1
+    )
+    zero = sum(1 for info in infos if max(info.attractions) == 0.0)
+    assert len(infos) == result.scenario.runs * result.scenario.iterations
+    assert payload["planner"] == {"ties": ties, "zero_attraction_steps": zero}
+    assert ties > 0
+    assert (zero > 0) == bool(overrides)
 
 
 def test_stats_json_reports_step_latency_tail(tmp_path, triangle_result):
