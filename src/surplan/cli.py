@@ -63,6 +63,10 @@ def command_check(args: argparse.Namespace) -> int:
 def command_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot create output directory {args.out}: {exc}") from exc
+    try:
         result = run_experiment(scenario)
     except MissionInfeasible as exc:
         print(exc)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError
 from .rewards import RunBundle
-from .ts import TransitionSystem
+from .ts import TransitionSystem, visible_distances
 
 
 class LocalRunCache:
@@ -58,13 +58,6 @@ class LocalRunCache:
         self.misses = 0
         # system states whose fan has been expanded
         self._fanned: set[int] = set()
-        # successor lists in CSR form: the moves out of q are
-        # _succ[_indptr[q]:_indptr[q + 1]] with weights _weight[...]
-        self._indptr = np.cumsum([0] + [len(js) for js in ts.succ])
-        self._succ = np.array([j for js in ts.succ for j in js], dtype=np.int64)
-        self._weight = np.array(
-            [ts.weight_of[(i, j)] for i, js in enumerate(ts.succ) for j in js]
-        )
         # per system move bundle, which rows each automaton state can start
         self._admits: dict[int, np.ndarray] = {}
         if product is not None:
@@ -134,9 +127,9 @@ class LocalRunCache:
         """
         ts = self.ts
         self._fanned.add(q_k)
-        allowed = ts.min_weights[q_k] <= self.visibility
-        lo, hi = self._indptr[q_k], self._indptr[q_k + 1]
-        moves, entry = self._succ[lo:hi], self._weight[lo:hi]
+        allowed = visible_distances(ts, q_k, self.visibility) <= self.visibility
+        ptr, succ, weight = ts.move_ptr, ts.move_dst, ts.move_weight
+        moves, entry = succ[ptr[q_k] : ptr[q_k + 1]], weight[ptr[q_k] : ptr[q_k + 1]]
         seeded = allowed[moves] & (entry <= self.horizon)
         roots, entry = moves[seeded], entry[seeded]
         if not len(roots):
@@ -146,14 +139,14 @@ class LocalRunCache:
         states, cums, root = roots, np.zeros(len(roots)), np.arange(len(roots))
         levels = [(None, states, cums, root)]
         while True:
-            starts = self._indptr[states]
-            counts = self._indptr[states + 1] - starts
+            starts = ptr[states]
+            counts = ptr[states + 1] - starts
             parent = np.repeat(np.arange(len(states)), counts)
             # each run's moves, numbered from where its children start
             first = np.cumsum(counts) - counts
             move = np.arange(len(parent)) + np.repeat(starts - first, counts)
-            nxt = self._succ[move]
-            total = cums[parent] + self._weight[move]
+            nxt = succ[move]
+            total = cums[parent] + weight[move]
             fits = allowed[nxt] & (total + entry[root[parent]] <= self.horizon)
             if not fits.any():
                 break

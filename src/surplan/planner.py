@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError, MissionInfeasible
 from .localruns import LocalRunCache
@@ -168,9 +169,7 @@ class Planner:
         """Attraction of one successor of the current state, per the active
         subgoal."""
         p_k = self.current
-        candidates = [
-            int(self.product.edge_dst[e]) for e in self.product.out_edges[p_k]
-        ]
+        candidates = self.product.edge_dst[self.product.edges_from(p_k)].tolist()
         if successor not in candidates:
             raise ContractError("attraction is defined only for successors")
         attractions, _, _, _, _ = self._attractions(p_k, field)
@@ -182,7 +181,7 @@ class Planner:
         self, p_k: int, field: RewardField
     ) -> tuple[list[float], list[float], float, float, float]:
         product = self.product
-        edges = product.out_edges[p_k]
+        edges = product.edges_from(p_k)
         pots = [
             self.potential.evaluate(self.local_runs.for_edge(e), field.values)
             for e in edges
@@ -208,7 +207,7 @@ class Planner:
         product = self.product
         p_k = self.current
         q_k = int(product.ts_of[p_k])
-        edges = product.out_edges[p_k]
+        edges = product.edges_from(p_k)
         attractions, pots, max_pot, pref_value, elapsed = self._attractions(
             p_k, field
         )
@@ -294,19 +293,6 @@ class Planner:
         )
 
 
-def ts_shortening_indicator(
-    ts: TransitionSystem, q: int, q_next: int, surveyed: Sequence[int]
-) -> int:
-    """1 when the transition strictly shortens the minimum weight to any
-    surveyed state, else 0."""
-    ts.weight(q, q_next)
-    targets = list(surveyed)
-    if not targets:
-        return 0
-    table = ts.min_weights
-    return int(table[q_next, targets].min() < table[q, targets].min())
-
-
 class CostEvaluator:
     """System-level cost of a move: potential plus indicated preference.
 
@@ -343,15 +329,13 @@ class CostEvaluator:
             q for q in range(ts.n) if surveillance_prop in ts.label(q)
         ]
         self._surveyed = frozenset(self.surveyed)
-        # least weight from each state to some surveyed state
-        self._to_surveyed = (
-            ts.min_weights[:, self.surveyed].min(axis=1) if self.surveyed else None
-        )
+        # least weight from each state to some surveyed state, infinite
+        # everywhere when there is none: one search backwards from all of them
+        self._to_surveyed = dijkstra(ts.graph.T.tocsr(), indices=self.surveyed, min_only=True)
 
     def indicator(self, q: int, q_next: int) -> int:
-        """:func:`ts_shortening_indicator` over the evaluator's surveyed states."""
-        if self._to_surveyed is None:
-            return 0
+        """1 when the move ``q -> q_next`` strictly shortens the least weight
+        to some surveyed state, else 0."""
         return int(self._to_surveyed[q_next] < self._to_surveyed[q])
 
     def elapsed(self, prefix: Sequence[int]) -> float:

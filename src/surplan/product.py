@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .buchi import BuchiAutomaton, to_buchi
 from .errors import InternalConsistencyError, ValidationError
 from .localruns import LocalRunCache
 from .ltl import Formula, parse
-# min_weight_matrix is unused here; perfbench/spans.py patches it on this module
+# unused here: imported only for perfbench/spans.py, which patches it here
 from .ts import TransitionSystem, min_weight_matrix  # noqa: F401
 
 INF = math.inf
@@ -64,10 +64,11 @@ class ProductAutomaton:
         self.edge_weight = np.asarray(edge_weight, dtype=np.float64)
         self.accepting = np.asarray(accepting, dtype=bool)
         self.surveillance = np.asarray(surveillance, dtype=bool)
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for e in range(len(self.edge_src)):
-            out[self.edge_src[e]].append(e)
-        self.out_edges = tuple(tuple(es) for es in out)
+        if np.any(np.diff(self.edge_src) < 0):
+            raise ValidationError("product edges must be sorted by source state")
+        # CSR row pointer over the edge arrays: the edges leaving p are the
+        # ids edge_ptr[p] up to edge_ptr[p + 1]
+        self.edge_ptr = np.searchsorted(self.edge_src, np.arange(self.n + 1))
         # edges turned around (dst -> src): every offline analysis searches
         # backwards from a target set over this one sparse graph
         self.reverse = csr_array(
@@ -84,6 +85,10 @@ class ProductAutomaton:
 
     def state_name(self, state: int) -> str:
         return f"({self.ts.state_name(int(self.ts_of[state]))}, {int(self.ba_of[state])})"
+
+    def edges_from(self, state: int) -> range:
+        """Ids of the edges leaving ``state``."""
+        return range(self.edge_ptr[state], self.edge_ptr[state + 1])
 
 
 def build_product(
@@ -242,21 +247,20 @@ def verify_descent(product: ProductAutomaton) -> None:
     finite mission metric some edge must shorten both of its parts. Raises
     InternalConsistencyError when the analysis violates this.
     """
-    w_pi = product.w_pi
-    u, v = product.w_phi_u, product.w_phi_v
+    w_pi, v = product.w_pi, product.w_phi_v
     ind_pi, ind_phi = product.ind_pi, product.ind_phi
-    if w_pi is None or u is None or ind_pi is None:
+    if w_pi is None or v is None or ind_pi is None:
         raise ValidationError("analysis fields must be computed first")
-    for p in range(product.n):
-        edges = product.out_edges[p]
-        if 0 < w_pi[p] < INF and not any(ind_pi[e] for e in edges):
-            raise InternalConsistencyError(
-                f"no surveillance-descent edge out of state {p}"
-            )
-        if v[p] < INF and not product.f_inf[p] and not any(ind_phi[e] for e in edges):
-            raise InternalConsistencyError(
-                f"no mission-descent edge out of state {p}"
-            )
+    has_pi, has_phi = np.zeros((2, product.n), dtype=bool)
+    has_pi[product.edge_src[ind_pi]] = True
+    has_phi[product.edge_src[ind_phi]] = True
+    no_pi = (0 < w_pi) & (w_pi < INF) & ~has_pi
+    no_phi = (v < INF) & ~product.f_inf & ~has_phi
+    offending = np.flatnonzero(no_pi | no_phi)
+    if len(offending):
+        p = int(offending[0])
+        kind = "surveillance" if no_pi[p] else "mission"
+        raise InternalConsistencyError(f"no {kind}-descent edge out of state {p}")
 
 
 def trim_product(product: ProductAutomaton) -> ProductAutomaton:
@@ -271,18 +275,12 @@ def trim_product(product: ProductAutomaton) -> ProductAutomaton:
     if product.w_pi is None or product.w_phi_v is None:
         raise ValidationError("distance fields must be computed first")
     finite = (product.w_pi < INF) & (product.w_phi_v < INF)
-    reachable = np.zeros(product.n, dtype=bool)
+    keep = np.zeros(product.n, dtype=bool)
     if product.initial is not None and finite[product.initial]:
-        stack = [product.initial]
-        reachable[product.initial] = True
-        while stack:
-            p = stack.pop()
-            for e in product.out_edges[p]:
-                q = int(product.edge_dst[e])
-                if finite[q] and not reachable[q]:
-                    reachable[q] = True
-                    stack.append(q)
-    keep = finite & reachable
+        inside = finite[product.edge_src] & finite[product.edge_dst]
+        src, dst = product.edge_src[inside], product.edge_dst[inside]
+        graph = csr_array((np.ones(len(src)), (src, dst)), shape=(product.n, product.n))
+        keep[breadth_first_order(graph, product.initial, return_predecessors=False)] = True
     kept = np.flatnonzero(keep)
     remap = np.full(product.n, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept))

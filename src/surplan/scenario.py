@@ -294,14 +294,14 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     go through the same checks as file contents.
     """
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
     # values are taken literally: a '%' is part of the value, not a reference
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from exc
 

@@ -345,28 +345,35 @@ def write_timeseries(runs: Sequence[RunResult], path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[StepRecord]:
+    """The records of a trace file; ScenarioError if it cannot be read or parsed."""
     records = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(TRACE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ScenarioError(f"trace {path} is missing columns {sorted(missing)}")
-        for row in reader:
-            records.append(
-                StepRecord(
-                    run=int(row["run"]),
-                    step=int(row["step"]),
-                    time=float(row["time"]),
-                    ts_state=row["ts_state"],
-                    ba_state=int(row["ba_state"]),
-                    subgoal=row["subgoal"],
-                    attraction=float(row["attraction"]) if row["attraction"] else None,
-                    cost=float(row["cost"]) if row["cost"] else None,
-                    reward=float(row["reward"]),
-                    elapsed=float(row["elapsed"]),
-                    survey=bool(int(row["survey"])),
-                )
-            )
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            missing = set(TRACE_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ScenarioError(f"trace {path} is missing columns {sorted(missing)}")
+            for row in reader:
+                try:
+                    records.append(
+                        StepRecord(
+                            run=int(row["run"]),
+                            step=int(row["step"]),
+                            time=float(row["time"]),
+                            ts_state=row["ts_state"],
+                            ba_state=int(row["ba_state"]),
+                            subgoal=row["subgoal"],
+                            attraction=float(row["attraction"]) if row["attraction"] else None,
+                            cost=float(row["cost"]) if row["cost"] else None,
+                            reward=float(row["reward"]),
+                            elapsed=float(row["elapsed"]),
+                            survey=bool(int(row["survey"])),
+                        )
+                    )
+                except (TypeError, ValueError) as exc:  # TypeError: a short row
+                    raise ScenarioError(f"trace {path} line {reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ScenarioError(f"cannot read trace {path}: {exc}") from exc
     return records
 
 

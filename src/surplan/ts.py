@@ -105,8 +105,20 @@ class TransitionSystem:
             if not js:
                 raise ValidationError(f"state {names[i]!r} has no outgoing transition")
 
+        # the moves in CSR form, in the order of succ: the moves out of i go
+        # to move_dst[move_ptr[i]:move_ptr[i + 1]] with weights move_weight[...]
+        self.move_ptr = np.cumsum([0] + [len(js) for js in self.succ])
+        self.move_dst = np.array([j for js in self.succ for j in js], dtype=np.int64)
+        self.move_weight = np.array([weight_of[(i, j)] for i, js in enumerate(self.succ) for j in js])
+        # the same moves for scipy's searches, with int32 copies of the index
+        # arrays: scipy would copy int64 ones on every search, and the
+        # expansions measured faster indexing with int64
+        self.graph = csr_array(
+            (self.move_weight, self.move_dst.astype(np.int32), self.move_ptr.astype(np.int32)),
+            shape=(self.n, self.n),
+        )
+
         self.max_weight = max(weight_of.values())
-        self._min_weights: np.ndarray | None = None
 
     def successors(self, i: int) -> tuple[int, ...]:
         return self.succ[i]
@@ -128,14 +140,9 @@ class TransitionSystem:
     def state_name(self, i: int) -> str:
         return self.names[i]
 
-    @property
-    def min_weights(self) -> np.ndarray:
-        """All-pairs minimum run weights, cached after the first call."""
-        if self._min_weights is None:
-            self._min_weights = all_pairs_min_weight(self)
-        return self._min_weights
 
-
+# Nothing in surplan calls this; it stays only because perfbench/spans.py
+# patches it here and in surplan.product to time it.
 def min_weight_matrix(n: int, edges: Iterable[tuple[int, int, float]]) -> np.ndarray:
     """All-pairs minimum path weights of a weighted digraph.
 
@@ -154,13 +161,10 @@ def min_weight_matrix(n: int, edges: Iterable[tuple[int, int, float]]) -> np.nda
     return dist
 
 
-def all_pairs_min_weight(ts: TransitionSystem) -> np.ndarray:
-    """Minimum run weight between every ordered pair of states.
-
-    The weight from a state to itself is 0 via the empty run; unreachable
-    pairs are infinite.
-    """
-    return min_weight_matrix(ts.n, ((i, j, w) for (i, j), w in ts.weight_of.items()))
+def visible_distances(ts: TransitionSystem, q_k: int, v: float) -> np.ndarray:
+    """Minimum run weight from ``q_k`` to every state, infinite beyond ``v``."""
+    # min_only gives the same row with less per-call work in scipy
+    return dijkstra(ts.graph, indices=q_k, limit=v, min_only=True)
 
 
 def run_weight(ts: TransitionSystem, run: FiniteRun) -> float:
@@ -192,22 +196,27 @@ def visibility_set(ts: TransitionSystem, q_k: int, v: float) -> frozenset[int]:
     """
     if v < 0:
         raise ContractError("visibility radius must be nonnegative")
-    dist = ts.min_weights[q_k]
-    return frozenset(int(j) for j in np.flatnonzero(dist <= v))
+    return frozenset(np.flatnonzero(visible_distances(ts, q_k, v) <= v).tolist())
 
 
 def validate_visibility_assumption(ts: TransitionSystem, v: float) -> None:
     """Reject systems where some direct successor is not visible.
 
     The planner assumes that from any state the robot can see every state it
-    may move to next; scenarios violating that are refused at load time.
+    may move to next; scenarios violating that are refused at load time. A
+    move of weight at most ``v`` is visible by itself; any other move needs
+    a search from its source, bounded by ``v``.
     """
-    dist = ts.min_weights
-    for (i, j) in ts.weight_of:
-        if dist[i, j] > v:
+    searched: dict[int, np.ndarray] = {}
+    for (i, j), w in ts.weight_of.items():
+        if w <= v:
+            continue
+        if i not in searched:
+            searched[i] = visible_distances(ts, i, v)
+        if searched[i][j] > v:
             raise ValidationError(
                 f"successor {ts.names[j]!r} of {ts.names[i]!r} lies outside the "
-                f"visibility radius ({dist[i, j]} > {v})"
+                f"visibility radius (no run of weight <= {v})"
             )
 
 

@@ -38,26 +38,41 @@ def dijkstra_oracle(n: int, edges: dict[tuple[int, int], float]) -> list[list[fl
 
     Self-distances are 0 through the empty path regardless of self-loops.
     """
+    return [dijkstra_oracle_from(n, edges, src) for src in range(n)]
+
+
+def dijkstra_oracle_from(n: int, edges: dict[tuple[int, int], float], src: int) -> list[float]:
+    """One row of :func:`dijkstra_oracle`: minimum path weights from ``src``."""
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (i, j), w in edges.items():
         adj[i].append((j, w))
-    table = []
-    for src in range(n):
-        dist = [INF] * n
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for nxt, w in adj[node]:
-                nd = d + w
-                if nd < dist[nxt]:
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
-        dist[src] = 0.0
-        table.append(dist)
-    return table
+    dist = [INF] * n
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nxt, w in adj[node]:
+            nd = d + w
+            if nd < dist[nxt]:
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+    dist[src] = 0.0
+    return dist
+
+
+def ts_shortening_indicator(
+    ts: TransitionSystem, q: int, q_next: int, surveyed: Sequence[int]
+) -> int:
+    """1 when the transition strictly shortens the minimum weight to any
+    surveyed state, else 0; distances from :func:`dijkstra_oracle`."""
+    ts.weight(q, q_next)
+    targets = list(surveyed)
+    if not targets:
+        return 0
+    here, there = (np.array(dijkstra_oracle_from(ts.n, ts.weight_of, p)) for p in (q, q_next))
+    return int(there[targets].min() < here[targets].min())
 
 
 def tarjan_scc(n: int, successors: list[list[int]]) -> list[int]:

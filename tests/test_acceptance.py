@@ -46,7 +46,13 @@ from surplan.scenario import default_case_study, load_scenario
 from surplan.sim import check_alternation, check_never_visits, run_experiment
 from surplan.ts import local_runs, run_times
 
-from conftest import random_formula, random_product, random_ts, record_criterion
+from conftest import (
+    dijkstra_oracle_from,
+    random_formula,
+    random_product,
+    random_ts,
+    record_criterion,
+)
 from lasso_runs import lasso_acceptance_table, lasso_accepts
 from test_product import distances_oracle, inf_sets_oracle, product_min_w_oracle
 from test_rewards import pot_oracles
@@ -164,7 +170,7 @@ def test_criterion_2_recurrent_sets_and_descent_guarantees():
             set_mismatches += 1
             continue
         for p in range(trimmed.n):
-            successors = [int(dst[e]) for e in trimmed.out_edges[p]]
+            successors = [int(dst[e]) for e in trimmed.edges_from(p)]
             if 0.0 < w_pi_t[p] < INF:
                 descent_checks += 1
                 if not any(w_pi_t[q] < w_pi_t[p] for q in successors):
@@ -350,8 +356,9 @@ def test_criterion_6_scoring_functions_unit_suite():
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=6)
         v, h = 4.0, 7.0
         for q_k in range(ts.n):
+            distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
             for q in ts.successors(q_k):
-                if ts.min_weights[q_k][q] > v:
+                if distance[q] > v:
                     continue
                 runs = [
                     (r.states, run_times(ts, r)) for r in local_runs(ts, q, q_k, v, h)
@@ -397,7 +404,7 @@ def _literal_runs_from(trimmed, allowed, origin, entry, horizon):
 
     def extend(states, cums):
         runs.append(([int(ts_of[p]) for p in states], list(cums)))
-        for e in trimmed.out_edges[states[-1]]:
+        for e in trimmed.edges_from(states[-1]):
             nxt = int(trimmed.edge_dst[e])
             if not allowed[nxt]:
                 continue
@@ -459,10 +466,13 @@ def _drive_checking_surveillance_optimality(offline, scenario, run_seed, cache):
             pots = []
             flags = []
             targets = []
-            for e in trimmed.out_edges[p_k]:
+            for e in trimmed.edges_from(p_k):
                 runs = cache.get(e)
                 if runs is None:
-                    visible = ts.min_weights[q_k] <= scenario.visibility
+                    visible = (
+                        np.array(dijkstra_oracle_from(ts.n, ts.weight_of, q_k))
+                        <= scenario.visibility
+                    )
                     runs = _literal_runs_from(
                         trimmed,
                         visible[np.asarray(trimmed.ts_of)],

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from surplan.cli import main
+from surplan.sim import TRACE_COLUMNS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 DEFAULT = str(SCENARIO_DIR / "default_grid.ini")
@@ -85,6 +86,61 @@ def test_bad_override_exits_with_usage_error(capsys):
 def test_missing_scenario_file_exits_with_usage_error(capsys):
     assert main(["check", "no/such/file.ini"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def write_trace_rows(path, *rows):
+    path.write_text("\n".join([",".join(TRACE_COLUMNS), *rows]) + "\n")
+    return str(path)
+
+
+# a well-formed row; the error tests below name the line after it
+GOOD_ROW = "0,1,2.0,r0c1,0,surveillance,1.5,1.5,0.0,2.0,0"
+
+
+def test_stats_on_a_missing_trace_exits_with_usage_error(tmp_path, capsys):
+    assert main(["stats", str(tmp_path / "trace.csv")]) == 2
+    assert "error: cannot read trace" in capsys.readouterr().err
+
+
+def test_stats_on_a_directory_exits_with_usage_error(tmp_path, capsys):
+    assert main(["stats", str(tmp_path)]) == 2
+    assert "error: cannot read trace" in capsys.readouterr().err
+
+
+def test_stats_on_a_short_row_exits_with_usage_error(tmp_path, capsys):
+    path = write_trace_rows(tmp_path / "trace.csv", GOOD_ROW, "0,2,4.0,r0c2")
+    assert main(["stats", path]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_stats_on_an_unparsable_field_exits_with_usage_error(tmp_path, capsys):
+    path = write_trace_rows(tmp_path / "trace.csv", GOOD_ROW.replace("2.0,r0c1", "two,r0c1"))
+    assert main(["stats", path]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_check_and_run_on_a_directory_exit_with_usage_error(tmp_path, capsys):
+    for argv in (["check", str(tmp_path)], ["run", str(tmp_path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_check_and_run_on_a_file_that_is_not_utf8_exit_with_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(Path(TRIANGLE).read_bytes().replace(b"# Minimal", b"# Minimal \xe9"))
+    for argv in (["check", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_with_out_naming_an_existing_file_exits_with_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for out in (taken, taken / "out"):
+        assert main(["run", TRIANGLE, "--iterations", "5", "--out", str(out)]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n"
 
 
 # SHA-256 of the files `surplan run` writes for each shipped scenario

@@ -18,7 +18,7 @@ from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
-from conftest import LocalRunOracle, random_product, random_ts
+from conftest import LocalRunOracle, dijkstra_oracle_from, random_product, random_ts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 POTENTIALS = (MaxSumPotential(15.0), MaxSinglePotential())
@@ -66,8 +66,9 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
     cache = LocalRunCache(ts, trimmed, visibility, horizon)
     assert_fans_match_oracle(cache, LocalRunOracle(ts, trimmed, visibility, horizon))
     compared = 0
+    distance = [np.array(dijkstra_oracle_from(ts.n, ts.weight_of, q)) for q in range(ts.n)]
     for q_k in range(ts.n):
-        allowed = ts.min_weights[q_k] <= visibility
+        allowed = distance[q_k] <= visibility
         for q in ts.successors(q_k):
             runs = enumerate_budget_runs(
                 ts.successors, ts.weight, allowed, q, ts.weight(q_k, q), horizon
@@ -81,7 +82,7 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
             compared += 1
 
     out = [
-        [int(trimmed.edge_dst[e]) for e in trimmed.out_edges[p]]
+        [int(trimmed.edge_dst[e]) for e in trimmed.edges_from(p)]
         for p in range(trimmed.n)
     ]
     weight = {
@@ -95,7 +96,7 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
         # the enumeration depends on the edge only through (q_k, dst): the
         # entry weight is the system weight of q_k -> ts_of[dst]
         if (q_k, dst) not in references:
-            allowed = (ts.min_weights[q_k] <= visibility)[trimmed.ts_of]
+            allowed = (distance[q_k] <= visibility)[trimmed.ts_of]
             runs = enumerate_budget_runs(
                 out.__getitem__,
                 lambda a, b: weight[(a, b)],

@@ -13,7 +13,6 @@ from surplan.planner import (
     SURVEILLANCE,
     CostEvaluator,
     Planner,
-    ts_shortening_indicator,
 )
 from surplan.product import offline_phase
 from surplan.rewards import (
@@ -25,6 +24,8 @@ from surplan.rewards import (
     CubicRampPreference,
 )
 from surplan.scenario import build_grid, load_scenario
+
+from conftest import random_ts, ts_shortening_indicator
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_prefix_is_a_valid_product_run(grid_offline):
     product = planner.product
     assert planner.prefix[0] == product.initial
     for a, b in zip(planner.prefix, planner.prefix[1:]):
-        assert b in [int(product.edge_dst[e]) for e in product.out_edges[a]]
+        assert b in [int(product.edge_dst[e]) for e in product.edges_from(a)]
     # times accumulate the traversed edge weights
     for i, (a, b) in enumerate(zip(planner.prefix, planner.prefix[1:])):
         w = planner.times[i + 1] - planner.times[i]
@@ -101,7 +102,7 @@ def test_prefix_is_a_valid_product_run(grid_offline):
                 product.edge_weight[
                     [
                         e
-                        for e in product.out_edges[a]
+                        for e in product.edges_from(a)
                         if int(product.edge_dst[e]) == b
                     ][0]
                 ]
@@ -236,7 +237,7 @@ def test_attraction_public_view_matches_step_choice(grid_offline):
         p_k = planner.current
         values = {
             s: planner.attraction(s, field)
-            for s in planner.product.edge_dst[list(planner.product.out_edges[p_k])].tolist()
+            for s in planner.product.edge_dst[planner.product.edges_from(p_k)].tolist()
         }
         info = planner.step(field)
         assert info.attractions == tuple(
@@ -285,7 +286,13 @@ def test_cost_evaluator_rejects_non_successor(triangle_ts):
 
 def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     grid = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini")
-    for ts in (grid.ts, triangle_ts):
+    rng = np.random.default_rng(31)
+    # integer and dyadic weights: forward and backward sums agree exactly
+    dyadic = [
+        random_ts(rng, int(rng.integers(3, 12)), extra_edges=12, weights=(0.5, 0.75, 1.25, 2.0))
+        for _ in range(8)
+    ]
+    for ts in (grid.ts, triangle_ts, *dyadic):
         ev = CostEvaluator(
             ts, MaxSumPotential(15.0), ThresholdPreference(50.0), 6.0, 9.0, "sur"
         )

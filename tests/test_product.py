@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from surplan.buchi import to_buchi
-from surplan.errors import InternalConsistencyError
+from surplan.errors import InternalConsistencyError, ValidationError
 from surplan.ltl import parse
 from surplan.product import (
     ProductAutomaton,
@@ -270,12 +270,11 @@ def test_descent_guarantees_hold_exhaustively_on_trimmed_products():
             continue
         trimmed.ind_pi, trimmed.ind_phi = compute_indicators(trimmed)
         verify_descent(trimmed)
-        succ_edges = trimmed.out_edges
         for p in range(trimmed.n):
             if 0.0 < trimmed.w_pi[p] < INF:
-                assert any(trimmed.ind_pi[e] for e in succ_edges[p])
+                assert any(trimmed.ind_pi[e] for e in trimmed.edges_from(p))
             if trimmed.w_phi_v[p] < INF and not trimmed.f_inf[p]:
-                assert any(trimmed.ind_phi[e] for e in succ_edges[p])
+                assert any(trimmed.ind_phi[e] for e in trimmed.edges_from(p))
 
 
 def test_tampered_indicators_are_caught():
@@ -289,6 +288,81 @@ def test_tampered_indicators_are_caught():
     product.ind_pi = np.zeros_like(product.ind_pi)
     with pytest.raises(InternalConsistencyError):
         verify_descent(product)
+
+
+def first_missing_descent(product):
+    """The message of the first state, in state order, that lacks a marked
+    edge it needs, checking surveillance before mission; None when none."""
+    edges = successors_edges(product)
+    for p in range(product.n):
+        if 0 < product.w_pi[p] < INF and not any(product.ind_pi[e] for e in edges[p]):
+            return f"no surveillance-descent edge out of state {p}"
+        if (
+            product.w_phi_v[p] < INF
+            and not product.f_inf[p]
+            and not any(product.ind_phi[e] for e in edges[p])
+        ):
+            return f"no mission-descent edge out of state {p}"
+    return None
+
+
+def successors_edges(product):
+    edges = [[] for _ in range(product.n)]
+    for e, p in enumerate(product.edge_src.tolist()):
+        edges[p].append(e)
+    return edges
+
+
+def test_descent_check_names_the_first_offending_state():
+    rng = np.random.default_rng(79)
+    raised = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 25))
+        product = trim_product(analyzed(random_product(rng, n, int(rng.integers(1, 4 * n)))))
+        if product.initial is None:
+            continue
+        ind_pi, ind_phi = compute_indicators(product)
+        for keep_pi, keep_phi in ((0.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.0, 0.0)):
+            product.ind_pi = ind_pi & (rng.random(len(ind_pi)) < keep_pi)
+            product.ind_phi = ind_phi & (rng.random(len(ind_phi)) < keep_phi)
+            expect = first_missing_descent(product)
+            if expect is None:
+                verify_descent(product)
+                continue
+            with pytest.raises(InternalConsistencyError) as caught:
+                verify_descent(product)
+            assert str(caught.value) == expect
+            raised += 1
+    assert raised > 20
+
+
+def test_edges_are_held_in_csr_form(triangle_ts):
+    rng = np.random.default_rng(80)
+    products = [random_product(rng, int(rng.integers(1, 25)), int(rng.integers(1, 60))) for _ in range(20)]
+    result = offline_phase(triangle_ts, "G F a & G F b", "sur")
+    products += [result.product, result.trimmed]
+    for product in products:
+        assert product.edge_ptr[-1] == len(product.edge_src)
+        assert [list(product.edges_from(p)) for p in range(product.n)] == successors_edges(product)
+
+
+def test_edges_not_sorted_by_source_are_refused():
+    rng = np.random.default_rng(81)
+    product = random_product(rng, 6, 12)
+    order = np.arange(len(product.edge_src))[::-1]
+    with pytest.raises(ValidationError, match="sorted by source"):
+        ProductAutomaton(
+            product.ts,
+            product.ba,
+            product.ts_of,
+            product.ba_of,
+            product.initial,
+            product.edge_src[order],
+            product.edge_dst[order],
+            product.edge_weight[order],
+            product.accepting,
+            product.surveillance,
+        )
 
 
 def fractional_ts(seed):
@@ -313,7 +387,7 @@ def test_fractional_weights_keep_mission_descent():
         for p in range(trimmed.n):
             if trimmed.f_inf[p] or trimmed.w_phi_v[p] == INF:
                 continue
-            assert any(trimmed.ind_phi[e] for e in trimmed.out_edges[p]), (seed, p)
+            assert any(trimmed.ind_phi[e] for e in trimmed.edges_from(p)), (seed, p)
 
 
 def test_offline_phase_on_triangle(triangle_ts):

@@ -22,7 +22,7 @@ from surplan.rewards import (
 )
 from surplan.ts import FiniteRun, local_runs, run_times, run_weight
 
-from conftest import random_ts
+from conftest import dijkstra_oracle_from, random_ts
 
 
 def test_field_validation_and_collect():
@@ -187,7 +187,8 @@ def test_potentials_match_literal_oracles():
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=6)
         v, h = 4.0, 7.0
         for q_k in range(ts.n):
-            succ = [q for q in ts.successors(q_k) if ts.min_weights[q_k][q] <= v]
+            distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
+            succ = [q for q in ts.successors(q_k) if distance[q] <= v]
             for q in succ:
                 runs = [
                     (r.states, run_times(ts, r)) for r in local_runs(ts, q, q_k, v, h)

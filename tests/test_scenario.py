@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,34 @@ horizon = 6
 [experiment]
 seed = 1
 """
+
+
+def test_a_directory_is_refused(tmp_path):
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(tmp_path)
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(("# caf\xe9" + MINIMAL_GRID).encode("latin-1"))
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(path)
+
+
+def test_loading_a_grid_holds_no_all_pairs_matrix(tmp_path):
+    side = 60
+    text = MINIMAL_GRID.replace("rows = 3\ncols = 3", f"rows = {side}\ncols = {side}")
+    path = write(tmp_path, text)
+    tracemalloc.start()
+    try:
+        scenario = load_scenario(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = scenario.ts.n
+    assert n == side * side
+    # an n x n float64 matrix alone would take 104 MB here
+    assert peak < n * n * 8 / 4, peak
 
 
 def test_grid_structure():
@@ -338,9 +367,8 @@ VALUES = st.one_of(
     st.sampled_from(JUNK),
     CELLS,
 )
-# grids larger than 30x30 are slow to load until the visibility check stops
-# building the all-pairs weight matrix
-GRID_SIDES = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(JUNK))
+# up to 100x100: loading builds no all-pairs matrix, so large grids are cheap
+GRID_SIDES = st.one_of(st.integers(-3, 100).map(str), st.sampled_from(JUNK))
 
 
 @settings(max_examples=400, deadline=None)
@@ -362,7 +390,7 @@ def test_mutated_shipped_scenarios_load_or_raise_scenario_error(data):
         except ScenarioError:
             return
     assert isinstance(scenario, Scenario)
-    assert scenario.ts.n <= 30 * 30
+    assert scenario.ts.n <= 100 * 100
     for value in (
         scenario.visibility,
         scenario.horizon,

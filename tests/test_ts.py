@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surplan.ts
 from surplan.errors import ContractError, ValidationError
 from surplan.ts import (
     FiniteRun,
@@ -17,9 +18,12 @@ from surplan.ts import (
     run_weight,
     validate_visibility_assumption,
     visibility_set,
+    visible_distances,
 )
 
 from conftest import dijkstra_oracle, random_ts
+
+INF = math.inf
 
 
 def test_states_and_labels(triangle_ts):
@@ -66,14 +70,23 @@ def test_rejects_malformed_systems():
         TransitionSystem(**{**base, "labels": {"z": {"p"}}})
 
 
+def distance_rows(ts, v=math.inf):
+    """The bounded search from every state, one row per source."""
+    return np.array([visible_distances(ts, q, v) for q in range(ts.n)])
+
+
 def test_min_weights_on_triangle(triangle_ts):
-    got = triangle_ts.min_weights
     expect = [
         [0.0, 1.0, 3.0],
         [1.0, 0.0, 2.0],
         [3.0, 4.0, 0.0],
     ]
-    assert np.array_equal(got, np.array(expect))
+    assert np.array_equal(distance_rows(triangle_ts), np.array(expect))
+    assert np.array_equal(np.array(dijkstra_oracle(3, triangle_ts.weight_of)), np.array(expect))
+    assert np.array_equal(
+        distance_rows(triangle_ts, 2.0),
+        np.array([[0.0, 1.0, INF], [1.0, 0.0, 2.0], [INF, INF, 0.0]]),
+    )
 
 
 def test_min_weights_match_heap_dijkstra_on_random_systems():
@@ -82,16 +95,22 @@ def test_min_weights_match_heap_dijkstra_on_random_systems():
         n = int(rng.integers(2, 15))
         ts = random_ts(rng, n, extra_edges=int(rng.integers(0, 3 * n)))
         oracle = np.array(dijkstra_oracle(ts.n, ts.weight_of))
-        assert np.array_equal(ts.min_weights, oracle)
+        assert np.array_equal(distance_rows(ts), oracle)
+        for v in (0.0, 1.0, 2.5, 6.0):
+            # exactly the oracle's distances within v, nothing beyond
+            assert np.array_equal(distance_rows(ts, v), np.where(oracle <= v, oracle, INF))
 
 
 def test_min_weights_properties():
     rng = np.random.default_rng(7)
     ts = random_ts(rng, 12, extra_edges=20)
-    dist = ts.min_weights
+    dist = distance_rows(ts)
+    assert np.array_equal(dist, np.array(dijkstra_oracle(ts.n, ts.weight_of)))
     assert np.all(np.diag(dist) == 0.0)
+    assert np.all(np.diag(distance_rows(ts, 0.0)) == 0.0)
     for (i, j), w in ts.weight_of.items():
         assert dist[i, j] <= w
+        assert visible_distances(ts, i, w)[j] <= w
     finite = np.where(np.isinf(dist), 1e9, dist)
     for k in range(ts.n):
         assert np.all(dist <= finite[:, [k]] + finite[[k], :] + 1e-12)
@@ -105,7 +124,21 @@ def test_self_distance_zero_even_without_self_loop():
         propositions=[],
         labels={},
     )
-    assert ts.min_weights[0, 0] == 0.0
+    assert visible_distances(ts, 0, math.inf)[0] == 0.0
+    assert visible_distances(ts, 0, 0.0)[0] == 0.0
+
+
+def test_moves_in_csr_form_follow_successor_order():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        ts = random_ts(rng, int(rng.integers(2, 12)), extra_edges=10)
+        for i in range(ts.n):
+            lo, hi = ts.move_ptr[i], ts.move_ptr[i + 1]
+            assert ts.move_dst[lo:hi].tolist() == list(ts.successors(i))
+            assert ts.move_weight[lo:hi].tolist() == [ts.weight(i, j) for j in ts.successors(i)]
+        assert np.array_equal(ts.graph.indptr, ts.move_ptr)
+        assert np.array_equal(ts.graph.indices, ts.move_dst)
+        assert np.array_equal(ts.graph.data, ts.move_weight)
 
 
 def test_run_weight_and_times(triangle_ts):
@@ -136,6 +169,36 @@ def test_visibility_assumption_validation(triangle_ts):
     validate_visibility_assumption(triangle_ts, 3.0)
     with pytest.raises(ValidationError):
         validate_visibility_assumption(triangle_ts, 2.0)
+
+
+def test_visibility_check_searches_only_from_sources_of_long_moves(monkeypatch):
+    sources = []
+
+    def counted(ts, q_k, v):
+        sources.append(q_k)
+        return visible_distances(ts, q_k, v)
+
+    monkeypatch.setattr(surplan.ts, "visible_distances", counted)
+    ts = TransitionSystem(
+        names=["x", "y", "z"],
+        initial="x",
+        transitions={
+            ("x", "y"): 5.0,
+            ("x", "z"): 1.0,
+            ("z", "y"): 1.0,
+            ("y", "x"): 1.0,
+            ("z", "x"): 1.0,
+        },
+        propositions=[],
+        labels={},
+    )
+    validate_visibility_assumption(ts, 5.0)
+    assert sources == []
+    # x -> y weighs 5 but y is 2 away through z
+    validate_visibility_assumption(ts, 2.0)
+    assert sources == [ts.state_id("x")]
+    with pytest.raises(ValidationError, match="'y' of 'x'"):
+        validate_visibility_assumption(ts, 1.5)
 
 
 def _runs_oracle(ts, allowed, origin, entry, h):
@@ -238,7 +301,8 @@ def test_visibility_contains_origin_and_monotone(seed, v):
 def test_distance_triangle_inequality_random(seed):
     rng = np.random.default_rng(seed)
     ts = random_ts(rng, int(rng.integers(2, 10)), extra_edges=8)
-    dist = ts.min_weights
+    dist = distance_rows(ts)
+    assert np.array_equal(dist, np.array(dijkstra_oracle(ts.n, ts.weight_of)))
     for i in range(ts.n):
         for j in range(ts.n):
             for k in range(ts.n):
