@@ -15,7 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .ltl import Formula, parse
-from .ts import TransitionSystem, visibility_set
+from .ts import TransitionSystem
 from .buchi import BuchiAutomaton, to_buchi
 from .product import (
     OfflineResult,
@@ -85,7 +85,6 @@ __all__ = [
     "run_experiment",
     "run_single",
     "to_buchi",
-    "visibility_set",
 ]
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ class LocalRunCache:
     fill lazily, ``system`` one fan of moves out of a state at a time.
     ``product`` may be None when only system moves are scored. ``hits`` and
     ``misses`` count the lookups through :meth:`system_bundle` and
-    :meth:`for_edge` that found their bundle held or did not.
+    :meth:`planner_bundle` that found their bundle held or did not.
     """
 
     def __init__(
@@ -72,9 +72,6 @@ class LocalRunCache:
                     self._delta[i, s, list(ba.successors(s, letter))] = 1.0
             self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
             self._kept[product.ts_of, product.ba_of] = True
-            self._edge_key = (
-                product.ts_of[product.edge_src] * product.n + product.edge_dst
-            ).tolist()
 
     def sizes(self) -> dict[str, int]:
         """Bundles built so far and the rows they hold, fans expanded and
@@ -106,9 +103,10 @@ class LocalRunCache:
         self.ts.weight(q_k, q)
         raise ContractError("a local run set must contain at least one run")
 
-    def for_edge(self, edge: int) -> RunBundle:
-        """Local runs after taking the trimmed product edge ``edge``."""
-        key = self._edge_key[edge]
+    def planner_bundle(self, q_k: int, dst: int) -> RunBundle:
+        """Local runs after any trimmed product edge from a state over
+        ``q_k`` into the product state ``dst``."""
+        key = q_k * self.product.n + dst
         bundle = self.planner.get(key)
         if bundle is not None:
             self.hits += 1

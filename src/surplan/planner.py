@@ -21,11 +21,11 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError, MissionInfeasible
 from .localruns import LocalRunCache
-from .product import OfflineResult, ProductAutomaton
+from .product import OfflineResult
 from .rewards import RewardField
 # unused here; perfbench/spans.py patches both on this module
 from .rewards import build_run_bundle  # noqa: F401
-from .ts import TransitionSystem, enumerate_budget_runs  # noqa: F401
+from .ts import enumerate_budget_runs  # noqa: F401
 
 SURVEILLANCE = "surveillance"
 MISSION = "mission"
@@ -64,14 +64,14 @@ class Planner:
 
     def __init__(
         self,
-        offline: OfflineResult | ProductAutomaton,
+        offline: OfflineResult,
         potential,
         preference,
         visibility: float,
         horizon: float,
         rng: np.random.Generator,
     ):
-        product = offline.trimmed if isinstance(offline, OfflineResult) else offline
+        product = offline.trimmed
         if (
             product.initial is None
             or product.f_inf is None
@@ -90,8 +90,6 @@ class Planner:
         self.ts = product.ts
         self.potential = potential
         self.preference = preference
-        self.visibility = float(visibility)
-        self.horizon = float(horizon)
         self.rng = rng
 
         self.prefix: list[int] = [product.initial]
@@ -103,11 +101,7 @@ class Planner:
             [0] if product.f_inf[product.initial] else []
         )
 
-        self.local_runs = (
-            offline.local_run_cache(visibility, horizon)
-            if isinstance(offline, OfflineResult)
-            else LocalRunCache(product.ts, product, visibility, horizon)
-        )
+        self.local_runs = offline.local_run_cache(visibility, horizon)
 
         # decisions with more than one candidate within the tie tolerance of
         # the best, and decisions whose best attraction was exactly zero
@@ -139,53 +133,27 @@ class Planner:
         """The executed prefix projected onto system states."""
         return [int(self.product.ts_of[p]) for p in self.prefix]
 
-    def alpha_bar(self) -> list[tuple[int, frozenset]]:
-        """The executed prefix with surveillance labels masked.
-
-        A position keeps the surveillance label only when some earlier
-        position visited the recurrent accepting set and no position from
-        that visit (inclusive) up to this one (exclusive) carries the raw
-        label. Computed from scratch by the definition; the planner's
-        incremental elapsed-weight bookkeeping is checked against this in the
-        test suite.
-        """
-        product = self.product
-        sur = [bool(product.surveillance[p]) for p in self.prefix]
-        accepting = [bool(product.f_inf[p]) for p in self.prefix]
-        out: list[tuple[int, frozenset]] = []
-        for i, p in enumerate(self.prefix):
-            q = int(product.ts_of[p])
-            labels = self.ts.label(q)
-            if sur[i]:
-                kept = any(
-                    accepting[j] and not any(sur[j:i]) for j in range(i)
-                )
-                if not kept:
-                    labels = labels - {product.surveillance_prop}
-            out.append((q, labels))
-        return out
-
     def attraction(self, successor: int, field: RewardField) -> float:
         """Attraction of one successor of the current state, per the active
         subgoal."""
-        p_k = self.current
-        candidates = self.product.edge_dst[self.product.edges_from(p_k)].tolist()
+        attractions, _, _, _, _, candidates = self._attractions(self.current, field)
         if successor not in candidates:
             raise ContractError("attraction is defined only for successors")
-        attractions, _, _, _, _ = self._attractions(p_k, field)
         return attractions[candidates.index(successor)]
 
     # -- stepping ----------------------------------------------------------
 
     def _attractions(
         self, p_k: int, field: RewardField
-    ) -> tuple[list[float], list[float], float, float, float]:
+    ) -> tuple[list[float], list[float], float, float, float, list[int]]:
+        """Attractions of the edges out of ``p_k`` in edge order, the values
+        they are made of, and the edges' target states."""
         product = self.product
+        q_k = int(product.ts_of[p_k])
         edges = product.edges_from(p_k)
-        pots = [
-            self.potential.evaluate(self.local_runs.for_edge(e), field.values)
-            for e in edges
-        ]
+        dsts = product.edge_dst[edges.start : edges.stop].tolist()
+        bundle = self.local_runs.planner_bundle
+        pots = [self.potential.evaluate(bundle(q_k, dst), field.values) for dst in dsts]
         max_pot = max(pots)
         elapsed = (
             self._elapsed_raw if self.subgoal == SURVEILLANCE else self._elapsed_masked
@@ -198,7 +166,7 @@ class Planner:
             pots[i] + (pref_value if indicator[e] else 0.0)
             for i, e in enumerate(edges)
         ]
-        return attractions, pots, max_pot, pref_value, elapsed
+        return attractions, pots, max_pot, pref_value, elapsed, dsts
 
     def step(self, field: RewardField) -> StepInfo:
         """Choose and commit the next product state; the caller then collects
@@ -206,9 +174,8 @@ class Planner:
         returned weight."""
         product = self.product
         p_k = self.current
-        q_k = int(product.ts_of[p_k])
         edges = product.edges_from(p_k)
-        attractions, pots, max_pot, pref_value, elapsed = self._attractions(
+        attractions, pots, max_pot, pref_value, elapsed, dsts = self._attractions(
             p_k, field
         )
         indicator = (
@@ -241,7 +208,7 @@ class Planner:
         else:
             pick = ties[int(self.rng.integers(len(ties)))]
         chosen_edge = edges[pick]
-        p_next = int(product.edge_dst[chosen_edge])
+        p_next = dsts[pick]
         weight = float(product.edge_weight[chosen_edge])
 
         position = len(self.prefix)
@@ -288,7 +255,7 @@ class Planner:
             indicator=bool(indicator[chosen_edge]),
             survey=raw_survey,
             unmasked_survey=unmasked,
-            candidates=tuple(int(product.edge_dst[e]) for e in edges),
+            candidates=tuple(dsts),
             attractions=tuple(float(a) for a in attractions),
         )
 
@@ -301,29 +268,20 @@ class CostEvaluator:
     visibility region, the indicator compares distances to surveyed states,
     and elapsed weight counts from the latest surveyed position of the given
     prefix (from its start when none). Used for post-hoc reporting, not for
-    control. ``local_runs`` shares a planner's local-run cache; by default the
-    evaluator keeps its own.
+    control. The system, visibility range and horizon are those of
+    ``local_runs``, usually the cache of the planner being reported on.
     """
 
     def __init__(
         self,
-        ts: TransitionSystem,
+        local_runs: LocalRunCache,
         potential,
         preference,
-        visibility: float,
-        horizon: float,
-        surveillance_prop: str = "sur",
-        local_runs: LocalRunCache | None = None,
+        surveillance_prop: str,
     ):
-        if local_runs is None:
-            local_runs = LocalRunCache(ts, None, visibility, horizon)
-        elif (local_runs.ts, local_runs.visibility, local_runs.horizon) != (ts, visibility, horizon):
-            raise ContractError("a shared local-run cache must match the evaluator")
-        self.ts = ts
+        self.ts = ts = local_runs.ts
         self.potential = potential
         self.preference = preference
-        self.visibility = float(visibility)
-        self.horizon = float(horizon)
         self.local_runs = local_runs
         self.surveyed = [
             q for q in range(ts.n) if surveillance_prop in ts.label(q)

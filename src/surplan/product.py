@@ -10,7 +10,6 @@ attaches per-edge progress indicators that the online planner follows.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections import deque
@@ -197,30 +196,42 @@ def mission_distance(
     the least weight of the reach leg among the totals' minimizers. States
     that cannot reach the accepting core get infinity in both parts.
 
-    Both parts come from one Dijkstra over the reversed graph that orders
-    labels ``(total, reach)`` lexicographically, seeded with ``(w_pi(f), 0)``
-    on the core. Off the core, a state's label is its best successor's label
-    plus the edge weight in both parts, so that edge shortens both strictly.
+    The labels ``(total, reach)`` are ordered lexicographically, with
+    ``(w_pi(f), 0)`` at each core state ``f``; off the core, a state's label
+    is its best successor's label plus the edge weight in both parts, so that
+    edge shortens both strictly. Two searches over the reversed graph find
+    them. The totals come from one extra state that enters each core state
+    ``f`` with weight ``w_pi(f)``. The reach part starts from the core states
+    that keep their own total and follows only the tight edges ``p -> q``,
+    those with ``total(p) == total(q) + w``. Each sum is formed from the
+    same terms in the same order as in one lexicographic search, so both
+    parts are the same floats.
     """
-    rev = product.reverse
-    preds, weights, starts = rev.indices.tolist(), rev.data.tolist(), rev.indptr.tolist()
-    best = [(INF, INF)] * product.n
-    heap = [(float(w_pi[f]), 0.0, int(f)) for f in np.flatnonzero(f_inf & (w_pi < INF))]
-    for total, reach, f in heap:
-        best[f] = (total, reach)
-    heapq.heapify(heap)
-    while heap:
-        total, reach, p = heapq.heappop(heap)
-        if (total, reach) != best[p]:
-            continue
-        for k in range(starts[p], starts[p + 1]):
-            q, w = preds[k], weights[k]
-            label = (total + w, reach + w)
-            if label < best[q]:
-                best[q] = label
-                heapq.heappush(heap, (label[0], label[1], q))
-    fields = np.array(best, dtype=np.float64).reshape(product.n, 2)
-    return fields[:, 1].copy(), fields[:, 0].copy()
+    rev, n = product.reverse, product.n
+    core = np.flatnonzero(f_inf & (w_pi < INF))
+    # the reversed graph plus the extra state n, whose row enters the core
+    entry = csr_array(
+        (
+            np.concatenate((rev.data, w_pi[core])),
+            np.concatenate((rev.indices, core)),
+            np.append(rev.indptr, rev.indptr[-1] + len(core)),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    total = dijkstra(entry, indices=n, min_only=True)[:n]
+    # the reversed graph holds each edge p -> q in row q, column p
+    rows = np.repeat(np.arange(n), np.diff(rev.indptr))
+    tight = total[rev.indices] == total[rows] + rev.data
+    graph = csr_array(
+        (
+            rev.data[tight],
+            rev.indices[tight],
+            np.concatenate(([0], np.cumsum(np.bincount(rows[tight], minlength=n)))),
+        ),
+        shape=(n, n),
+    )
+    starts = core[total[core] == w_pi[core]]
+    return dijkstra(graph, indices=starts, min_only=True), total
 
 
 def compute_indicators(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]:

@@ -142,9 +142,9 @@ def _mission_formula(text: str, surveillance_prop: str, propositions: set[str]) 
 
 
 def _parse_grid_cells(text: str, prop: str, rows: int, cols: int) -> set[tuple[int, int]]:
-    """Parse cells like ``0,0 4,1-8`` (single cells and column ranges) of a
-    ``rows`` x ``cols`` grid; a cell outside the grid is refused before any
-    range is expanded."""
+    """Parse cells like ``0,0 4,1-8`` (single cells and ascending column
+    ranges) of a ``rows`` x ``cols`` grid; a cell outside the grid is refused
+    before any range is expanded."""
     cells: set[tuple[int, int]] = set()
     for token in text.split():
         try:
@@ -159,7 +159,11 @@ def _parse_grid_cells(text: str, prop: str, rows: int, cols: int) -> set[tuple[i
             raise ScenarioError(
                 f"label {prop!r}: bad grid cell {token!r}, expected row,col or row,col-col"
             ) from exc
-        for col in (span[0], span[-1]) if span else ():
+        if not span:
+            raise ScenarioError(
+                f"label {prop!r}: column range {token!r} ends below its start"
+            )
+        for col in (span[0], span[-1]):
             if not (0 <= row < rows and 0 <= col < cols):
                 raise ScenarioError(
                     f"label {prop!r} names cell {(row, col)} outside the {rows}x{cols} grid"

@@ -170,14 +170,12 @@ def run_single(
     scenario: Scenario,
     run_index: int,
     rng: np.random.Generator,
-    iterations: int | None = None,
 ) -> RunResult:
     """Execute the planner once against freshly burned-in reward dynamics.
 
     The planner and the reward dynamics share ``rng``, so a run is fully
     reproducible from its seed.
     """
-    iterations = scenario.iterations if iterations is None else iterations
     ts = scenario.ts
     potential = make_potential(scenario.potential_name, refresh_value=scenario.refresh_value)
     preference = make_preference(scenario.preference_name, threshold=scenario.preference_threshold)
@@ -194,13 +192,7 @@ def run_single(
         rng=rng,
     )
     evaluator = CostEvaluator(
-        ts,
-        potential,
-        preference,
-        scenario.visibility,
-        scenario.horizon,
-        surveillance_prop=scenario.surveillance_prop,
-        local_runs=planner.local_runs,
+        planner.local_runs, potential, preference, scenario.surveillance_prop
     )
     product = planner.product
 
@@ -223,7 +215,7 @@ def run_single(
     prefix_ts = [int(product.ts_of[initial])]
     step_seconds: list[float] = []
 
-    for _ in range(iterations):
+    for _ in range(scenario.iterations):
         started = time.perf_counter()
         info = planner.step(fld)
         step_seconds.append(time.perf_counter() - started)

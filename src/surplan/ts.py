@@ -9,33 +9,15 @@ files and traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class FiniteRun:
-    """A nonempty sequence of state ids joined by transitions."""
-
-    states: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValidationError("a finite run must contain at least one state")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 class TransitionSystem:
@@ -167,38 +149,6 @@ def visible_distances(ts: TransitionSystem, q_k: int, v: float) -> np.ndarray:
     return dijkstra(ts.graph, indices=q_k, limit=v, min_only=True)
 
 
-def run_weight(ts: TransitionSystem, run: FiniteRun) -> float:
-    """Sum of transition weights along the run; 0 for a single state."""
-    total = 0.0
-    for a, b in zip(run.states, run.states[1:]):
-        total += ts.weight(a, b)
-    return total
-
-
-def run_times(ts: TransitionSystem, run: FiniteRun) -> tuple[float, ...]:
-    """Cumulative arrival times along the run, starting at 0.
-
-    Consecutive entries differ by exactly the weight of the taken transition;
-    no time is spent inside states.
-    """
-    times = [0.0]
-    for a, b in zip(run.states, run.states[1:]):
-        times.append(times[-1] + ts.weight(a, b))
-    return tuple(times)
-
-
-def visibility_set(ts: TransitionSystem, q_k: int, v: float) -> frozenset[int]:
-    """States whose minimum run weight from ``q_k`` is at most ``v``.
-
-    Always contains ``q_k`` itself. Whether every direct successor falls
-    inside the set is a scenario-level assumption checked separately by
-    :func:`validate_visibility_assumption`.
-    """
-    if v < 0:
-        raise ContractError("visibility radius must be nonnegative")
-    return frozenset(np.flatnonzero(visible_distances(ts, q_k, v) <= v).tolist())
-
-
 def validate_visibility_assumption(ts: TransitionSystem, v: float) -> None:
     """Reject systems where some direct successor is not visible.
 
@@ -253,31 +203,3 @@ def enumerate_budget_runs(
             if total + entry_weight <= h:
                 stack.append((states + (nxt,), cums + (total,)))
     return out
-
-
-def local_runs(
-    ts: TransitionSystem, q: int, q_k: int, v: float, h: float
-) -> list[FiniteRun]:
-    """Candidate collection runs available after moving from ``q_k`` to ``q``.
-
-    Enumerates every finite run that starts at ``q``, stays inside the
-    visibility region of ``q_k``, and whose weight plus the weight of the
-    entry transition ``(q_k, q)`` does not exceed the horizon ``h``.
-    """
-    if (q_k, q) not in ts.weight_of:
-        raise ContractError(
-            f"({ts.names[q_k]!r}, {ts.names[q]!r}) is not a transition"
-        )
-    if h < ts.max_weight:
-        raise ContractError(
-            f"horizon {h} is below the largest transition weight {ts.max_weight}"
-        )
-    allowed = np.zeros(ts.n, dtype=bool)
-    allowed[list(visibility_set(ts, q_k, v))] = True
-    entry = ts.weight_of[(q_k, q)]
-    return [
-        FiniteRun(states)
-        for states, _ in enumerate_budget_runs(
-            ts.successors, ts.weight, allowed, q, entry, h
-        )
-    ]

@@ -75,6 +75,32 @@ def ts_shortening_indicator(
     return int(there[targets].min() < here[targets].min())
 
 
+def alpha_bar(planner) -> list[tuple[int, frozenset]]:
+    """The planner's executed prefix with surveillance labels masked.
+
+    A position keeps the surveillance label only when some earlier
+    position visited the recurrent accepting set and no position from
+    that visit (inclusive) up to this one (exclusive) carries the raw
+    label. Computed from scratch by the definition; the planner's
+    incremental elapsed-weight bookkeeping is checked against this.
+    """
+    product = planner.product
+    sur = [bool(product.surveillance[p]) for p in planner.prefix]
+    accepting = [bool(product.f_inf[p]) for p in planner.prefix]
+    out: list[tuple[int, frozenset]] = []
+    for i, p in enumerate(planner.prefix):
+        q = int(product.ts_of[p])
+        labels = planner.ts.label(q)
+        if sur[i]:
+            kept = any(
+                accepting[j] and not any(sur[j:i]) for j in range(i)
+            )
+            if not kept:
+                labels = labels - {product.surveillance_prop}
+        out.append((q, labels))
+    return out
+
+
 def tarjan_scc(n: int, successors: list[list[int]]) -> list[int]:
     """Strongly connected components, iteratively, smallest-index labeling.
 
@@ -283,12 +309,16 @@ def _state_successors(
 
 
 def random_product(
-    rng: np.random.Generator, n_states: int, n_edges: int
+    rng: np.random.Generator,
+    n_states: int,
+    n_edges: int,
+    weights: Sequence[float] = (1.0, 2.0, 3.0),
 ) -> ProductAutomaton:
     """Random directed weighted graph dressed up as a product automaton.
 
     The analysis algorithms only read the graph arrays, so a trivial
-    one-state system and automaton stand in for the real components.
+    one-state system and automaton stand in for the real components. Edge
+    weights are drawn from ``weights``.
     """
     from surplan.buchi import BuchiAutomaton
 
@@ -311,7 +341,7 @@ def random_product(
     while len(edges) < min(n_edges, n_states * n_states):
         edges.add((int(rng.integers(n_states)), int(rng.integers(n_states))))
     edge_src, edge_dst = (np.array(col, dtype=np.int64) for col in zip(*sorted(edges)))
-    edge_weight = rng.choice([1.0, 2.0, 3.0], size=len(edge_src))
+    edge_weight = rng.choice(list(weights), size=len(edge_src))
     return ProductAutomaton(
         ts=dummy_ts,
         ba=dummy_ba,
@@ -324,6 +354,34 @@ def random_product(
         accepting=rng.random(n_states) < 0.3,
         surveillance=rng.random(n_states) < 0.3,
     )
+
+
+def lexicographic_mission_distance(
+    product: ProductAutomaton, f_inf: np.ndarray, w_pi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mission metric ``(reach, total)`` by one heap Dijkstra over the
+    reversed product graph that orders labels ``(total, reach)``
+    lexicographically, seeded with ``(w_pi(f), 0)`` on the accepting core.
+    """
+    rev = product.reverse
+    preds, weights, starts = rev.indices.tolist(), rev.data.tolist(), rev.indptr.tolist()
+    best = [(INF, INF)] * product.n
+    heap = [(float(w_pi[f]), 0.0, int(f)) for f in np.flatnonzero(f_inf & (w_pi < INF))]
+    for total, reach, f in heap:
+        best[f] = (total, reach)
+    heapq.heapify(heap)
+    while heap:
+        total, reach, p = heapq.heappop(heap)
+        if (total, reach) != best[p]:
+            continue
+        for k in range(starts[p], starts[p + 1]):
+            q, w = preds[k], weights[k]
+            label = (total + w, reach + w)
+            if label < best[q]:
+                best[q] = label
+                heapq.heappush(heap, (label[0], label[1], q))
+    fields = np.array(best, dtype=np.float64).reshape(product.n, 2)
+    return fields[:, 1].copy(), fields[:, 0].copy()
 
 
 class LocalRunOracle:

@@ -19,11 +19,7 @@ import pytest
 from surplan.buchi import to_buchi
 from surplan.cli import main as cli_main
 from surplan.errors import MissionInfeasible
-from surplan.ltl import (
-    canonical_letters,
-    formula_satisfied_on_lasso,
-    semantic_lasso_table,
-)
+from surplan.ltl import canonical_letters
 from surplan.planner import SURVEILLANCE, Planner
 from surplan.product import (
     compute_indicators,
@@ -44,7 +40,6 @@ from surplan.rewards import (
 )
 from surplan.scenario import default_case_study, load_scenario
 from surplan.sim import check_alternation, check_never_visits, run_experiment
-from surplan.ts import local_runs, run_times
 
 from conftest import (
     dijkstra_oracle_from,
@@ -54,6 +49,8 @@ from conftest import (
     record_criterion,
 )
 from lasso_runs import lasso_acceptance_table, lasso_accepts
+from lasso_semantics import formula_satisfied_on_lasso, semantic_lasso_table
+from system_runs import local_runs, run_times
 from test_product import distances_oracle, inf_sets_oracle, product_min_w_oracle
 from test_rewards import pot_oracles
 

@@ -20,17 +20,10 @@ from surplan.buchi import (
 )
 from surplan.errors import ContractError
 from surplan.scenario import load_scenario
-from surplan.ltl import (
-    atoms,
-    canonical_letters,
-    enumerate_lassos,
-    formula_satisfied_on_lasso,
-    nnf,
-    parse,
-    semantic_lasso_table,
-)
+from surplan.ltl import atoms, canonical_letters, nnf, parse
 
 from conftest import _state_successors, random_formula, random_formula_cases
+from lasso_semantics import enumerate_lassos, formula_satisfied_on_lasso, semantic_lasso_table
 from lasso_runs import find_accepting_lasso_run, lasso_acceptance_table, lasso_accepts
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

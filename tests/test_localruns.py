@@ -113,9 +113,9 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
         reference = references[(q_k, dst)]
         if reference is None:
             with pytest.raises(ContractError):
-                cache.for_edge(e)
+                cache.planner_bundle(q_k, dst)
             continue
-        assert_same_scores(cache.for_edge(e), reference, fields)
+        assert_same_scores(cache.planner_bundle(q_k, dst), reference, fields)
         compared += 1
     return compared, cache
 

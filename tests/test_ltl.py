@@ -18,15 +18,13 @@ from surplan.ltl import (
     Until,
     atoms,
     canonical_letters,
-    enumerate_lassos,
-    formula_satisfied_on_lasso,
     nnf,
     parse,
-    semantic_lasso_table,
     subformulas,
 )
 
 from conftest import random_formula
+from lasso_semantics import enumerate_lassos, formula_satisfied_on_lasso, semantic_lasso_table
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from surplan.errors import ContractError, MissionInfeasible
+from surplan.localruns import LocalRunCache
 from surplan.planner import (
     ATTRACTION_TIE_TOLERANCE,
     INFEASIBLE_MESSAGE,
@@ -25,7 +26,7 @@ from surplan.rewards import (
 )
 from surplan.scenario import build_grid, load_scenario
 
-from conftest import random_ts, ts_shortening_indicator
+from conftest import alpha_bar, random_ts, ts_shortening_indicator
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +157,7 @@ def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
 def test_masked_prefix_agrees_with_incremental_flags(grid_offline):
     planner, rng = make_planner(grid_offline)
     drive(planner, rng, 80)
-    masked = planner.alpha_bar()
+    masked = alpha_bar(planner)
     product = planner.product
     prop = product.surveillance_prop
     for i, (q, labels) in enumerate(masked):
@@ -262,7 +263,7 @@ def test_ts_shortening_indicator(triangle_ts):
 def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts):
     ts = triangle_ts
     ev = CostEvaluator(
-        ts, MaxSumPotential(15.0), ThresholdPreference(50.0), 3.0, 6.0, "sur"
+        LocalRunCache(ts, None, 3.0, 6.0), MaxSumPotential(15.0), ThresholdPreference(50.0), "sur"
     )
     q0, q1, q2 = (ts.state_id(q) for q in ("q0", "q1", "q2"))
     assert ev.elapsed([q0]) == 0.0
@@ -277,7 +278,10 @@ def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts):
 
 def test_cost_evaluator_rejects_non_successor(triangle_ts):
     ev = CostEvaluator(
-        triangle_ts, MaxSumPotential(15.0), ThresholdPreference(50.0), 3.0, 6.0, "sur"
+        LocalRunCache(triangle_ts, None, 3.0, 6.0),
+        MaxSumPotential(15.0),
+        ThresholdPreference(50.0),
+        "sur",
     )
     field = RewardField(triangle_ts.n)
     with pytest.raises(ContractError):
@@ -294,7 +298,7 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     ]
     for ts in (grid.ts, triangle_ts, *dyadic):
         ev = CostEvaluator(
-            ts, MaxSumPotential(15.0), ThresholdPreference(50.0), 6.0, 9.0, "sur"
+            LocalRunCache(ts, None, 6.0, 9.0), MaxSumPotential(15.0), ThresholdPreference(50.0), "sur"
         )
         assert ev.surveyed
         for q, q_next in ts.weight_of:
@@ -302,16 +306,3 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
                 ts, q, q_next, ev.surveyed
             )
 
-
-def test_cost_evaluator_rejects_a_mismatched_shared_cache(triangle_offline):
-    planner, _ = make_planner(triangle_offline, visibility=3.0, horizon=6.0)
-    with pytest.raises(ContractError):
-        CostEvaluator(
-            planner.ts,
-            MaxSumPotential(15.0),
-            ThresholdPreference(50.0),
-            3.0,
-            7.0,
-            "sur",
-            local_runs=planner.local_runs,
-        )

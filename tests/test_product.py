@@ -8,6 +8,7 @@ the library's vectorized code paths or scipy.
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +28,18 @@ from surplan.product import (
     trim_product,
     verify_descent,
 )
+from surplan.scenario import load_scenario
 from surplan.ts import TransitionSystem
 
-from conftest import dijkstra_oracle, random_product, random_ts, tarjan_scc
+from conftest import (
+    dijkstra_oracle,
+    lexicographic_mission_distance,
+    random_product,
+    random_ts,
+    tarjan_scc,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 INF = math.inf
 
@@ -203,6 +213,36 @@ def test_distances_match_double_loop_oracle():
         assert np.array_equal(product.w_pi, w_pi)
         assert np.array_equal(product.w_phi_u, u)
         assert np.array_equal(product.w_phi_v, v)
+
+
+def test_mission_distance_equals_the_lexicographic_heap():
+    rng = np.random.default_rng(77)
+    zero_entries = 0
+    for i in range(400):
+        n = int(rng.integers(2, 30))
+        weights = (1.0, 2.0, 3.0) if i % 2 else (0.1, 0.2, 0.3, 0.7, 1.1)
+        product = random_product(rng, n, int(rng.integers(1, 4 * n)), weights)
+        # the recurrent cores, the raw sets for more core states, and entry
+        # weights that are no distance field, so a core state can lose its own
+        f_inf, s_inf = compute_inf_sets(product)
+        arbitrary = rng.choice([0.0, 0.5, 1.0, 2.5, 4.0, INF], size=n)
+        for core, w_pi in (
+            (f_inf, surveillance_distance(product, s_inf)),
+            (product.accepting, surveillance_distance(product, product.surveillance)),
+            (product.accepting, arbitrary),
+        ):
+            zero_entries += bool((core & (w_pi == 0.0)).any())
+            u, v = mission_distance(product, core, w_pi)
+            u_heap, v_heap = lexicographic_mission_distance(product, core, w_pi)
+            assert np.array_equal(u, u_heap) and np.array_equal(v, v_heap), i
+    # core states that are surveyed themselves enter the search at weight 0
+    assert zero_entries >= 100
+    for name in ("default_grid", "triangle", "infeasible"):
+        scenario = load_scenario(SCENARIOS / f"{name}.ini")
+        product = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop).product
+        expect = lexicographic_mission_distance(product, product.f_inf, product.w_pi)
+        assert np.array_equal(product.w_phi_u, expect[0]), name
+        assert np.array_equal(product.w_phi_v, expect[1]), name
 
 
 def test_indicator_edges_flag_strict_decrease():

@@ -20,9 +20,9 @@ from surplan.rewards import (
     make_preference,
     register_potential,
 )
-from surplan.ts import FiniteRun, local_runs, run_times, run_weight
 
 from conftest import dijkstra_oracle_from, random_ts
+from system_runs import local_runs, run_times
 
 
 def test_field_validation_and_collect():

@@ -342,9 +342,17 @@ def test_label_range_outside_grid_rejected_before_expansion(tmp_path):
         load_scenario(write(tmp_path, text))
     with pytest.raises(ScenarioError, match="outside the 3x3 grid"):
         load_scenario(write(tmp_path, MINIMAL_GRID.replace("sur = 2,2", "sur = -1,0")))
-    # an empty range names no cell
+
+
+def test_descending_column_range_is_refused(tmp_path):
+    # read as an empty range, 4,8-1 would drop the unsafe band without a word
+    text = (SCENARIOS / "default_grid.ini").read_text()
+    assert "u = 4,1-8" in text
+    with pytest.raises(ScenarioError, match="'4,8-1' ends below its start"):
+        load_scenario(write(tmp_path, text.replace("u = 4,1-8", "u = 4,8-1")))
     text = MINIMAL_GRID.replace("sur = 2,2", "sur = 2,2 0,5-4")
-    assert load_scenario(write(tmp_path, text)).ts.n == 9
+    with pytest.raises(ScenarioError, match="'0,5-4' ends below its start"):
+        load_scenario(write(tmp_path, text))
 
 
 SHIPPED = {path.name: path.read_text() for path in sorted(SCENARIOS.glob("*.ini"))}

@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 import surplan.ts
 from surplan.errors import ContractError, ValidationError
 from surplan.ts import (
-    FiniteRun,
     TransitionSystem,
     enumerate_budget_runs,
-    local_runs,
-    run_times,
-    run_weight,
     validate_visibility_assumption,
-    visibility_set,
     visible_distances,
 )
 
 from conftest import dijkstra_oracle, random_ts
+from system_runs import FiniteRun, local_runs, run_times, run_weight, visibility_set
 
 INF = math.inf
 
