@@ -149,11 +149,10 @@ class Planner:
         """Attractions of the edges out of ``p_k`` in edge order, the values
         they are made of, and the edges' target states."""
         product = self.product
-        q_k = int(product.ts_of[p_k])
         edges = product.edges_from(p_k)
         dsts = product.edge_dst[edges.start : edges.stop].tolist()
-        bundle = self.local_runs.planner_bundle
-        pots = [self.potential.evaluate(bundle(q_k, dst), field.values) for dst in dsts]
+        scores = self.local_runs.scores(int(product.ts_of[p_k]), self.potential, field.values)
+        pots = scores[self.local_runs.edge_segments(p_k)].tolist()
         max_pot = max(pots)
         elapsed = (
             self._elapsed_raw if self.subgoal == SURVEILLANCE else self._elapsed_masked
@@ -308,12 +307,13 @@ class CostEvaluator:
     def cost(self, prefix: Sequence[int], chosen: int, field: RewardField) -> float:
         """The trade-off value of moving from the prefix's end to ``chosen``."""
         q_k = prefix[-1]
-        bundle = self.local_runs.system_bundle
-        pots = {
-            q: self.potential.evaluate(bundle(q_k, q), field.values)
-            for q in self.ts.successors(q_k)
-        }
-        if chosen not in pots:
+        successors = self.ts.successors(q_k)
+        if chosen not in successors:
             raise ContractError("cost is defined only for successors")
-        pref_value = float(self.preference(self.elapsed(prefix), max(pots.values())))
-        return pots[chosen] + self.indicator(q_k, chosen) * pref_value
+        moves = self.local_runs.fan(q_k).moves
+        if len(moves) < len(successors):
+            raise ContractError("a local run set must contain at least one run")
+        # the first segments of a fan are its moves
+        pots = self.local_runs.scores(q_k, self.potential, field.values)[: len(moves)]
+        pref_value = float(self.preference(self.elapsed(prefix), float(pots.max())))
+        return float(pots[moves[chosen]]) + self.indicator(q_k, chosen) * pref_value

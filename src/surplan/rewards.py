@@ -76,12 +76,13 @@ class DecaySpawnDynamics:
             self._unit_step(field.values)
 
     def _unit_step(self, values: np.ndarray) -> None:
-        positive = values > 0
-        values[positive] -= 1.0
+        # values are never negative, so decaying all of them and flooring at
+        # zero decays exactly the positive ones
+        np.subtract(values, 1.0, out=values)
         np.maximum(values, 0.0, out=values)
         draws = self._rng.random(len(values))
         spawn = (values == 0.0) & (draws < self.spawn_probability)
-        count = int(spawn.sum())
+        count = np.count_nonzero(spawn)
         if count:
             small = self._rng.random(count) < 0.5
             low = self._rng.integers(0, 16, count)
@@ -115,10 +116,6 @@ class RunBundle:
     valid: np.ndarray
     cumw: np.ndarray
     novel: np.ndarray
-
-    @property
-    def n_runs(self) -> int:
-        return self.ts_states.shape[0]
 
 
 def build_run_bundle(
@@ -157,48 +154,50 @@ def build_run_bundle(
     return RunBundle(ts_states, valid, cumw, novel)
 
 
-class MaxSumPotential:
-    """Largest total reward collectible on one local run.
+class Potential:
+    """Scores a set of local runs by its best run. ``node_values`` gives the
+    non-negative value of each position from its system state, the weight
+    spent reaching it within the run and whether it is novel; ``combine``
+    (``np.add`` or ``np.maximum``) makes a run's score of its values."""
 
-    A position pays out its sensed value minus the weight spent reaching it
-    within the run, provided that is positive, the state was not already
-    visited by the run, and it is not the state just left. Every other
-    position pays the refresh constant, the assumed value of a reward that
-    has meanwhile renewed.
-    """
+    name: str
+    combine: np.ufunc
+    # what a position pays that collects nothing
+    refresh_value = 0.0
+
+    def node_values(self, states, cumw, novel, rewards) -> np.ndarray:
+        """A position pays its sensed value minus the weight spent reaching
+        it within the run, if that is positive, the state was not already
+        visited by the run and is not the state just left."""
+        gain = rewards[states] - cumw
+        return np.where(novel & (gain > 0), gain, self.refresh_value)
+
+    def evaluate(self, bundle: RunBundle, rewards: np.ndarray) -> float:
+        """The score of a padded bundle; padding is worth 0."""
+        nodes = self.node_values(bundle.ts_states, bundle.cumw, bundle.novel, rewards)
+        return float(self.combine.reduce(np.where(bundle.valid, nodes, 0.0), axis=1).max())
+
+
+class MaxSumPotential(Potential):
+    """Largest total reward collectible on one local run. A position that
+    collects nothing pays the refresh constant, the assumed value of a
+    reward that has meanwhile renewed."""
 
     name = "max-sum"
+    combine = np.add
 
     def __init__(self, refresh_value: float = 15.0):
         if refresh_value < 0:
             raise ValidationError("refresh value must be non-negative")
         self.refresh_value = float(refresh_value)
 
-    def evaluate(self, bundle: RunBundle, rewards: np.ndarray) -> float:
-        gain = rewards[bundle.ts_states] - bundle.cumw
-        contributing = bundle.valid & bundle.novel & (gain > 0)
-        scores = np.where(
-            contributing,
-            gain,
-            np.where(bundle.valid, self.refresh_value, 0.0),
-        )
-        return float(scores.sum(axis=1).max())
 
-
-class MaxSinglePotential:
-    """Largest single reward collectible on one local run.
-
-    Same position guard as the sum variant, but non-contributing positions
-    score zero and only the best position of the best run counts.
-    """
+class MaxSinglePotential(Potential):
+    """Largest single reward collectible on one local run: positions that
+    collect nothing score zero, and only the best position counts."""
 
     name = "max-single"
-
-    def evaluate(self, bundle: RunBundle, rewards: np.ndarray) -> float:
-        gain = rewards[bundle.ts_states] - bundle.cumw
-        contributing = bundle.valid & bundle.novel & (gain > 0)
-        scores = np.where(contributing, gain, 0.0)
-        return float(scores.max(initial=0.0))
+    combine = np.maximum
 
 
 class ThresholdPreference:

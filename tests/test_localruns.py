@@ -1,6 +1,6 @@
 """Shared local-run cache: equivalence with the definitional enumeration and
-with the per-move recurrence, and one build per fan and per subset across
-runs, experiments and callers."""
+with the per-move recurrence, exact tree scores at every width, and one
+build per fan across runs, experiments and callers."""
 
 import dataclasses
 from collections import Counter
@@ -11,9 +11,16 @@ import pytest
 
 from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
-from surplan.localruns import LocalRunCache
+from surplan.localruns import LocalRunCache, path_sums
+from surplan.planner import CostEvaluator
 from surplan.product import build_product, offline_phase, trim_product
-from surplan.rewards import MaxSinglePotential, MaxSumPotential, build_run_bundle
+from surplan.rewards import (
+    MaxSinglePotential,
+    MaxSumPotential,
+    RewardField,
+    ThresholdPreference,
+    build_run_bundle,
+)
 from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
@@ -30,28 +37,95 @@ def reward_fields(rng, n, count=5):
     return [rng.uniform(0.0, 60.0, n) for _ in range(count)]
 
 
-def assert_same_scores(mine, reference, fields):
-    for values in fields:
+def assert_same_scores(score, reference, fields):
+    """``score(i, potential)`` is the library's score under the i-th field."""
+    for i, values in enumerate(fields):
         for potential in POTENTIALS:
-            assert potential.evaluate(mine, values) == potential.evaluate(reference, values)
+            assert score(i, potential) == potential.evaluate(reference, values)
+
+
+def segment_nodes(fan, segment):
+    """The nodes of one segment, without the offset of its width class."""
+    lo = fan.starts[segment]
+    hi = fan.starts[segment + 1] if segment + 1 < len(fan.starts) else len(fan.index)
+    return fan.index[lo:hi] % len(fan.state)
+
+
+def node_depths(fan):
+    return np.repeat(np.arange(1, len(fan.bounds)), np.diff(fan.bounds))
+
+
+def node_roots(fan):
+    """The root of every node, read up the parent pointers; root ``i`` is
+    node ``i``, the first state of move ``i``."""
+    root = np.arange(len(fan.state))
+    for _ in fan.bounds:
+        root = np.where(fan.parent[root] >= 0, fan.parent[root], root)
+    return root
+
+
+def fan_as_padded(fan, i, n_ba):
+    """The runs of the fan's move ``i`` as the recurrence packs them:
+    ``(ts_states, valid, cumw, novel, admits)``, ``admits`` None without
+    subsets. Each row is one node, its path read up the parent pointers."""
+    nodes = np.flatnonzero(node_roots(fan) == i)
+    depth = node_depths(fan)
+    width = int(depth[nodes].max())
+    ts_states = np.full((len(nodes), width), -1, dtype=np.int64)
+    valid = np.zeros((len(nodes), width), dtype=bool)
+    cumw = np.zeros((len(nodes), width), dtype=np.float64)
+    novel = np.zeros((len(nodes), width), dtype=bool)
+    for r, node in enumerate(nodes.tolist()):
+        path = []
+        while node >= 0:
+            path.append(node)
+            node = int(fan.parent[node])
+        path.reverse()
+        ts_states[r, : len(path)] = fan.state[path]
+        valid[r, : len(path)] = True
+        cumw[r, : len(path)] = fan.cumw[path]
+        novel[r, : len(path)] = fan.novel[path]
+    if n_ba is None:
+        return ts_states, valid, cumw, novel, None
+    admits = np.zeros((len(nodes), n_ba), dtype=bool)
+    for s in range(n_ba):
+        if fan.subsets[i, s] >= 0:
+            admits[:, s] = np.isin(nodes, segment_nodes(fan, fan.subsets[i, s]))
+    return ts_states, valid, cumw, novel, admits
+
+
+def assert_segments_are_well_formed(fan):
+    """Move ``i``'s segment is its subtree in node order; every subset
+    segment lies inside its move's and holds the parent of each node."""
+    assert np.array_equal(fan.parent[: fan.bounds[1]], np.full(fan.bounds[1], -1))
+    roots = node_roots(fan)
+    for i in range(len(fan.moves)):
+        assert np.array_equal(segment_nodes(fan, i), np.flatnonzero(roots == i))
+    for segment in fan.subsets[fan.subsets >= 0].tolist():
+        nodes = segment_nodes(fan, segment)
+        assert len(np.unique(roots[nodes])) == 1
+        parents = fan.parent[nodes]
+        assert np.isin(parents[parents >= 0], nodes).all()
 
 
 def assert_fans_match_oracle(cache, oracle):
-    """Every system bundle, and with a product every admits array, is
-    array-equal to the per-move recurrence; a move without runs raises."""
+    """Every move's runs, and with a product which start states admit
+    each, are array-equal to the per-move recurrence; a move without runs
+    has no segment."""
     ts = cache.ts
+    n_ba = None if cache.product is None else cache.product.ba.n_states
     for q_k in range(ts.n):
+        fan = cache.fan(q_k)
+        assert_segments_are_well_formed(fan)
         for q in ts.successors(q_k):
             try:
                 expected = oracle.bundle(q_k, q)
             except ContractError:
-                with pytest.raises(ContractError):
-                    cache.system_bundle(q_k, q)
+                assert q not in fan.moves
                 continue
-            bundle = cache.system_bundle(q_k, q)
-            arrays = (bundle.ts_states, bundle.valid, bundle.cumw, bundle.novel)
-            if cache.product is not None:
-                arrays += (cache._admits[q_k * ts.n + q],)
+            arrays = fan_as_padded(fan, fan.moves[q], n_ba)
+            if cache.product is None:
+                arrays = arrays[:4]
             assert len(arrays) == len([a for a in expected if a is not None])
             for mine, reference in zip(arrays, expected):
                 assert mine.dtype == reference.dtype
@@ -60,25 +134,39 @@ def assert_fans_match_oracle(cache, oracle):
 
 
 def check_against_reference(ts, trimmed, visibility, horizon, fields):
-    """Every system bundle equals the per-move recurrence, and every system
-    edge and every trimmed edge scores exactly like the enumeration it
-    replaces; returns the number of bundles compared."""
+    """Every fan equals the per-move recurrence, and every system edge and
+    every trimmed edge scores exactly like the enumeration it replaces;
+    returns the number of scores compared."""
     cache = LocalRunCache(ts, trimmed, visibility, horizon)
     assert_fans_match_oracle(cache, LocalRunOracle(ts, trimmed, visibility, horizon))
+    tables = {}
+
+    def table(q_k):
+        # one scoring call per field and potential for the whole fan
+        if q_k not in tables:
+            tables[q_k] = [
+                {potential: cache.scores(q_k, potential, values) for potential in POTENTIALS}
+                for values in fields
+            ]
+        return tables[q_k]
+
     compared = 0
     distance = [np.array(dijkstra_oracle_from(ts.n, ts.weight_of, q)) for q in range(ts.n)]
     for q_k in range(ts.n):
         allowed = distance[q_k] <= visibility
+        moves = cache.fan(q_k).moves
         for q in ts.successors(q_k):
             runs = enumerate_budget_runs(
                 ts.successors, ts.weight, allowed, q, ts.weight(q_k, q), horizon
             )
             if not runs:
-                with pytest.raises(ContractError):
-                    cache.system_bundle(q_k, q)
+                assert q not in moves
                 continue
             reference = build_run_bundle(runs, lambda n: n, q_k)
-            assert_same_scores(cache.system_bundle(q_k, q), reference, fields)
+            segment = moves[q]
+            assert_same_scores(
+                lambda i, potential: table(q_k)[i][potential][segment], reference, fields
+            )
             compared += 1
 
     out = [
@@ -90,33 +178,48 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
         for a, b, w in zip(trimmed.edge_src, trimmed.edge_dst, trimmed.edge_weight)
     }
     references = {}
-    for e in range(len(trimmed.edge_src)):
-        q_k = int(trimmed.ts_of[trimmed.edge_src[e]])
-        dst = int(trimmed.edge_dst[e])
-        # the enumeration depends on the edge only through (q_k, dst): the
-        # entry weight is the system weight of q_k -> ts_of[dst]
-        if (q_k, dst) not in references:
-            allowed = (distance[q_k] <= visibility)[trimmed.ts_of]
-            runs = enumerate_budget_runs(
-                out.__getitem__,
-                lambda a, b: weight[(a, b)],
-                allowed,
-                dst,
-                float(trimmed.edge_weight[e]),
-                horizon,
-            )
-            references[(q_k, dst)] = (
-                build_run_bundle(runs, lambda p: int(trimmed.ts_of[p]), q_k)
-                if runs
-                else None
-            )
-        reference = references[(q_k, dst)]
-        if reference is None:
+    for p in range(trimmed.n):
+        q_k = int(trimmed.ts_of[p])
+        fan = cache.fan(q_k)
+        edges = trimmed.edges_from(p)
+        for e in edges:
+            dst = int(trimmed.edge_dst[e])
+            # the enumeration depends on the edge only through (q_k, dst): the
+            # entry weight is the system weight of q_k -> ts_of[dst]
+            if (q_k, dst) not in references:
+                allowed = (distance[q_k] <= visibility)[trimmed.ts_of]
+                runs = enumerate_budget_runs(
+                    out.__getitem__,
+                    lambda a, b: weight[(a, b)],
+                    allowed,
+                    dst,
+                    float(trimmed.edge_weight[e]),
+                    horizon,
+                )
+                references[(q_k, dst)] = (
+                    build_run_bundle(runs, lambda p: int(trimmed.ts_of[p]), q_k)
+                    if runs
+                    else None
+                )
+        dsts = [int(trimmed.edge_dst[e]) for e in edges]
+        if any(references[(q_k, dst)] is None for dst in dsts):
             with pytest.raises(ContractError):
-                cache.planner_bundle(q_k, dst)
-            continue
-        assert_same_scores(cache.planner_bundle(q_k, dst), reference, fields)
-        compared += 1
+                cache.edge_segments(p)
+            segments = None
+        else:
+            segments = cache.edge_segments(p).tolist()
+        for j, dst in enumerate(dsts):
+            reference = references[(q_k, dst)]
+            if reference is None:
+                assert int(trimmed.ts_of[dst]) not in fan.moves
+                continue
+            segment = fan.subsets[fan.moves[int(trimmed.ts_of[dst])], trimmed.ba_of[dst]]
+            if segments is not None:
+                assert segments[j] == segment
+            assert_same_scores(
+                lambda i, potential: table(q_k)[i][potential][segment], reference, fields
+            )
+            compared += 1
     return compared, cache
 
 
@@ -189,13 +292,13 @@ def test_cache_matches_reference_on_random_products():
 
 
 def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
-    """An automaton that dies after a few moves leaves planner bundles
-    narrower than their system bundles. Past eight columns numpy sums a row
-    pairwise, so padding regroups the sum: a subset must be exactly as wide
-    as its longest row."""
+    """An automaton that dies after a few moves leaves subsets narrower than
+    their moves. Past eight columns numpy sums a row pairwise, so padding
+    regroups the sum: a subset must score as a row exactly as wide as its
+    longest run, in a width class of its own when that differs."""
     rng = np.random.default_rng(8)
     depth = 6
-    narrower = 0
+    narrower = mixed = 0
     for _ in range(8):
         ts = random_ts(rng, 6, extra_edges=4, weights=(0.1, 0.2))
         letters = list(dict.fromkeys(ts.labels))
@@ -207,15 +310,43 @@ def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
         _, cache = check_against_reference(
             ts, trim_product(product), 1.5, 1.6, reward_fields(rng, ts.n, count=10)
         )
-        widest = max(b.ts_states.shape[1] for b in cache.system.values())
-        narrower += sum(b.ts_states.shape[1] < widest for b in cache.planner.values())
+        widest = max(len(fan.bounds) - 1 for fan in cache.fans.values())
+        for fan in cache.fans.values():
+            depths = node_depths(fan)
+            narrower += sum(
+                depths[segment_nodes(fan, segment)].max() < widest
+                for segment in fan.subsets[fan.subsets >= 0].tolist()
+            )
+            mixed += len(fan.widths) > 1
     assert narrower > 0
+    assert mixed > 0
+
+
+def test_path_sums_add_like_numpy_at_every_width():
+    """Every node of a chain is a prefix of its row; its path sum equals
+    ``np.add.reduce`` over that prefix padded with zeros to the row's width,
+    through the eight lanes from 8 values and the halving past 128."""
+    rng = np.random.default_rng(5)
+    rows = 12
+    for width in range(1, 301):
+        values = rng.uniform(0.0, 60.0, (rows, width))
+        # level d holds position d of every row; a node's parent is the
+        # node one level up in the same row
+        parent = np.r_[np.full(rows, -1), np.arange(rows * (width - 1))].astype(np.int32)
+        bounds = list(range(0, rows * width + 1, rows))
+        sums = path_sums(values.T.ravel(), parent, bounds, width)
+        # prefixes[d, r] is row r cut after position d
+        prefixes = np.where(
+            np.arange(width)[None, None, :] <= np.arange(width)[:, None, None], values[None], 0.0
+        )
+        expected = np.add.reduce(prefixes.reshape(width * rows, width), axis=1)
+        assert np.array_equal(sums, expected), width
 
 
 def test_a_move_out_of_sight_raises_only_when_asked_for():
     """A fan leaves out a successor beyond the visibility range; its siblings
-    still build, on a planner cache and on a product-less one, and only a
-    lookup of that move raises."""
+    still build, on a planner cache and on a product-less one, and only the
+    callers that need that move raise."""
     rng = np.random.default_rng(31)
     visibility, horizon = 2.0, 7.0
 
@@ -241,16 +372,27 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
         LocalRunCache(ts, None, visibility, horizon),
     ):
         oracle = LocalRunOracle(ts, cache.product, visibility, horizon)
-        # the hidden move is asked for first, so it is the one to expand the fan
-        with pytest.raises(ContractError):
-            cache.system_bundle(q_k, q_hidden)
-        assert cache.sizes()["fans"] == 1
+        n_ba = None if cache.product is None else cache.product.ba.n_states
+        fan = cache.fan(q_k)
+        assert sorted(fan.moves) == sorted(siblings)
         for q in siblings:
-            assert np.array_equal(cache.system_bundle(q_k, q).cumw, oracle.bundle(q_k, q)[2])
+            assert np.array_equal(fan_as_padded(fan, fan.moves[q], n_ba)[2], oracle.bundle(q_k, q)[2])
+        # the cost of any move out of q_k compares it with every sibling
+        evaluator = CostEvaluator(cache, MaxSumPotential(15.0), ThresholdPreference(50.0), "sur")
         with pytest.raises(ContractError):
-            cache.system_bundle(q_k, q_hidden)
+            evaluator.cost([q_k], siblings[0], RewardField(ts.n))
+        if cache.product is not None:
+            product = cache.product
+            for p in np.flatnonzero(product.ts_of == q_k).tolist():
+                edges = product.edges_from(p)
+                into = product.ts_of[product.edge_dst[edges.start : edges.stop]]
+                if q_hidden in into:
+                    with pytest.raises(ContractError):
+                        cache.edge_segments(p)
+                else:
+                    assert len(cache.edge_segments(p)) == len(edges)
         assert cache.sizes()["fans"] == 1
-        assert (cache.hits, cache.misses) == (len(siblings), 2)
+        assert cache.misses == 1 and cache.hits >= 1
         assert_fans_match_oracle(cache, oracle)
 
 
@@ -258,35 +400,28 @@ def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch)
     scenario = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 3, "iterations": 40})
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     builds = Counter()
-    for name in ("_build_fan", "_build_subset"):
-        original = getattr(LocalRunCache, name)
+    original = LocalRunCache._build_fan
 
-        def counted(self, key, name=name, original=original):
-            builds[(name, key)] += 1
-            return original(self, key)
+    def counted(self, q_k):
+        builds[q_k] += 1
+        return original(self, q_k)
 
-        monkeypatch.setattr(LocalRunCache, name, counted)
+    monkeypatch.setattr(LocalRunCache, "_build_fan", counted)
 
     first = run_experiment(scenario, offline=offline)
     second = run_experiment(
         dataclasses.replace(scenario, potential_name="max-single"), offline=offline
     )
     cache = offline.local_run_cache(scenario.visibility, scenario.horizon)
-    n = offline.ts.n
-    # each system state is expanded at most once, and each expansion builds
-    # the bundle of every move out of it that has runs
+    # each system state is expanded at most once, and each expansion holds
+    # every move out of it
     assert max(builds.values()) == 1
-    fanned = {key for name, key in builds if name == "_build_fan"}
-    assert fanned == {key // n for key in cache.system}
-    assert len(cache.system) == sum(
-        sum(1 for q in offline.ts.successors(q_k) if q_k * n + q in cache.system)
-        for q_k in fanned
-    )
+    assert set(builds) == set(cache.fans)
     assert all(
-        q_k * n + q in cache.system for q_k in fanned for q in offline.ts.successors(q_k)
+        sorted(cache.fans[q_k].moves) == list(offline.ts.successors(q_k)) for q_k in builds
     )
-    assert sum(1 for name, _ in builds if name == "_build_subset") == len(cache.planner)
-    assert first.local_runs["planner_bundles"] > 0
+    assert 0 < first.local_runs["fans"] <= second.local_runs["fans"]
     assert second.local_runs == cache.sizes()
-    assert second.local_runs["fans"] == len(fanned)
-    assert second.local_runs["misses"] == len(fanned) + len(cache.planner)
+    assert second.local_runs["fans"] == len(builds)
+    assert second.local_runs["misses"] == len(builds)
+    assert second.local_runs["segments"] == sum(len(fan.starts) for fan in cache.fans.values())

@@ -48,6 +48,35 @@ def test_decay_by_whole_units():
     assert field.clock == 5.0
 
 
+def reference_unit_step(rng, values, spawn_probability):
+    """One whole time unit of decay-spawn dynamics as first formulated:
+    decay the positive values by one, floor at zero, then spawn."""
+    positive = values > 0
+    values[positive] -= 1.0
+    np.maximum(values, 0.0, out=values)
+    draws = rng.random(len(values))
+    spawn = (values == 0.0) & (draws < spawn_probability)
+    count = int(spawn.sum())
+    if count:
+        small = rng.random(count) < 0.5
+        low = rng.integers(0, 16, count)
+        high = rng.integers(16, 61, count)
+        values[spawn] = np.where(small, low, high).astype(np.float64)
+
+
+@pytest.mark.parametrize("n, probability", [(100, 0.05), (900, 0.05), (40, 0.5)])
+def test_unit_steps_replay_the_first_formulation_bit_for_bit(n, probability):
+    dyn = DecaySpawnDynamics(np.random.default_rng(17), spawn_probability=probability)
+    rng = np.random.default_rng(17)
+    # fractional starting values also decay through (0, 1)
+    field = RewardField(n, np.random.default_rng(4).uniform(0.0, 5.0, n))
+    reference = field.values.copy()
+    for _ in range(3000):
+        dyn.burn_in(field, 1)
+        reference_unit_step(rng, reference, probability)
+        assert field.values.tobytes() == reference.tobytes()
+
+
 def test_fractional_time_accumulates():
     dyn = DecaySpawnDynamics(np.random.default_rng(0), spawn_probability=0.0)
     field = RewardField(1, [10.0])
@@ -146,7 +175,7 @@ def test_bundle_novelty_and_padding():
         ((4,), (0.0,)),
     ]
     bundle = build_run_bundle(runs, lambda n: n, leaving_ts_state=5)
-    assert bundle.n_runs == 2
+    assert bundle.ts_states.shape[0] == 2
     assert bundle.ts_states[1, 1] == -1 and not bundle.valid[1, 1]
     # 4 is novel at its first position only; 5 never (it is being left)
     assert list(bundle.novel[0]) == [True, False, False, True]

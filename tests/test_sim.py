@@ -112,15 +112,16 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     scenario, result = triangle_result
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
-    assert set(block) == {"system_bundles", "planner_bundles", "rows", "fans", "hits", "misses"}
+    assert set(block) == {"fans", "nodes", "segments", "hits", "misses"}
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
-    assert block["system_bundles"] <= len(cache.system)
-    assert block["planner_bundles"] <= len(cache.planner)
-    assert block["system_bundles"] >= 1 and block["planner_bundles"] >= 1
-    assert block["rows"] >= block["system_bundles"] + block["planner_bundles"]
-    # every miss expanded one fan or built one subset; every other lookup hit
-    assert 1 <= block["fans"] <= block["system_bundles"]
-    assert block["misses"] == block["fans"] + block["planner_bundles"]
+    assert 1 <= block["fans"] <= len(cache.fans)
+    assert block["nodes"] <= sum(len(fan.state) for fan in cache.fans.values())
+    # every fan holds at least one run, and a segment for its move and for
+    # the subset the automaton state of the product move admits
+    assert block["nodes"] >= block["fans"]
+    assert block["segments"] >= 2 * block["fans"]
+    # every miss built one fan; every other lookup hit
+    assert block["misses"] == block["fans"]
     assert block["hits"] > block["misses"]
 
 
