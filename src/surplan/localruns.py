@@ -142,10 +142,11 @@ class LocalRunCache:
         fan = self.fan(q_k)
         nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
         if potential.combine is np.add:
-            paths = np.concatenate([path_sums(nodes, fan.parent, fan.bounds, w) for w in fan.widths])
+            sums = [path_sums(nodes, fan.parent, fan.bounds, w) for w in fan.widths]
+            paths = sums[0] if len(sums) == 1 else np.concatenate(sums)
         elif potential.combine is np.maximum:
             # a segment holds every prefix of its runs: its best node is its best position
-            paths = np.tile(nodes, len(fan.widths))
+            paths = nodes if len(fan.widths) == 1 else np.tile(nodes, len(fan.widths))
         else:
             raise ContractError("a potential combines a run's positions by np.add or np.maximum")
         return np.maximum.reduceat(paths[fan.index], fan.starts)

@@ -13,8 +13,7 @@ term growing even when surveyed states are crossed incidentally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import dataclasses
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -35,9 +34,11 @@ INFEASIBLE_MESSAGE = "Mission cannot be accomplished."
 ATTRACTION_TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class StepInfo:
-    """Everything observable about one planning step."""
+    """Everything observable about one planning step. ``scores`` is the
+    decision's score table: the potential of every segment of the fan of the
+    system state left."""
 
     step: int
     product_state: int
@@ -57,6 +58,8 @@ class StepInfo:
     unmasked_survey: bool
     candidates: tuple[int, ...]
     attractions: tuple[float, ...]
+    # an array, so left out of equality and hashing
+    scores: np.ndarray = dataclasses.field(compare=False)
 
 
 class Planner:
@@ -136,7 +139,7 @@ class Planner:
     def attraction(self, successor: int, field: RewardField) -> float:
         """Attraction of one successor of the current state, per the active
         subgoal."""
-        attractions, _, _, _, _, candidates = self._attractions(self.current, field)
+        attractions, _, _, _, _, candidates, _ = self._attractions(self.current, field)
         if successor not in candidates:
             raise ContractError("attraction is defined only for successors")
         return attractions[candidates.index(successor)]
@@ -145,9 +148,10 @@ class Planner:
 
     def _attractions(
         self, p_k: int, field: RewardField
-    ) -> tuple[list[float], list[float], float, float, float, list[int]]:
+    ) -> tuple[list[float], list[float], float, float, float, list[int], np.ndarray]:
         """Attractions of the edges out of ``p_k`` in edge order, the values
-        they are made of, and the edges' target states."""
+        they are made of, the edges' target states and the score table of
+        ``p_k``'s system state."""
         product = self.product
         edges = product.edges_from(p_k)
         dsts = product.edge_dst[edges.start : edges.stop].tolist()
@@ -165,7 +169,7 @@ class Planner:
             pots[i] + (pref_value if indicator[e] else 0.0)
             for i, e in enumerate(edges)
         ]
-        return attractions, pots, max_pot, pref_value, elapsed, dsts
+        return attractions, pots, max_pot, pref_value, elapsed, dsts, scores
 
     def step(self, field: RewardField) -> StepInfo:
         """Choose and commit the next product state; the caller then collects
@@ -174,8 +178,8 @@ class Planner:
         product = self.product
         p_k = self.current
         edges = product.edges_from(p_k)
-        attractions, pots, max_pot, pref_value, elapsed, dsts = self._attractions(
-            p_k, field
+        attractions, pots, max_pot, pref_value, elapsed, dsts, scores = (
+            self._attractions(p_k, field)
         )
         indicator = (
             product.ind_pi if self.subgoal == SURVEILLANCE else product.ind_phi
@@ -256,6 +260,7 @@ class Planner:
             unmasked_survey=unmasked,
             candidates=tuple(dsts),
             attractions=tuple(float(a) for a in attractions),
+            scores=scores,
         )
 
 
@@ -265,27 +270,20 @@ class CostEvaluator:
     Mirrors the planner's attraction on the raw system, ignoring the mission
     automaton entirely: local runs range over all system moves inside the
     visibility region, the indicator compares distances to surveyed states,
-    and elapsed weight counts from the latest surveyed position of the given
-    prefix (from its start when none). Used for post-hoc reporting, not for
-    control. The system, visibility range and horizon are those of
-    ``local_runs``, usually the cache of the planner being reported on.
+    and the preference grows with the weight since the latest surveyed
+    position (since the start when there is none). Used for post-hoc
+    reporting, not for control. The system, visibility range and horizon are
+    those of ``local_runs``, usually the cache of the planner being reported
+    on.
     """
 
-    def __init__(
-        self,
-        local_runs: LocalRunCache,
-        potential,
-        preference,
-        surveillance_prop: str,
-    ):
+    def __init__(self, local_runs: LocalRunCache, preference, surveillance_prop: str):
         self.ts = ts = local_runs.ts
-        self.potential = potential
         self.preference = preference
         self.local_runs = local_runs
         self.surveyed = [
             q for q in range(ts.n) if surveillance_prop in ts.label(q)
         ]
-        self._surveyed = frozenset(self.surveyed)
         # least weight from each state to some surveyed state, infinite
         # everywhere when there is none: one search backwards from all of them
         self._to_surveyed = dijkstra(ts.graph.T.tocsr(), indices=self.surveyed, min_only=True)
@@ -295,18 +293,10 @@ class CostEvaluator:
         to some surveyed state, else 0."""
         return int(self._to_surveyed[q_next] < self._to_surveyed[q])
 
-    def elapsed(self, prefix: Sequence[int]) -> float:
-        """Weight accumulated since the latest surveyed state of the prefix."""
-        total = 0.0
-        for i in range(len(prefix) - 1, 0, -1):
-            if prefix[i] in self._surveyed:
-                return total
-            total += self.ts.weight(prefix[i - 1], prefix[i])
-        return total
-
-    def cost(self, prefix: Sequence[int], chosen: int, field: RewardField) -> float:
-        """The trade-off value of moving from the prefix's end to ``chosen``."""
-        q_k = prefix[-1]
+    def cost(self, q_k: int, chosen: int, scores: np.ndarray, elapsed: float) -> float:
+        """The trade-off value of moving from ``q_k`` to ``chosen``, from the
+        score table of ``q_k``'s fan (``StepInfo.scores``) and the weight
+        since the latest surveyed position."""
         successors = self.ts.successors(q_k)
         if chosen not in successors:
             raise ContractError("cost is defined only for successors")
@@ -314,6 +304,6 @@ class CostEvaluator:
         if len(moves) < len(successors):
             raise ContractError("a local run set must contain at least one run")
         # the first segments of a fan are its moves
-        pots = self.local_runs.scores(q_k, self.potential, field.values)[: len(moves)]
-        pref_value = float(self.preference(self.elapsed(prefix), float(pots.max())))
+        pots = scores[: len(moves)]
+        pref_value = float(self.preference(elapsed, float(pots.max())))
         return float(pots[moves[chosen]]) + self.indicator(q_k, chosen) * pref_value

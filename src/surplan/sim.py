@@ -74,6 +74,18 @@ class RunResult:
         times = self.survey_times
         return [b - a for a, b in zip(times, times[1:])]
 
+    @property
+    def longest_core_gap(self) -> tuple[int, float]:
+        """The most steps and the most weight between consecutive visits to
+        the accepting core; the run's first and last steps bound the stretches
+        before the first visit and after the last."""
+        bounds = [0, *self.accepting_positions, len(self.records) - 1]
+        times = [self.records[i].time for i in bounds]
+        return (
+            max(b - a for a, b in zip(bounds, bounds[1:])),
+            max(b - a for a, b in zip(times, times[1:])),
+        )
+
 
 @dataclass(frozen=True)
 class MetricStats:
@@ -191,9 +203,7 @@ def run_single(
         horizon=scenario.horizon,
         rng=rng,
     )
-    evaluator = CostEvaluator(
-        planner.local_runs, potential, preference, scenario.surveillance_prop
-    )
+    evaluator = CostEvaluator(planner.local_runs, preference, scenario.surveillance_prop)
     product = planner.product
 
     initial = planner.current
@@ -212,15 +222,16 @@ def run_single(
             survey=bool(product.surveillance[initial]),
         )
     ]
-    prefix_ts = [int(product.ts_of[initial])]
     step_seconds: list[float] = []
 
     for _ in range(scenario.iterations):
+        # the system state left and the weight since its latest surveyed
+        # position, for the cost column
+        q_k, elapsed = int(product.ts_of[planner.current]), planner.elapsed_raw
         started = time.perf_counter()
         info = planner.step(fld)
         step_seconds.append(time.perf_counter() - started)
-        cost = evaluator.cost(prefix_ts, info.ts_state, fld)
-        prefix_ts.append(info.ts_state)
+        cost = evaluator.cost(q_k, info.ts_state, info.scores, elapsed)
         reward = dynamics.on_collect(fld, info.ts_state)
         dynamics.evolve(fld, info.weight)
         records.append(
@@ -430,6 +441,9 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "online_step_seconds_max": max(step_seconds) if step_seconds else None,
         "local_runs": result.local_runs,
         "planner": result.planner,
+        "longest_core_gap": [
+            dict(zip(("steps", "weight"), run.longest_core_gap)) for run in result.runs
+        ],
     }
     paths["stats_json"].write_text(json.dumps(payload, indent=2) + "\n")
     return paths

@@ -75,6 +75,19 @@ def ts_shortening_indicator(
     return int(there[targets].min() < here[targets].min())
 
 
+def elapsed_walkback(ts: TransitionSystem, prefix: Sequence[int], surveyed) -> float:
+    """Weight accumulated since the latest surveyed state of a system-state
+    prefix, walking back from its end; from its start when none is surveyed.
+    The definition the planner's raw elapsed weight, which the trace's cost
+    column reads, is checked against."""
+    total = 0.0
+    for i in range(len(prefix) - 1, 0, -1):
+        if prefix[i] in surveyed:
+            return total
+        total += ts.weight_of[(prefix[i - 1], prefix[i])]
+    return total
+
+
 def alpha_bar(planner) -> list[tuple[int, frozenset]]:
     """The planner's executed prefix with surveillance labels masked.
 

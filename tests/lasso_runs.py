@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
 from surplan.ltl import Letter
+
+from conftest import tarjan_scc
 
 
 def find_accepting_lasso_run(
@@ -55,19 +55,7 @@ def find_accepting_lasso_run(
                 queue.append(nxt)
         adj[node] = targets
     idx = {node: i for i, node in enumerate(nodes)}
-    rows, cols = [], []
-    for node, targets in adj.items():
-        for t in targets:
-            rows.append(idx[node])
-            cols.append(idx[t])
-    if rows:
-        graph = csr_array(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-            shape=(len(nodes), len(nodes)),
-        )
-        _, labels = connected_components(graph, directed=True, connection="strong")
-    else:
-        labels = np.arange(len(nodes))
+    labels = tarjan_scc(len(nodes), [[idx[t] for t in adj[node]] for node in nodes])
     internal = set()
     for node, targets in adj.items():
         for t in targets:
@@ -194,10 +182,7 @@ def lasso_acceptance_table(
             for li, (v, vf) in enumerate(pairs):
                 if not v.any():
                     continue
-                graph = csr_array(v.astype(np.int8))
-                _, labels = connected_components(
-                    graph, directed=True, connection="strong"
-                )
+                labels = np.array(tarjan_scc(size, [np.flatnonzero(row).tolist() for row in v]))
                 same = labels[:, None] == labels[None, :]
                 flagged = vf & same
                 if not flagged.any():

@@ -1,9 +1,9 @@
 """Finite runs of a transition system, by definition.
 
 Test helpers: run weights and arrival times summed along a run, the
-visibility region of a state and the local runs after a move, enumerated
-one move at a time. The local-run cache and the loader's visibility check
-are compared against these.
+visibility region of a state (from the heap Dijkstra in ``conftest``) and
+the local runs after a move, enumerated one move at a time. The local-run
+cache and the loader's visibility check are compared against these.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from surplan.errors import ContractError, ValidationError
-from surplan.ts import TransitionSystem, enumerate_budget_runs, visible_distances
+from surplan.ts import TransitionSystem, enumerate_budget_runs
+
+from conftest import dijkstra_oracle_from
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,8 @@ def visibility_set(ts: TransitionSystem, q_k: int, v: float) -> frozenset[int]:
     """
     if v < 0:
         raise ContractError("visibility radius must be nonnegative")
-    return frozenset(np.flatnonzero(visible_distances(ts, q_k, v) <= v).tolist())
+    distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
+    return frozenset(q for q, d in enumerate(distance) if d <= v)
 
 
 def local_runs(

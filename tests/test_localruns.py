@@ -378,9 +378,11 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
         for q in siblings:
             assert np.array_equal(fan_as_padded(fan, fan.moves[q], n_ba)[2], oracle.bundle(q_k, q)[2])
         # the cost of any move out of q_k compares it with every sibling
-        evaluator = CostEvaluator(cache, MaxSumPotential(15.0), ThresholdPreference(50.0), "sur")
+        evaluator = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
+        values = RewardField(ts.n).values
+        scores = cache.scores(q_k, MaxSumPotential(15.0), values)
         with pytest.raises(ContractError):
-            evaluator.cost([q_k], siblings[0], RewardField(ts.n))
+            evaluator.cost(q_k, siblings[0], scores, 0.0)
         if cache.product is not None:
             product = cache.product
             for p in np.flatnonzero(product.ts_of == q_k).tolist():

@@ -26,7 +26,7 @@ from surplan.rewards import (
 )
 from surplan.scenario import build_grid, load_scenario
 
-from conftest import alpha_bar, random_ts, ts_shortening_indicator
+from conftest import alpha_bar, elapsed_walkback, random_ts, ts_shortening_indicator
 
 
 @pytest.fixture(scope="module")
@@ -134,24 +134,39 @@ def test_subgoal_switching_follows_the_recurrent_sets(grid_offline):
 
 
 def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
-    planner, rng = make_planner(grid_offline)
-    dynamics = DecaySpawnDynamics(rng, spawn_probability=0.25)
-    field = RewardField(planner.ts.n)
-    dynamics.burn_in(field, 60)
-    for _ in range(70):
-        planner.step(field)
-        times = planner.times
+    """The raw elapsed weight, which the trace's cost column reads, equals the
+    walk back over the executed system prefix exactly on integer and dyadic
+    weights."""
+    dyadic = []
+    rng = np.random.default_rng(29)
+    while len(dyadic) < 3:
+        ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=8, weights=(0.5, 0.75, 1.25, 2.0))
+        offline = offline_phase(ts, "G F a & G F sur & G !b", "sur")
+        if offline.feasible:
+            dyadic.append(offline)
+    for offline in (grid_offline, *dyadic):
+        planner, rng = make_planner(offline)
+        surveyed = [q for q in range(planner.ts.n) if "sur" in planner.ts.label(q)]
+        dynamics = DecaySpawnDynamics(rng, spawn_probability=0.25)
+        field = RewardField(planner.ts.n)
+        dynamics.burn_in(field, 60)
+        for _ in range(70):
+            info = planner.step(field)
+            dynamics.on_collect(field, info.ts_state)
+            dynamics.evolve(field, info.weight)
+            times = planner.times
 
-        def since_latest(flags):
-            for i in range(len(flags) - 1, -1, -1):
-                if flags[i]:
-                    return times[-1] - times[i]
-            return times[-1]
+            def since_latest(flags):
+                for i in range(len(flags) - 1, -1, -1):
+                    if flags[i]:
+                        return times[-1] - times[i]
+                return times[-1]
 
-        assert planner.elapsed_raw == pytest.approx(since_latest(planner.survey_flags))
-        assert planner.elapsed_masked == pytest.approx(
-            since_latest(planner.unmasked_flags)
-        )
+            assert planner.elapsed_raw == pytest.approx(since_latest(planner.survey_flags))
+            assert planner.elapsed_masked == pytest.approx(
+                since_latest(planner.unmasked_flags)
+            )
+            assert planner.elapsed_raw == elapsed_walkback(planner.ts, planner.alpha(), surveyed)
 
 
 def test_masked_prefix_agrees_with_incremental_flags(grid_offline):
@@ -262,30 +277,35 @@ def test_ts_shortening_indicator(triangle_ts):
 
 def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts):
     ts = triangle_ts
-    ev = CostEvaluator(
-        LocalRunCache(ts, None, 3.0, 6.0), MaxSumPotential(15.0), ThresholdPreference(50.0), "sur"
-    )
+    ev = CostEvaluator(LocalRunCache(ts, None, 3.0, 6.0), ThresholdPreference(50.0), "sur")
     q0, q1, q2 = (ts.state_id(q) for q in ("q0", "q1", "q2"))
-    assert ev.elapsed([q0]) == 0.0
-    assert ev.elapsed([q1]) == 0.0
-    assert ev.elapsed([q0, q1]) == 1.0
-    # the walk stops at the latest surveyed position (q0 at index 3)
-    assert ev.elapsed([q0, q1, q2, q0, q1]) == 1.0
-    assert ev.elapsed([q1, q2, q0, q1]) == 1.0
-    # a surveyed final position resets the count
-    assert ev.elapsed([q1, q0]) == 0.0
+    cases = [
+        ([q0], 0.0),
+        ([q1], 0.0),
+        ([q0, q1], 1.0),
+        # the walk stops at the latest surveyed position (q0 at index 3)
+        ([q0, q1, q2, q0, q1], 1.0),
+        ([q1, q2, q0, q1], 1.0),
+        # a surveyed final position resets the count
+        ([q1, q0], 0.0),
+    ]
+    for prefix, expected in cases:
+        assert elapsed_walkback(ts, prefix, ev.surveyed) == expected
 
 
 def test_cost_evaluator_rejects_non_successor(triangle_ts):
-    ev = CostEvaluator(
-        LocalRunCache(triangle_ts, None, 3.0, 6.0),
-        MaxSumPotential(15.0),
-        ThresholdPreference(50.0),
-        "sur",
-    )
-    field = RewardField(triangle_ts.n)
+    cache = LocalRunCache(triangle_ts, None, 3.0, 6.0)
+    ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
+    q0, q1, q2 = (triangle_ts.state_id(q) for q in ("q0", "q1", "q2"))
+    values = RewardField(triangle_ts.n).values
+    scores = cache.scores(q0, MaxSumPotential(15.0), values)
+    move = cache.fan(q0).moves[q1]
     with pytest.raises(ContractError):
-        ev.cost([triangle_ts.state_id("q0")], triangle_ts.state_id("q2"), field)
+        ev.cost(q0, q2, scores, 0.0)
+    # a successor's cost looks its fan up once
+    lookups = cache.hits + cache.misses
+    assert ev.cost(q0, q1, scores, 0.0) == float(scores[move])
+    assert cache.hits + cache.misses == lookups + 1
 
 
 def test_cost_evaluator_indicator_matches_definition(triangle_ts):
@@ -297,9 +317,7 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
         for _ in range(8)
     ]
     for ts in (grid.ts, triangle_ts, *dyadic):
-        ev = CostEvaluator(
-            LocalRunCache(ts, None, 6.0, 9.0), MaxSumPotential(15.0), ThresholdPreference(50.0), "sur"
-        )
+        ev = CostEvaluator(LocalRunCache(ts, None, 6.0, 9.0), ThresholdPreference(50.0), "sur")
         assert ev.surveyed
         for q, q_next in ts.weight_of:
             assert ev.indicator(q, q_next) == ts_shortening_indicator(

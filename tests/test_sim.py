@@ -1,5 +1,6 @@
 """Simulation runner: statistics, trace files, reproducibility, monitors."""
 
+import csv
 import json
 import math
 import statistics
@@ -153,6 +154,39 @@ def test_stats_json_reports_planner_ties_and_zero_attraction_steps(
     assert payload["planner"] == {"ties": ties, "zero_attraction_steps": zero}
     assert ties > 0
     assert (zero > 0) == bool(overrides)
+
+
+def test_stats_json_reports_the_longest_accepting_core_gap(tmp_path):
+    """Each run's longest stretch between accepting-core visits, bounded by
+    the run's first and last rows, from a plain loop over trace.csv."""
+    scenario = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 2, "iterations": 150})
+    result = run_experiment(scenario)
+    paths = emit_outputs(result, tmp_path)
+    trimmed = result.offline.trimmed
+    core = {
+        (trimmed.ts.state_name(q), s)
+        for q, s, f in zip(trimmed.ts_of.tolist(), trimmed.ba_of.tolist(), trimmed.f_inf)
+        if f
+    }
+    by_run = {}
+    with open(paths["trace"], newline="") as handle:
+        for row in csv.DictReader(handle):
+            by_run.setdefault(int(row["run"]), []).append(row)
+    expected = []
+    for rows in by_run.values():
+        longest_steps, longest_weight = 0, 0.0
+        last_step, last_time = 0, 0.0
+        for i, row in enumerate(rows):
+            step, time = int(row["step"]), float(row["time"])
+            if (row["ts_state"], int(row["ba_state"])) in core or i == len(rows) - 1:
+                longest_steps = max(longest_steps, step - last_step)
+                longest_weight = max(longest_weight, time - last_time)
+                last_step, last_time = step, time
+        expected.append({"steps": longest_steps, "weight": longest_weight})
+    payload = json.loads(paths["stats_json"].read_text())
+    assert payload["longest_core_gap"] == expected
+    # the runs visit the core, and not only at their ends
+    assert all(0 < gap["steps"] < scenario.iterations for gap in expected)
 
 
 def test_stats_json_reports_step_latency_tail(tmp_path, triangle_result):

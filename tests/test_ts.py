@@ -159,6 +159,8 @@ def test_visibility_set_matches_brute_filter():
                 expect = {j for j in range(ts.n) if dist[q][j] <= v}
                 assert visibility_set(ts, q, v) == expect
                 assert q in visibility_set(ts, q, v)
+                # the library's bounded search finds the same region
+                assert set(np.flatnonzero(visible_distances(ts, q, v) <= v).tolist()) == expect
 
 
 def test_visibility_assumption_validation(triangle_ts):
