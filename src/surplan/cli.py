@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -10,6 +11,17 @@ from .errors import ContractError, LtlSyntaxError, MissionInfeasible, ScenarioEr
 from .product import offline_phase
 from .scenario import load_scenario
 from .sim import emit_outputs, format_stats, recompute_stats_from_trace, run_experiment
+
+
+def _say(*values) -> None:
+    """Print to stdout at once. A reader that stopped early, as `| head`
+    does, is no error: what is left goes to devnull."""
+    try:
+        print(*values, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -42,21 +54,21 @@ def command_check(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, _overrides(args))
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     label_ok = offline.accepting_label_condition
-    print(f"scenario:            {scenario.name}")
-    print(f"states:              {scenario.ts.n}")
-    print(f"mission:             {scenario.formula_text}")
-    print(f"automaton states:    {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")
-    print(f"product states:      {offline.product.n} ({offline.trimmed.n} after trimming)")
-    print(f"surveillance states: {int(offline.trimmed.s_pi_inf.sum())} recurrent in product")
-    print(f"optimality condition: {'holds' if label_ok else 'does not hold'}")
+    _say(f"scenario:            {scenario.name}")
+    _say(f"states:              {scenario.ts.n}")
+    _say(f"mission:             {scenario.formula_text}")
+    _say(f"automaton states:    {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")
+    _say(f"product states:      {offline.product.n} ({offline.trimmed.n} after trimming)")
+    _say(f"surveillance states: {int(offline.trimmed.s_pi_inf.sum())} recurrent in product")
+    _say(f"optimality condition: {'holds' if label_ok else 'does not hold'}")
     for stage, seconds in offline.timings.items():
-        print(f"{stage + ' time:':<21}{seconds:.3f}s")
+        _say(f"{stage + ' time:':<21}{seconds:.3f}s")
     total = sum(offline.timings.values())
-    print(f"offline time:        {total:.2f}s")
+    _say(f"offline time:        {total:.2f}s")
     if not offline.feasible:
-        print("Mission cannot be accomplished.")
+        _say("Mission cannot be accomplished.")
         return 1
-    print("feasible:            yes")
+    _say("feasible:            yes")
     return 0
 
 
@@ -69,19 +81,19 @@ def command_run(args: argparse.Namespace) -> int:
     try:
         result = run_experiment(scenario)
     except MissionInfeasible as exc:
-        print(exc)
+        _say(exc)
         return 1
     paths = emit_outputs(result, args.out)
-    print(format_stats(result.stats))
-    print()
+    _say(format_stats(result.stats))
+    _say()
     for kind, path in paths.items():
-        print(f"{kind:<12} {path}")
+        _say(f"{kind:<12} {path}")
     return 0
 
 
 def command_stats(args: argparse.Namespace) -> int:
     stats = recompute_stats_from_trace(args.trace)
-    print(format_stats(stats))
+    _say(format_stats(stats))
     return 0
 
 

@@ -5,8 +5,12 @@ from ``q`` inside the visibility region of ``q_k`` that, with the move's
 weight, fit the horizon. One cache holds them for every run over an offline
 result as one prefix tree (a fan) per ``q_k``. A move into product state
 ``dst`` allows the runs some trimmed product path from ``dst`` projects
-onto. Each move's runs and each such subset is a segment of nodes; one pass
-over a fan and one ``np.maximum.reduceat`` score every segment at once.
+onto. To find them, each node carries the id of one relation, from every
+start automaton state to the states that can end its run; the cache interns
+the relations and fills its tables of steps and meets between them only for
+the keys the fans meet, a subset construction built on the fly. Each move's
+runs and each such subset is a segment of nodes; one pass over a fan and one
+``np.maximum.reduceat`` score every segment at once.
 """
 
 from __future__ import annotations
@@ -94,24 +98,43 @@ class LocalRunCache:
         self.hits = 0
         self.misses = 0
         self._edge_segments: dict[int, np.ndarray] = {}
+        # the relations admission has interned, numbered by their ids
+        self._relations: list[np.ndarray] = []
         if product is not None:
             ba = product.ba
             letters = list(dict.fromkeys(ts.labels))
             letter_id = {letter: i for i, letter in enumerate(letters)}
             self._letter_of = np.array([letter_id[l] for l in ts.labels], dtype=np.int64)
-            # 0/1 transition matrices, one per letter, for float products
-            self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=np.float32)
+            # boolean transition matrices, one per letter, read on table misses
+            self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=bool)
             for i, letter in enumerate(letters):
                 for s in range(ba.n_states):
-                    self._delta[i, s, list(ba.successors(s, letter))] = 1.0
-            self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
-            self._kept[product.ts_of, product.ba_of] = True
+                    self._delta[i, s, list(ba.successors(s, letter))] = True
+            kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+            kept[product.ts_of, product.ba_of] = True
+            # the distinct rows of automaton states kept with a system state
+            self._kept, kept_id = np.unique(kept, axis=0, return_inverse=True)
+            self._kept_id = kept_id.reshape(-1)
+            # a relation is an n_ba x n_ba boolean matrix whose row s0 holds
+            # the automaton states that can end a run started in s0; by id,
+            # its nonempty rows and the lazy tables step[letter, id] and
+            # meet[id, kept id], -1 where not filled yet
+            self._relation_id: dict[bytes, int] = {}
+            self._nonempty = np.zeros((0, ba.n_states), dtype=bool)
+            self._step = np.full((len(letters), 0), -1, dtype=np.intp)
+            self._meet = np.full((0, len(self._kept)), -1, dtype=np.intp)
+            self._root = np.array([self._intern(np.diag(row)) for row in self._kept], dtype=np.intp)
+            self._grow()
 
     def sizes(self) -> dict[str, int]:
-        """Fans built, the nodes and segments they hold, and fan lookups."""
+        """Fans built, the nodes and segments they hold, fan lookups, and the
+        automaton-state relations interned for admission."""
         fans = self.fans.values()
         nodes, segments = sum(len(f.state) for f in fans), sum(len(f.starts) for f in fans)
-        return dict(fans=len(fans), nodes=nodes, segments=segments, hits=self.hits, misses=self.misses)
+        return dict(
+            fans=len(fans), nodes=nodes, segments=segments, hits=self.hits, misses=self.misses,
+            relations=len(self._relations),
+        )
 
     def fan(self, q_k: int) -> Fan:
         """The local runs after every move out of ``q_k``."""
@@ -197,7 +220,7 @@ class LocalRunCache:
         n_moves, n_ba = len(roots), 0 if self.product is None else self._kept.shape[1]
         key, index = root, np.arange(len(state))
         if n_ba:
-            admitted, s0 = self._admission(levels, bounds)
+            admitted, s0 = self._admission(parent, state, bounds)
             key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
             index = np.concatenate([index, admitted])
         order = np.argsort(key, kind="stable")
@@ -218,37 +241,61 @@ class LocalRunCache:
         moves = dict(zip(roots.tolist(), range(n_moves)))
         return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts, widths)
 
-    def _admission(self, levels, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The (node, start automaton state ``s0``) pairs where some trimmed
-        product path from ``(q, s0)``, ``q`` the node's root, projects onto
-        the node's run. Each live pair carries the automaton states that can
-        end its run; it advances by one 2-D product with the transition
-        matrix of the label it leaves, is masked by the kept ``(q, s)`` pairs
-        and is dropped once no state is left."""
-        _, roots, _, _ = levels[0]
-        n_ba = self._kept.shape[1]
-        # the live pairs: their row within the current level, their start
-        # state and the automaton states that can end the row
-        row, s0 = np.nonzero(self._kept[roots])
-        reach = np.zeros((len(row), n_ba), dtype=np.float32)
-        reach[np.arange(len(row)), s0] = 1.0
-        nodes, starts = [row], [s0]
-        last = roots
-        for (parent, states, _, _), offset in zip(levels[1:], bounds[1:]):
-            letter = self._letter_of[last[row]]
-            step = np.empty_like(reach)
-            for a in np.unique(letter).tolist():
-                at = letter == a
-                step[at] = reach[at] @ self._delta[a]
-            # the children of one row are contiguous in the next level
-            counts = np.bincount(parent, minlength=len(last))[row]
-            first = np.searchsorted(parent, row)
-            pair = np.repeat(np.arange(len(row)), counts)
-            child = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-            live = (step > 0)[pair] & self._kept[states[child]]
-            alive = live.any(axis=1)
-            row, s0, reach = child[alive], s0[pair[alive]], live[alive].astype(np.float32)
-            nodes.append(offset + row)
-            starts.append(s0)
-            last = states
-        return np.concatenate(nodes), np.concatenate(starts)
+    def _admission(
+        self, parent: np.ndarray, state: np.ndarray, bounds: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (node, start automaton state ``s0``) pairs, node-major, where
+        some trimmed product path from ``(q, s0)``, ``q`` the node's root,
+        projects onto the node's run. Each node carries one interned relation:
+        the automaton states that can end its run from each ``s0``. A root's
+        is the identity on the states kept with it. A child's is its parent's
+        stepped by the label the parent's state emits, then met with the
+        states kept with its own: one gather from each lazy table per level."""
+        rel = np.empty(len(state), dtype=np.intp)
+        rel[: bounds[1]] = self._root[self._kept_id[state[: bounds[1]]]]
+        letter, kept = self._letter_of[state], self._kept_id[state]
+        relations = self._relations
+
+        def step(a, r):
+            return relations[r] @ self._delta[a]
+
+        def meet(r, k):
+            return relations[r] & self._kept[k]
+
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            up = parent[lo:hi]
+            stepped = self._lookup(self._step, letter[up], rel[up], step)
+            rel[lo:hi] = self._lookup(self._meet, stepped, kept[lo:hi], meet)
+        return np.nonzero(self._nonempty[rel])
+
+    def _lookup(self, table: np.ndarray, rows: np.ndarray, cols: np.ndarray, make) -> np.ndarray:
+        """``table[rows, cols]``, first filling each entry not filled yet with
+        the id of the relation ``make(row, col)``, one call per distinct key."""
+        found = table[rows, cols]
+        missing = found < 0
+        if missing.any():
+            width = table.shape[1]
+            keys, inverse = np.unique(rows[missing] * width + cols[missing], return_inverse=True)
+            made = np.array([self._intern(make(*divmod(k, width))) for k in keys.tolist()])
+            table[keys // width, keys % width] = made
+            found[missing] = made[inverse]
+            self._grow()
+        return found
+
+    def _intern(self, relation: np.ndarray) -> int:
+        """The id of ``relation``, numbering it if new."""
+        key = relation.tobytes()
+        rel = self._relation_id.get(key)
+        if rel is None:
+            rel = self._relation_id[key] = len(self._relations)
+            self._relations.append(relation)
+        return rel
+
+    def _grow(self) -> None:
+        """Give every relation interned since the last call its nonempty
+        rows and its unfilled entries in both tables."""
+        new = self._relations[len(self._nonempty) :]
+        if new:
+            self._nonempty = np.concatenate([self._nonempty, [r.any(axis=1) for r in new]])
+            self._step = np.pad(self._step, ((0, 0), (0, len(new))), constant_values=-1)
+            self._meet = np.pad(self._meet, ((0, len(new)), (0, 0)), constant_values=-1)

@@ -2,9 +2,15 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import surplan
 from surplan.cli import main
 from surplan.sim import TRACE_COLUMNS
 
@@ -60,6 +66,35 @@ def test_run_writes_outputs_and_stats_recomputes(tmp_path, capsys):
 def test_run_on_infeasible_scenario_prints_the_exact_line(capsys):
     assert main(["run", INFEASIBLE]) == 1
     assert capsys.readouterr().out.strip() == "Mission cannot be accomplished."
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["stats", "{trace}"], 0),
+        (["check", INFEASIBLE], 1),
+        (["run", TRIANGLE, "--runs", "1", "--iterations", "10", "--out", "{out}"], 0),
+    ],
+)
+def test_output_into_a_closed_pipe_ends_quietly(tmp_path, command, code):
+    """A reader that stops early, as in `surplan stats trace.csv | head -1`,
+    leaves no traceback, and the command keeps its exit code."""
+    out_dir = tmp_path / "out"
+    assert main(["run", TRIANGLE, "--runs", "1", "--iterations", "10", "--out", str(out_dir)]) == 0
+    argv = [a.format(trace=out_dir / "trace.csv", out=tmp_path / "again") for a in command]
+    src = str(Path(surplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "surplan.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr.decode() == ""
+    assert done.returncode == code
 
 
 def test_pot_and_pref_overrides_reach_the_planner(tmp_path):

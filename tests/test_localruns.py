@@ -1,6 +1,7 @@
-"""Shared local-run cache: equivalence with the definitional enumeration and
-with the per-move recurrence, exact tree scores at every width, and one
-build per fan across runs, experiments and callers."""
+"""Shared local-run cache: equivalence with the definitional enumeration,
+with the per-move recurrence and with admission as first formulated, exact
+tree scores at every width, and one build per fan across runs, experiments
+and callers."""
 
 import dataclasses
 from collections import Counter
@@ -223,15 +224,16 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
     return compared, cache
 
 
-def random_trimmed_product(rng, ts):
+def random_trimmed_product(rng, ts, states=(2, 5), edges=(3, 10)):
     """The product of ``ts`` with a random nondeterministic automaton, cut
     down to a random subset of its states.
 
     The automaton's moves are the edges of a ``random_product`` graph, each
     readable under a random set of the system's letters, so one state often
-    has several targets under one letter.
+    has several targets under one letter. Its state and edge counts are
+    drawn from the half-open ranges ``states`` and ``edges``.
     """
-    graph = random_product(rng, int(rng.integers(2, 5)), int(rng.integers(3, 10)))
+    graph = random_product(rng, int(rng.integers(*states)), int(rng.integers(*edges)))
     letters = list(dict.fromkeys(ts.labels))
     transitions = [
         (int(s), letter, int(t))
@@ -247,6 +249,129 @@ def random_trimmed_product(rng, ts):
     product.w_phi_u = np.zeros(product.n)
     product.w_phi_v = np.zeros(product.n)
     return trim_product(product)
+
+
+class FirstAdmission:
+    """Admission as first formulated, the reference for the interned
+    relations: every (node, start state) pair carries a float32 row of the
+    automaton states that can end its run, advanced level by level by one
+    masked 2-D product per letter."""
+
+    def __init__(self, ts, product):
+        ba = product.ba
+        letters = list(dict.fromkeys(ts.labels))
+        letter_id = {letter: i for i, letter in enumerate(letters)}
+        self._letter_of = np.array([letter_id[l] for l in ts.labels], dtype=np.int64)
+        # 0/1 transition matrices, one per letter, for float products
+        self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=np.float32)
+        for i, letter in enumerate(letters):
+            for s in range(ba.n_states):
+                self._delta[i, s, list(ba.successors(s, letter))] = 1.0
+        self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+        self._kept[product.ts_of, product.ba_of] = True
+
+    def _admission(self, levels, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The (node, start automaton state ``s0``) pairs where some trimmed
+        product path from ``(q, s0)``, ``q`` the node's root, projects onto
+        the node's run. Each live pair carries the automaton states that can
+        end its run; it advances by one 2-D product with the transition
+        matrix of the label it leaves, is masked by the kept ``(q, s)`` pairs
+        and is dropped once no state is left."""
+        _, roots, _, _ = levels[0]
+        n_ba = self._kept.shape[1]
+        # the live pairs: their row within the current level, their start
+        # state and the automaton states that can end the row
+        row, s0 = np.nonzero(self._kept[roots])
+        reach = np.zeros((len(row), n_ba), dtype=np.float32)
+        reach[np.arange(len(row)), s0] = 1.0
+        nodes, starts = [row], [s0]
+        last = roots
+        for (parent, states, _, _), offset in zip(levels[1:], bounds[1:]):
+            letter = self._letter_of[last[row]]
+            step = np.empty_like(reach)
+            for a in np.unique(letter).tolist():
+                at = letter == a
+                step[at] = reach[at] @ self._delta[a]
+            # the children of one row are contiguous in the next level
+            counts = np.bincount(parent, minlength=len(last))[row]
+            first = np.searchsorted(parent, row)
+            pair = np.repeat(np.arange(len(row)), counts)
+            child = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+            live = (step > 0)[pair] & self._kept[states[child]]
+            alive = live.any(axis=1)
+            row, s0, reach = child[alive], s0[pair[alive]], live[alive].astype(np.float32)
+            nodes.append(offset + row)
+            starts.append(s0)
+            last = states
+        return np.concatenate(nodes), np.concatenate(starts)
+
+    def admission(self, parent, state, bounds):
+        """The pairs of a fan's tree, its levels rebuilt as the expansion
+        hands them over: parents numbered within the level above."""
+        levels = [
+            (parent[lo:hi] - above, state[lo:hi], None, None)
+            for lo, hi, above in zip(bounds[:-1], bounds[1:], [0] + bounds[:-2])
+        ]
+        return self._admission(levels, bounds)
+
+
+class FirstAdmissionCache(LocalRunCache):
+    """A cache whose fans admit runs by the first formulation."""
+
+    def __init__(self, ts, product, visibility, horizon):
+        super().__init__(ts, product, visibility, horizon)
+        self.first = FirstAdmission(ts, product)
+
+    def _admission(self, parent, state, bounds):
+        return self.first.admission(parent, state, bounds)
+
+
+def assert_admission_matches_first_formulation(ts, trimmed, visibility, horizon):
+    """Every fan admits the same (node, start state) pairs, node-major, as
+    the first formulation, and its segments are array-equal to the fan
+    built from those; returns the cache."""
+    cache = LocalRunCache(ts, trimmed, visibility, horizon)
+    reference = FirstAdmissionCache(ts, trimmed, visibility, horizon)
+    for q_k in range(ts.n):
+        fan, expected = cache.fan(q_k), reference.fan(q_k)
+        nodes, s0 = cache._admission(fan.parent, fan.state, fan.bounds)
+        theirs = reference.first.admission(fan.parent, fan.state, fan.bounds)
+        assert set(zip(nodes.tolist(), s0.tolist())) == set(zip(*(a.tolist() for a in theirs)))
+        assert np.array_equal(np.lexsort((s0, nodes)), np.arange(len(nodes)))
+        for name in ("parent", "state", "subsets", "index", "starts"):
+            assert np.array_equal(getattr(fan, name), getattr(expected, name)), name
+        assert fan.widths == expected.widths and fan.bounds == expected.bounds
+    return cache
+
+
+@pytest.mark.parametrize(
+    "states, edges, at_least",
+    # small automata, and automata past 64 states whose relations outgrow
+    # any table sized up front
+    [((2, 5), (3, 10), 2), ((65, 90), (300, 500), 65)],
+)
+def test_admission_matches_the_first_formulation(states, edges, at_least):
+    rng = np.random.default_rng(1959)
+    relations = []
+    for trial in range(12):
+        if trial % 2:
+            ts = random_ts(rng, int(rng.integers(3, 8)), extra_edges=6, weights=FRACTIONAL)
+            visibility, horizon = float(rng.choice([0.8, 1.5])), 1.6
+        else:
+            ts = random_ts(rng, int(rng.integers(3, 8)), extra_edges=6)
+            visibility, horizon = float(rng.choice([3.0, 5.0])), 7.0
+        trimmed = random_trimmed_product(rng, ts, states, edges)
+        cache = assert_admission_matches_first_formulation(ts, trimmed, visibility, horizon)
+        relations.append(cache.sizes()["relations"])
+    assert max(relations) >= at_least
+
+
+def test_admission_matches_the_first_formulation_on_default_grid():
+    scenario = load_scenario(SCENARIOS / "default_grid.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    assert_admission_matches_first_formulation(
+        offline.ts, offline.trimmed, scenario.visibility, scenario.horizon
+    )
 
 
 def test_cache_matches_reference_on_default_grid():

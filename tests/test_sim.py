@@ -113,8 +113,10 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     scenario, result = triangle_result
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
-    assert set(block) == {"fans", "nodes", "segments", "hits", "misses"}
+    assert set(block) == {"fans", "nodes", "segments", "hits", "misses", "relations"}
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
+    # the relations interned for admission, at least the roots' identities
+    assert block["relations"] == cache.sizes()["relations"] >= 1
     assert 1 <= block["fans"] <= len(cache.fans)
     assert block["nodes"] <= sum(len(fan.state) for fan in cache.fans.values())
     # every fan holds at least one run, and a segment for its move and for
