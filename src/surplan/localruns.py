@@ -23,37 +23,13 @@ from .errors import ContractError
 from .ts import TransitionSystem, visible_distances
 
 
-def path_sums(
-    values: np.ndarray, parent: np.ndarray, bounds: list[int], width: int, start: int = 0
-) -> np.ndarray:
-    """Each node's path summed exactly as ``np.add.reduce`` sums its
-    positions ``start`` to ``start + width`` padded with zeros to ``width``
-    values; level ``d`` is nodes ``bounds[d]:bounds[d + 1]``. numpy adds
-    fewer than 8 values left to right; up to 128 it sums eight lanes over the
-    first ``width - width % 8``, pairs them up, then adds the rest; past 128
-    it adds the sums of two halves cut at a multiple of 8. Shallower nodes
-    sum to 0 and deeper ones carry their ancestor's sum."""
-    if width > 128:
-        half = width // 2 - width // 2 % 8
-        left = path_sums(values, parent, bounds, half, start)
-        return left + path_sums(values, parent, bounds, width - half, start + half)
+def path_sums(values: np.ndarray, parent: np.ndarray, bounds: list[int]) -> np.ndarray:
+    """Each node's ``values`` summed along its path in travel order: its
+    parent's sum plus its own value; level ``d`` is nodes
+    ``bounds[d]:bounds[d + 1]``."""
     sums = values.copy()
-    sums[: bounds[start]] = 0.0
-    lanes = [np.zeros_like(values) for _ in range(8)] if width >= 8 else []
-    for d in range(start, len(bounds) - 1):
-        lo, hi, k = bounds[d], bounds[d + 1], d - start
-        up = parent[lo:hi]
-        if k >= width:
-            sums[lo:hi] = sums[up]
-        elif k < width - width % 8:
-            if k:
-                for lane in lanes:
-                    lane[lo:hi] = lane[up]
-            lanes[k % 8][lo:hi] += values[lo:hi]
-            r = [lane[lo:hi] for lane in lanes]
-            sums[lo:hi] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        elif k:
-            sums[lo:hi] += sums[up]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        sums[lo:hi] += sums[parent[lo:hi]]
     return sums
 
 
@@ -67,8 +43,7 @@ class Fan:
     earlier in the run). ``moves`` maps each successor with runs to its root,
     also its segment; ``subsets[root, s]`` is the segment automaton state
     ``s`` admits (-1: none; no columns without a product). Segment ``j`` is
-    ``index[starts[j]:starts[j + 1]]``, offset by ``c * len(state)`` when
-    summed in width ``widths[c]``.
+    ``index[starts[j]:starts[j + 1]]``.
     """
 
     moves: dict[int, int]
@@ -80,7 +55,6 @@ class Fan:
     subsets: np.ndarray
     index: np.ndarray
     starts: np.ndarray
-    widths: list[int]
 
 
 class LocalRunCache:
@@ -165,11 +139,10 @@ class LocalRunCache:
         fan = self.fan(q_k)
         nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
         if potential.combine is np.add:
-            sums = [path_sums(nodes, fan.parent, fan.bounds, w) for w in fan.widths]
-            paths = sums[0] if len(sums) == 1 else np.concatenate(sums)
+            paths = path_sums(nodes, fan.parent, fan.bounds)
         elif potential.combine is np.maximum:
             # a segment holds every prefix of its runs: its best node is its best position
-            paths = nodes if len(fan.widths) == 1 else np.tile(nodes, len(fan.widths))
+            paths = nodes
         else:
             raise ContractError("a potential combines a run's positions by np.add or np.maximum")
         return np.maximum.reduceat(paths[fan.index], fan.starts)
@@ -229,17 +202,8 @@ class LocalRunCache:
         subsets = np.full(n_moves * n_ba, -1)
         subsets[key[starts[n_moves:]] - n_moves] = np.arange(n_moves, len(starts))
         subsets = subsets.reshape(n_moves, n_ba)
-        # a segment sums as a row as wide as its longest run, and rows alike
-        # sum alike: all below 8, up to 128 those with as many lane values
-        width = np.maximum.reduceat(np.repeat(np.arange(1, len(levels) + 1), sizes)[index], starts)
-        alike = np.where(width < 8, 0, np.where(width <= 128, width - width % 8, width))
-        classes, rank = np.unique(alike, return_inverse=True)
-        if len(classes) > 1:
-            index = index + np.repeat(rank * len(state), np.diff(starts, append=len(index)))
-        # a fan without runs keeps one class, which scores nothing
-        widths = [int(width[rank == c].max()) for c in range(len(classes))] or [1]
         moves = dict(zip(roots.tolist(), range(n_moves)))
-        return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts, widths)
+        return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts)
 
     def _admission(
         self, parent: np.ndarray, state: np.ndarray, bounds: list[int]

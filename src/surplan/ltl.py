@@ -102,12 +102,18 @@ def _wrap(f: Formula) -> str:
     return f"({f})"
 
 
-_TOKEN_RE = re.compile(r"(->|[!&|()])|([A-Za-z_][A-Za-z0-9_]*)|(\S)")
+KEYWORDS = frozenset({"X", "U", "G", "F", "true"})
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(rf"(->|[!&|()])|({_WORD})|(\S)")
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether a formula can name ``name`` as an atomic proposition."""
+    return re.fullmatch(_WORD, name) is not None and name not in KEYWORDS
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    pos = 0
     for match in _TOKEN_RE.finditer(text):
         if match.group(3) is not None:
             raise LtlSyntaxError(
@@ -117,11 +123,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", match.group(1), match.start()))
         else:
             word = match.group(2)
-            if word in ("X", "U", "G", "F", "true"):
+            if word in KEYWORDS:
                 tokens.append(("kw", word, match.start()))
             else:
                 tokens.append(("ident", word, match.start()))
-        pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
 

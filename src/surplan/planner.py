@@ -136,40 +136,7 @@ class Planner:
         """The executed prefix projected onto system states."""
         return [int(self.product.ts_of[p]) for p in self.prefix]
 
-    def attraction(self, successor: int, field: RewardField) -> float:
-        """Attraction of one successor of the current state, per the active
-        subgoal."""
-        attractions, _, _, _, _, candidates, _ = self._attractions(self.current, field)
-        if successor not in candidates:
-            raise ContractError("attraction is defined only for successors")
-        return attractions[candidates.index(successor)]
-
     # -- stepping ----------------------------------------------------------
-
-    def _attractions(
-        self, p_k: int, field: RewardField
-    ) -> tuple[list[float], list[float], float, float, float, list[int], np.ndarray]:
-        """Attractions of the edges out of ``p_k`` in edge order, the values
-        they are made of, the edges' target states and the score table of
-        ``p_k``'s system state."""
-        product = self.product
-        edges = product.edges_from(p_k)
-        dsts = product.edge_dst[edges.start : edges.stop].tolist()
-        scores = self.local_runs.scores(int(product.ts_of[p_k]), self.potential, field.values)
-        pots = scores[self.local_runs.edge_segments(p_k)].tolist()
-        max_pot = max(pots)
-        elapsed = (
-            self._elapsed_raw if self.subgoal == SURVEILLANCE else self._elapsed_masked
-        )
-        pref_value = float(self.preference(elapsed, max_pot))
-        indicator = (
-            product.ind_pi if self.subgoal == SURVEILLANCE else product.ind_phi
-        )
-        attractions = [
-            pots[i] + (pref_value if indicator[e] else 0.0)
-            for i, e in enumerate(edges)
-        ]
-        return attractions, pots, max_pot, pref_value, elapsed, dsts, scores
 
     def step(self, field: RewardField) -> StepInfo:
         """Choose and commit the next product state; the caller then collects
@@ -178,12 +145,19 @@ class Planner:
         product = self.product
         p_k = self.current
         edges = product.edges_from(p_k)
-        attractions, pots, max_pot, pref_value, elapsed, dsts, scores = (
-            self._attractions(p_k, field)
-        )
-        indicator = (
-            product.ind_pi if self.subgoal == SURVEILLANCE else product.ind_phi
-        )
+        dsts = product.edge_dst[edges.start : edges.stop].tolist()
+        scores = self.local_runs.scores(int(product.ts_of[p_k]), self.potential, field.values)
+        pots = scores[self.local_runs.edge_segments(p_k)].tolist()
+        max_pot = max(pots)
+        # the active subgoal's elapsed weight, shortening indicator and target set
+        if self.subgoal == SURVEILLANCE:
+            elapsed, indicator, subgoal_set = self._elapsed_raw, product.ind_pi, product.s_pi_inf
+        else:
+            elapsed, indicator, subgoal_set = self._elapsed_masked, product.ind_phi, product.f_inf
+        pref_value = float(self.preference(elapsed, max_pot))
+        attractions = [
+            pot + (pref_value if indicator[e] else 0.0) for pot, e in zip(pots, edges)
+        ]
 
         best = max(attractions)
         ties = [
@@ -199,9 +173,6 @@ class Planner:
             # everywhere scores every move 0, including the shortening ones.
             # Restricting the tie to shortening edges preserves progress
             # toward the pending subgoal without affecting any other case.
-            subgoal_set = (
-                product.s_pi_inf if self.subgoal == SURVEILLANCE else product.f_inf
-            )
             if not subgoal_set[p_k]:
                 marked = [i for i in ties if indicator[edges[i]]]
                 if marked:

@@ -173,9 +173,11 @@ class Potential:
         return np.where(novel & (gain > 0), gain, self.refresh_value)
 
     def evaluate(self, bundle: RunBundle, rewards: np.ndarray) -> float:
-        """The score of a padded bundle; padding is worth 0."""
+        """The score of a padded bundle, each row combined left to right;
+        padding is worth 0."""
         nodes = self.node_values(bundle.ts_states, bundle.cumw, bundle.novel, rewards)
-        return float(self.combine.reduce(np.where(bundle.valid, nodes, 0.0), axis=1).max())
+        rows = self.combine.accumulate(np.where(bundle.valid, nodes, 0.0), axis=1)
+        return float(rows[:, -1].max())
 
 
 class MaxSumPotential(Potential):

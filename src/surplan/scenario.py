@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LtlSyntaxError, ScenarioError, ValidationError
-from .ltl import Always, And, Atom, Eventually, Formula, parse
+from .ltl import KEYWORDS, Always, And, Atom, Eventually, Formula, is_atom_name, parse
 from .rewards import PREFERENCES, POTENTIALS
 from .ts import TransitionSystem, validate_visibility_assumption
 
@@ -121,10 +121,18 @@ def _mission_formula(text: str, surveillance_prop: str, propositions: set[str]) 
 
     The planner requires the mission to demand infinitely many visits to
     surveyed states.  If no top-level conjunct already has that shape, one
-    is appended as the last conjunct.
+    is appended as the last conjunct. A label, the surveillance one included,
+    must be a name the formula grammar reads as a proposition.
     """
+    labels = propositions | {surveillance_prop}
+    for prop in sorted(labels):
+        if not is_atom_name(prop):
+            raise ScenarioError(
+                f"label {prop!r} cannot appear in a formula: a label is a letter or _"
+                f" then letters, digits or _, and none of {', '.join(sorted(KEYWORDS))}"
+            )
     try:
-        formula = parse(text, propositions | {surveillance_prop})
+        formula = parse(text, labels)
     except LtlSyntaxError as exc:
         raise ScenarioError(f"mission formula rejected: {exc}") from exc
     recurrent = Always(Eventually(Atom(surveillance_prop)))

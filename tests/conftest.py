@@ -77,14 +77,14 @@ def ts_shortening_indicator(
 
 def elapsed_walkback(ts: TransitionSystem, prefix: Sequence[int], surveyed) -> float:
     """Weight accumulated since the latest surveyed state of a system-state
-    prefix, walking back from its end; from its start when none is surveyed.
-    The definition the planner's raw elapsed weight, which the trace's cost
-    column reads, is checked against."""
+    prefix, found walking back from its end and summed forward from there in
+    travel order; from its start when none is surveyed. The definition the
+    planner's raw elapsed weight, which the trace's cost column reads, is
+    checked against."""
+    start = max((i for i in range(1, len(prefix)) if prefix[i] in surveyed), default=0)
     total = 0.0
-    for i in range(len(prefix) - 1, 0, -1):
-        if prefix[i] in surveyed:
-            return total
-        total += ts.weight_of[(prefix[i - 1], prefix[i])]
+    for a, b in zip(prefix[start:], prefix[start + 1 :]):
+        total += ts.weight_of[(a, b)]
     return total
 
 

@@ -1,9 +1,10 @@
 """Finite runs of a transition system, by definition.
 
 Test helpers: run weights and arrival times summed along a run, the
-visibility region of a state (from the heap Dijkstra in ``conftest``) and
-the local runs after a move, enumerated one move at a time. The local-run
-cache and the loader's visibility check are compared against these.
+visibility region of a state (from the heap Dijkstra in ``conftest``), the
+local runs after a move, enumerated one move at a time, and the literal
+potential of a set of runs. The local-run cache, the trace's cost column and
+the loader's visibility check are compared against these.
 """
 
 from __future__ import annotations
@@ -94,3 +95,22 @@ def local_runs(
             ts.successors, ts.weight, allowed, q, entry, h
         )
     ]
+
+
+def literal_potential(runs, q_k, values, name, refresh):
+    """The best run's score: a position pays its reward less the weight spent
+    reaching it, if positive and its state is neither ``q_k`` nor earlier in
+    the run; max-sum adds a run's payments (``refresh`` for a position that
+    pays nothing), max-single takes its best payment."""
+    best_sum, best_single = -np.inf, 0.0
+    for states, cums in runs:
+        total = 0.0
+        for i, q in enumerate(states):
+            gain = values[q] - cums[i]
+            if gain > 0 and q != q_k and q not in states[:i]:
+                total += gain
+                best_single = max(best_single, gain)
+            else:
+                total += refresh
+        best_sum = max(best_sum, total)
+    return best_sum if name == "max-sum" else best_single

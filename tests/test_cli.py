@@ -169,6 +169,15 @@ def test_check_and_run_on_a_file_that_is_not_utf8_exit_with_usage_error(tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def test_check_on_a_label_no_formula_can_name_exits_with_usage_error(tmp_path, capsys):
+    path = tmp_path / "true_label.ini"
+    path.write_text(
+        Path(TRIANGLE).read_text().replace("[labels]", "[labels]\ntrue = q0", 1)
+    )
+    assert main(["check", str(path)]) == 2
+    assert "label 'true'" in capsys.readouterr().err
+
+
 def test_run_with_out_naming_an_existing_file_exits_with_usage_error(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep me\n")

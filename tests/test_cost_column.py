@@ -5,8 +5,8 @@ the least weight to a surveyed state, the preference. Here the potentials
 come from the local runs enumerated one move at a time and the literal
 formulas, the indicator from two heap Dijkstra searches and the elapsed weight
 from the walk back over the system prefix; the preference is its formula.
-Rewards are whole numbers and weights integer or dyadic, so every sum is exact
-in any order and each row is compared with ``==``.
+Every sum along a run or a prefix, here and in the library, is taken in
+travel order, so each row is compared with ``==`` on fractional weights too.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from surplan.scenario import load_scenario
 from surplan.sim import run_single
 
 from conftest import elapsed_walkback, random_ts, ts_shortening_indicator
-from system_runs import local_runs, run_times
+from system_runs import literal_potential, local_runs, run_times
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PAIRS = [
@@ -30,25 +30,6 @@ PAIRS = [
     for pot in ("max-sum", "max-single")
     for pref in ("threshold", "cubic", "cube-root")
 ]
-
-
-def literal_potential(runs, q_k, values, name, refresh):
-    """The best run's score: a position pays its reward less the weight spent
-    reaching it, if positive and its state is neither ``q_k`` nor earlier in
-    the run; max-sum adds a run's payments (``refresh`` for a position that
-    pays nothing), max-single takes its best payment."""
-    best_sum, best_single = -np.inf, 0.0
-    for states, cums in runs:
-        total = 0.0
-        for i, q in enumerate(states):
-            gain = values[q] - cums[i]
-            if gain > 0 and q != q_k and q not in states[:i]:
-                total += gain
-                best_single = max(best_single, gain)
-            else:
-                total += refresh
-        best_sum = max(best_sum, total)
-    return best_sum if name == "max-sum" else best_single
 
 
 def literal_preference(name, threshold, elapsed, max_potential):
@@ -142,16 +123,16 @@ def test_cost_column_replays_from_definitions_on_default_grid(recorded_fields):
 
 @pytest.mark.parametrize(
     "weights, horizon",
-    [((1.0, 2.0, 3.0), 10.0), ((0.5, 0.75, 1.25, 2.0), 5.0)],
-    ids=["integer", "dyadic"],
+    [((1.0, 2.0, 3.0), 10.0), ((0.5, 0.75, 1.25, 2.0), 5.0), ((0.3, 0.7, 1.1), 2.8)],
+    ids=["integer", "dyadic", "fractional"],
 )
 def test_cost_column_replays_from_definitions_on_random_systems(
     recorded_fields, weights, horizon
 ):
     """Random systems under ``G F a & G F sur & G !b``, whose product cuts
     some runs of a move, with every move within sight, a low preference
-    threshold so the step preference fires, and horizons whose runs reach 10
-    positions, past numpy's left-to-right summation."""
+    threshold so the step preference fires, and horizons whose runs reach 8
+    positions and more."""
     base = load_scenario(SCENARIOS / "triangle.ini", {"iterations": 40})
     rng = np.random.default_rng(73)
     systems = 0

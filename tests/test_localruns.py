@@ -1,7 +1,7 @@
 """Shared local-run cache: equivalence with the definitional enumeration,
-with the per-move recurrence and with admission as first formulated, exact
-tree scores at every width, and one build per fan across runs, experiments
-and callers."""
+with the per-move recurrence and with admission as first formulated, tree
+scores summed in travel order at every width, and one build per fan across
+runs, experiments and callers."""
 
 import dataclasses
 from collections import Counter
@@ -27,6 +27,7 @@ from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
 from conftest import LocalRunOracle, dijkstra_oracle_from, random_product, random_ts
+from system_runs import literal_potential, local_runs, run_times
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 POTENTIALS = (MaxSumPotential(15.0), MaxSinglePotential())
@@ -46,10 +47,10 @@ def assert_same_scores(score, reference, fields):
 
 
 def segment_nodes(fan, segment):
-    """The nodes of one segment, without the offset of its width class."""
+    """The nodes of one segment."""
     lo = fan.starts[segment]
     hi = fan.starts[segment + 1] if segment + 1 < len(fan.starts) else len(fan.index)
-    return fan.index[lo:hi] % len(fan.state)
+    return fan.index[lo:hi]
 
 
 def node_depths(fan):
@@ -340,7 +341,7 @@ def assert_admission_matches_first_formulation(ts, trimmed, visibility, horizon)
         assert np.array_equal(np.lexsort((s0, nodes)), np.arange(len(nodes)))
         for name in ("parent", "state", "subsets", "index", "starts"):
             assert np.array_equal(getattr(fan, name), getattr(expected, name)), name
-        assert fan.widths == expected.widths and fan.bounds == expected.bounds
+        assert fan.bounds == expected.bounds
     return cache
 
 
@@ -418,12 +419,10 @@ def test_cache_matches_reference_on_random_products():
 
 def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
     """An automaton that dies after a few moves leaves subsets narrower than
-    their moves. Past eight columns numpy sums a row pairwise, so padding
-    regroups the sum: a subset must score as a row exactly as wide as its
-    longest run, in a width class of its own when that differs."""
+    their moves; each still scores exactly like its padded reference."""
     rng = np.random.default_rng(8)
     depth = 6
-    narrower = mixed = 0
+    narrower = 0
     for _ in range(8):
         ts = random_ts(rng, 6, extra_edges=4, weights=(0.1, 0.2))
         letters = list(dict.fromkeys(ts.labels))
@@ -442,15 +441,12 @@ def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
                 depths[segment_nodes(fan, segment)].max() < widest
                 for segment in fan.subsets[fan.subsets >= 0].tolist()
             )
-            mixed += len(fan.widths) > 1
     assert narrower > 0
-    assert mixed > 0
 
 
-def test_path_sums_add_like_numpy_at_every_width():
+def test_path_sums_add_in_travel_order_at_every_width():
     """Every node of a chain is a prefix of its row; its path sum equals
-    ``np.add.reduce`` over that prefix padded with zeros to the row's width,
-    through the eight lanes from 8 values and the halving past 128."""
+    ``np.add.accumulate`` along the row at that position."""
     rng = np.random.default_rng(5)
     rows = 12
     for width in range(1, 301):
@@ -459,13 +455,42 @@ def test_path_sums_add_like_numpy_at_every_width():
         # node one level up in the same row
         parent = np.r_[np.full(rows, -1), np.arange(rows * (width - 1))].astype(np.int32)
         bounds = list(range(0, rows * width + 1, rows))
-        sums = path_sums(values.T.ravel(), parent, bounds, width)
-        # prefixes[d, r] is row r cut after position d
-        prefixes = np.where(
-            np.arange(width)[None, None, :] <= np.arange(width)[:, None, None], values[None], 0.0
-        )
-        expected = np.add.reduce(prefixes.reshape(width * rows, width), axis=1)
+        sums = path_sums(values.T.ravel(), parent, bounds)
+        expected = np.add.accumulate(values, axis=1).T.ravel()
         assert np.array_equal(sums, expected), width
+
+
+def test_move_scores_equal_the_literal_left_to_right_oracle():
+    """Every move's score equals the literal potential, whose sums run left
+    to right, with ``==``, on non-dyadic weights and rewards and runs of 8
+    and more positions."""
+    rng = np.random.default_rng(13)
+    visibility, horizon = 3.0, 1.5
+    compared = longest = 0
+    for _ in range(6):
+        ts = random_ts(rng, 5, extra_edges=6, weights=(0.1, 0.2, 0.3, 0.7))
+        cache = LocalRunCache(ts, None, visibility, horizon)
+        for q_k in range(ts.n):
+            fan = cache.fan(q_k)
+            longest = max(longest, len(fan.bounds) - 1)
+            runs = {
+                q: [
+                    (r.states, run_times(ts, r))
+                    for r in local_runs(ts, q, q_k, visibility, horizon)
+                ]
+                for q in fan.moves
+            }
+            for values in reward_fields(rng, ts.n, count=3):
+                for potential in POTENTIALS:
+                    scores = cache.scores(q_k, potential, values)
+                    for q, segment in fan.moves.items():
+                        expected = literal_potential(
+                            runs[q], q_k, values, potential.name, potential.refresh_value
+                        )
+                        assert scores[segment] == expected, (q_k, q, potential.name)
+                        compared += 1
+    assert longest >= 8
+    assert compared >= 100
 
 
 def test_a_move_out_of_sight_raises_only_when_asked_for():

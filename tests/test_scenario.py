@@ -228,6 +228,33 @@ def test_rejections(tmp_path):
         load_scenario(tmp_path / "missing.ini")
 
 
+UNNAMEABLE = ["true", "X", "U", "G", "F", "a b", "9lives", "p-q"]
+
+
+@pytest.mark.parametrize("name", UNNAMEABLE)
+def test_a_label_no_formula_can_name_is_refused(tmp_path, name):
+    # before, `true = 0,0` with `G F true` loaded as the constant mission
+    text = MINIMAL_GRID.replace("sur = 2,2", f"sur = 2,2\n{name} = 0,0")
+    text = text.replace("formula = G F sur", "formula = G F true")
+    with pytest.raises(ScenarioError, match=f"label {name!r}"):
+        load_scenario(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("name", UNNAMEABLE)
+def test_a_surveillance_label_no_formula_can_name_is_refused(tmp_path, name):
+    text = MINIMAL_GRID.replace("sur = 2,2", f"{name} = 2,2")
+    text = text.replace("formula = G F sur", f"formula = G F true\nsurveillance = {name}")
+    with pytest.raises(ScenarioError, match=f"label {name!r}"):
+        load_scenario(write(tmp_path, text))
+
+
+def test_labels_the_grammar_reads_as_propositions_load(tmp_path):
+    text = MINIMAL_GRID.replace("sur = 2,2", "_x9 = 2,2\nGF = 0,1\ntrue_ = 1,1")
+    text = text.replace("formula = G F sur", "formula = G F GF & G F true_\nsurveillance = _x9")
+    sc = load_scenario(write(tmp_path, text))
+    assert set(sc.ts.propositions) == {"_x9", "GF", "true_"}
+
+
 @pytest.mark.parametrize(
     "line", ["horizon = inf", "horizon = nan", "visibility = inf", "visibility = nan"]
 )
@@ -309,7 +336,8 @@ def test_percent_signs_are_literal(tmp_path, old, new):
         load_scenario(write(tmp_path, MINIMAL_GRID.replace(old, new)))
     # a literal '%' is kept in the value, not substituted away
     text = MINIMAL_GRID.replace("[labels]\n", "[labels]\nhot% = 0,0\n")
-    assert "hot%" in load_scenario(write(tmp_path, text)).ts.propositions
+    with pytest.raises(ScenarioError, match="label 'hot%'"):
+        load_scenario(write(tmp_path, text))
 
 
 @pytest.mark.parametrize(
