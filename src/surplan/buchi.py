@@ -11,10 +11,16 @@ counter construction.
 
 A state's guarded choices are worked out once, and expanded to the letters
 that satisfy their guards in one array pass. Past the tableau, the
-construction runs on integer letter indices into ``canonical_letters`` and
-on ``(src, letter, dst)`` arrays: debt marks are bitmasks, the counter levels
-come from a lookup table, and pruning and quotienting are array passes. Only
-the final automaton becomes a :class:`BuchiAutomaton`.
+construction works on moves rather than on one edge per letter: a move is
+one of a state's distinct ``(target, marks)`` pairs, carrying the id of the
+set of letters that take it (letters are integer indices into
+``canonical_letters``). Debt marks are bitmasks and the counter levels come
+from a lookup table; the counter numbers and explores its states from each
+move's first and last position in the letter-by-letter edge listing, so it
+numbers them as a walk over that listing would. Pruning reads the moves'
+``(src, dst)`` pairs, and the quotient expands letter sets to letters only
+after deduplicating moves, and on the quotient itself. Only the final
+automaton becomes a :class:`BuchiAutomaton`.
 
 Every ordering in the construction is derived from canonical formula and
 letter orders and from insertion-ordered dicts, never from set iteration, so
@@ -23,7 +29,7 @@ automaton state numbering is reproducible across processes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -100,16 +106,17 @@ class BuchiAutomaton:
             f"initial: {self.initial}",
             f"accepting: {sorted(self.accepting)}",
         ]
+        listed: list[list[str]] = [[] for _ in range(self.n_states)]
+        for s, letter, t in sorted(
+            self.transitions, key=lambda e: (e[0], sorted(e[1]), e[2])
+        ):
+            listed[s].append(f"  --{{{','.join(sorted(letter)) or ''}}}--> {t}")
         for i in range(self.n_states):
             if i < len(self.descriptions):
                 lines.append(f"state {i}: {self.descriptions[i]}")
             else:
                 lines.append(f"state {i}:")
-            for s, letter, t in sorted(
-                self.transitions, key=lambda e: (e[0], sorted(e[1]), e[2])
-            ):
-                if s == i:
-                    lines.append(f"  --{{{','.join(sorted(letter)) or ''}}}--> {t}")
+            lines.extend(listed[i])
         return "\n".join(lines)
 
 
@@ -233,9 +240,13 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     n_untils = len(untils)
     letters = canonical_letters(props)
 
-    order, edges, masks = _obligation_automaton(normalized, untils, sorted(props))
-    pairs, src, letter, dst = _counter_levels(edges, masks, n_untils)
+    obligations = _obligation_automaton(normalized, untils, sorted(props))
+    pairs, explored = _counter_levels(obligations.moves, obligations.masks, n_untils)
     accepting = pairs % (n_untils + 1) == n_untils
+    # one counter move per explored counter state and obligation move
+    src = np.concatenate([np.full(len(dst), c) for c, _, dst in explored])
+    dst = np.concatenate([dst for _, _, dst in explored])
+    lset = np.concatenate([obligations.moves[state][2] for _, state, _ in explored])
 
     # prune dead states; the initial state stays, without moves when dead
     alive = _alive_states(len(pairs), accepting, src, dst)
@@ -244,22 +255,25 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     remap = np.cumsum(keep) - 1
     moves = alive[src] & alive[dst]
     pairs, accepting = pairs[keep], (accepting & alive)[keep]
-    src, letter, dst = remap[src[moves]], letter[moves], remap[dst[moves]]
+    src, lset, dst = remap[src[moves]], lset[moves], remap[dst[moves]]
     initial = int(remap[0])
 
-    blocks = _quotient_bisimulation(len(letters), accepting, src, letter, dst)
+    sets = obligations.letter_sets
+    blocks = _quotient_bisimulation(sets, accepting, src, lset, dst)
     n_blocks = int(blocks.max()) + 1
     if n_blocks < len(pairs):
         # one representative description per block: its first member's
         pairs = pairs[np.unique(blocks, return_index=True)[1]]
         initial = int(blocks[initial])
         accepting = np.isin(np.arange(n_blocks), blocks[accepting])
-        src, letter, dst = _quotient_transitions(letters, blocks, src, letter, dst)
+        src, letter, dst = _quotient_transitions(letters, sets, blocks, src, lset, dst)
+    else:
+        src, letter, dst = _letter_edges(obligations.edges, explored, alive, remap)
 
     descriptions = []
     for pair in pairs.tolist():
         state, level = divmod(pair, n_untils + 1)
-        members = ", ".join(sorted(_formula_key(f) for f in order[state]))
+        members = ", ".join(sorted(_formula_key(f) for f in obligations.order[state]))
         descriptions.append("{" + members + f"}} @{level}")
     return BuchiAutomaton(
         len(pairs),
@@ -271,9 +285,26 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     )
 
 
+class _Obligations(NamedTuple):
+    """Obligation-set automaton, listed state by state.
+
+    ``edges[s]`` is state ``s``'s letter edges as ``(letter, move)`` arrays,
+    letter by letter. ``moves[s]`` is its moves as ``(target, marks, letter
+    set, order by last edge)`` arrays; moves are numbered in order of their
+    first edge. ``masks`` holds the debt bitmask of every marks index, and
+    row ``i`` of ``letter_sets`` the letters of letter set ``i``.
+    """
+
+    order: list[frozenset]
+    edges: list[tuple[np.ndarray, np.ndarray]]
+    moves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    masks: list[int]
+    letter_sets: np.ndarray
+
+
 def _obligation_automaton(
     start: Formula, untils: list[Formula], props: list[str]
-) -> tuple[list[frozenset], list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[int]]:
+) -> _Obligations:
     """Obligation-set automaton with per-transition debt bookkeeping.
 
     States are numbered breadth-first in discovery order. Each state's
@@ -282,13 +313,13 @@ def _obligation_automaton(
     ``canonical_letters`` is its own bitmask over the sorted propositions,
     that is one match matrix per state. Edges are listed letter by letter,
     in choice order within a letter, without repeating a ``(target, marks)``
-    pair, and new targets are numbered in order of first sight. Returns the
-    states, one ``(letter, target, marks)`` array triple per state, and the
-    debt bitmask of every marks index: bit ``i`` is set when ``untils[i]``
-    was discharged on the edge or not examined on it.
+    move, and new targets are numbered in order of first sight. A marks
+    index's debt bitmask has bit ``i`` set when ``untils[i]`` was discharged
+    on the edge or not examined on it.
     """
+    n_letters = 1 << len(props)
     prop_bit = {p: 1 << i for i, p in enumerate(props)}
-    letter_bits = np.arange(1 << len(props), dtype=np.int64)[:, None]
+    letter_bits = np.arange(n_letters, dtype=np.int64)[:, None]
     memo: dict = {}
     # marks index of every (discharged, examined) pair, via its debt bitmask
     marks_of: dict[tuple[frozenset, frozenset], int] = {}
@@ -296,16 +327,22 @@ def _obligation_automaton(
     first = frozenset((start,))
     states: dict[frozenset, int] = {first: 0}
     order: list[frozenset] = [first]
-    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    edges: list[tuple[np.ndarray, np.ndarray]] = []
+    # each state's move targets, marks and order by last edge, and each
+    # move's letters as a packed membership row
+    move_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    member_rows: list[np.ndarray] = []
     frontier = [first]
     while frontier:
         new_frontier: list[frozenset] = []
         for state in frontier:
             choices = _state_choices(sorted(state, key=_formula_key), prop_bit, memo)
-            # distinct (next, marks) moves, numbered in choice order
-            moves: dict[tuple[frozenset, int], int] = {}
+            # distinct (next, marks) moves, first numbered in choice order
+            choice_moves: dict[tuple[frozenset, int], int] = {}
             move_of_choice: list[int] = []
-            for nxt, dis, pro, _, _ in choices:
+            pos_list: list[int] = []
+            guard_list: list[int] = []
+            for nxt, dis, pro, pos, neg in choices:
                 marks = marks_of.get((dis, pro))
                 if marks is None:
                     mask = sum(
@@ -315,48 +352,82 @@ def _obligation_automaton(
                     )
                     marks = mask_index.setdefault(mask, len(mask_index))
                     marks_of[dis, pro] = marks
-                move_of_choice.append(moves.setdefault((nxt, marks), len(moves)))
-            pos = np.array([c[3] for c in choices], dtype=np.int64)
-            neg = np.array([c[4] for c in choices], dtype=np.int64)
-            matches = ((pos & ~letter_bits) == 0) & ((neg & letter_bits) == 0)
+                move_of_choice.append(choice_moves.setdefault((nxt, marks), len(choice_moves)))
+                pos_list.append(pos)
+                guard_list.append(pos | neg)
+            # a letter matches when, of the guarded propositions, it holds exactly pos
+            pos = np.array(pos_list, dtype=np.int64)
+            matches = (letter_bits & np.array(guard_list, dtype=np.int64)) == pos
             # row-major: letter by letter, choices in order within a letter
             out_letter, choice = np.nonzero(matches)
             out_move = np.array(move_of_choice, dtype=np.int64)[choice]
-            # the first listing of each (letter, move) pair, in listing order
-            keys = out_letter * len(moves) + out_move
-            keep = np.sort(np.unique(keys, return_index=True)[1])
-            out_letter, out_move = out_letter[keep], out_move[keep]
-            move_list = list(moves)
-            move_target = np.zeros(len(moves), dtype=np.int64)
-            move_marks = np.array([marks for _, marks in move_list], dtype=np.int64)
+            if len(choice_moves) < len(choices):
+                # two choices of one move can both match a letter: keep the
+                # first listing of each (letter, move) pair, in listing order
+                keys = out_letter * len(choice_moves) + out_move
+                keep = np.sort(np.unique(keys, return_index=True)[1])
+                out_letter, out_move = out_letter[keep], out_move[keep]
+            # each move's first and last edge; every choice matches its own
+            # guard's letter, so every move has one
+            by_move = np.argsort(out_move, kind="stable")
+            starts = np.ones(len(by_move) + 1, dtype=bool)
+            starts[1:-1] = out_move[by_move[1:]] != out_move[by_move[:-1]]
+            first_edge, last_edge = by_move[starts[:-1]], by_move[starts[1:]]
+            # renumber the moves in order of their first edge
+            seen = np.argsort(first_edge)
+            renumber = np.empty(len(seen), dtype=np.int64)
+            renumber[seen] = np.arange(len(seen))
+            out_move = renumber[out_move]
+            move_list = list(choice_moves)
+            move_target: list[int] = []
+            move_marks: list[int] = []
             # targets are numbered in order of first sight along the edges
-            seen_at = np.unique(out_move, return_index=True)[1]
-            for m in out_move[np.sort(seen_at)].tolist():
-                nxt = move_list[m][0]
+            for old in seen.tolist():
+                nxt, marks = move_list[old]
                 target = states.get(nxt)
                 if target is None:
                     target = states[nxt] = len(order)
                     order.append(nxt)
                     new_frontier.append(nxt)
-                move_target[m] = target
-            edges.append((out_letter, move_target[out_move], move_marks[out_move]))
+                move_target.append(target)
+                move_marks.append(marks)
+            member = np.zeros((len(seen), n_letters), dtype=bool)
+            member[out_move, out_letter] = True
+            member_rows.append(np.packbits(member, axis=1))
+            edges.append((out_letter, out_move))
+            move_parts.append((
+                np.array(move_target, dtype=np.int64),
+                np.array(move_marks, dtype=np.int64),
+                np.argsort(last_edge[seen]),
+            ))
         frontier = new_frontier
     if len(edges) != len(order):
         raise ContractError("internal bookkeeping mismatch")
-    return order, edges, list(mask_index)
+    # one id per distinct letter set
+    packed = np.concatenate(member_rows)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first_row, move_set = np.unique(rows, return_index=True, return_inverse=True)
+    letter_sets = np.unpackbits(packed[first_row], axis=1, count=n_letters).astype(bool)
+    bounds = np.cumsum([len(target) for target, _, _ in move_parts])[:-1]
+    moves = [
+        (target, marks, sets, by_last)
+        for (target, marks, by_last), sets in zip(move_parts, np.split(move_set.ravel(), bounds))
+    ]
+    return _Obligations(order, edges, moves, list(mask_index), letter_sets)
 
 
 def _counter_levels(
-    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    moves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     masks: list[int],
     n_untils: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
     """Counter construction: wait for debt 0, then 1, ..., then n-1; a state
     at level n_untils certifies one full round of discharges and restarts.
 
     Counter states ``state * (n_untils + 1) + level`` are explored depth
     first from state 0 at level 0. Returns them in numbering order, and the
-    transitions as ``(src, letter, dst)`` arrays in exploration order.
+    explored ones in exploration order as ``(id, state, target id of each
+    of the state's moves)``.
     """
     width = n_untils + 1
     # next level after an edge with these marks, by the level it leaves
@@ -371,42 +442,41 @@ def _counter_levels(
     ids: dict[int, int] = {0: 0}
     pending = [0]
     done: set[int] = set()
-    src_parts: list[np.ndarray] = []
-    letter_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    # Numbered and pushed exactly as a DFS that walks the edge list, numbers
-    # each target on first sight and pushes every target not yet done: new
-    # ids go in first-occurrence order, and a target pushed twice is popped
-    # at its last push, so only that push matters.
+    explored: list[tuple[int, int, np.ndarray]] = []
+    by_last = [order.tolist() for _, _, _, order in moves]
+    # Numbered and pushed exactly as a DFS that walks the state's letter
+    # edges, numbers each target on first sight and pushes every target not
+    # yet done: new ids go in order of first edge, and a target pushed twice
+    # is popped at its last push, so only the push at its last edge matters.
+    # An edge's target depends only on its move, and moves are numbered in
+    # order of their first edge.
     while pending:
         pair = pending.pop()
         if pair in done:
             continue
         done.add(pair)
         state, level = divmod(pair, width)
-        out_letter, out_target, out_marks = edges[state]
-        targets = out_target * width + table[out_marks, level]
-        distinct, first, inverse = np.unique(
-            targets, return_index=True, return_inverse=True
-        )
-        distinct = distinct.tolist()
-        target_ids = np.empty(len(distinct), dtype=np.int64)
-        for k in np.argsort(first).tolist():
-            target_ids[k] = ids.setdefault(distinct[k], len(ids))
-        last = len(targets) - 1 - np.unique(targets[::-1], return_index=True)[1]
-        for k in np.argsort(last).tolist():
-            if distinct[k] not in done:
-                pending.append(distinct[k])
-        src_parts.append(np.full(len(targets), ids[pair], dtype=np.int64))
-        letter_parts.append(out_letter)
-        dst_parts.append(target_ids[inverse])
-    pairs = np.array(list(ids), dtype=np.int64)
-    return (
-        pairs,
-        np.concatenate(src_parts),
-        np.concatenate(letter_parts),
-        np.concatenate(dst_parts),
-    )
+        move_target, move_marks, _, _ = moves[state]
+        targets = (move_target * width + table[move_marks, level]).tolist()
+        for target in dict.fromkeys(targets):
+            ids.setdefault(target, len(ids))
+        # each distinct target once, in order of its last edge
+        in_last_order = [targets[m] for m in by_last[state]]
+        for target in reversed(dict.fromkeys(reversed(in_last_order))):
+            if target not in done:
+                pending.append(target)
+        explored.append((ids[pair], state, np.array([ids[t] for t in targets], dtype=np.int64)))
+    return np.array(list(ids), dtype=np.int64), explored
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array. numpy 2's ``np.unique``
+    without ``return_*`` arguments goes through a hash table, which is
+    several times slower than sorting on the arrays met here."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def _alive_states(
@@ -415,7 +485,7 @@ def _alive_states(
     """Mask of the states that can contribute to an accepting run: those
     that reach an accepting state whose strongly connected component holds
     a move."""
-    pairs = np.unique(src * n + dst)
+    pairs = _distinct(src * n + dst)
     heads, tails = np.divmod(pairs, n)
     ones = np.ones(len(pairs))
     graph = csr_array((ones, (heads, tails)), shape=(n, n))
@@ -432,11 +502,19 @@ def _alive_states(
     return np.isfinite(dijkstra(reverse, indices=np.flatnonzero(alive), min_only=True))
 
 
+def _expand(
+    letter_sets: np.ndarray, head: np.ndarray, lset: np.ndarray, tail: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(head, letter, tail)`` rows, one per letter of each row's set."""
+    row, letter = np.nonzero(letter_sets[lset])
+    return head[row], letter, tail[row]
+
+
 def _quotient_bisimulation(
-    n_letters: int,
+    letter_sets: np.ndarray,
     accepting: np.ndarray,
     src: np.ndarray,
-    letter: np.ndarray,
+    lset: np.ndarray,
     dst: np.ndarray,
 ) -> np.ndarray:
     """Block of every state in the coarsest partition that separates
@@ -447,7 +525,7 @@ def _quotient_bisimulation(
     """
     blocks = accepting.astype(np.int64)
     while True:
-        sigs = _signatures(blocks, n_letters, src, letter, dst)
+        sigs = _signatures(blocks, letter_sets, src, lset, dst)
         ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         new_blocks = np.array([ranking[sig] for sig in sigs], dtype=np.int64)
         if np.array_equal(new_blocks, blocks):
@@ -457,9 +535,9 @@ def _quotient_bisimulation(
 
 def _signatures(
     blocks: np.ndarray,
-    n_letters: int,
+    letter_sets: np.ndarray,
     src: np.ndarray,
-    letter: np.ndarray,
+    lset: np.ndarray,
     dst: np.ndarray,
 ) -> list[tuple[int, ...]]:
     """Per state, the flat token tuple of its signature.
@@ -469,13 +547,31 @@ def _signatures(
     ``-1`` sorts below every letter and block, where a nested tuple runs out
     first the token tuple meets a ``-1`` first, so both sort alike.
     """
+    n_sets, n_letters = letter_sets.shape
     base = int(blocks.max()) + 1
-    keys = np.unique((src * n_letters + letter) * base + blocks[dst])
+    sigs = [(b, -1) for b in blocks.tolist()]
+    # distinct (state, letter set, block) moves, grouped by state
+    moves = _distinct((src * n_sets + lset) * base + blocks[dst])
+    if not len(moves):
+        return sigs
+    state, rest = np.divmod(moves, n_sets * base)
+    starts = np.flatnonzero(np.append(True, state[1:] != state[:-1]))
+    # states with equal blocks and equal moves have equal signatures, so
+    # only the first of each such group is expanded to letters
+    same_as: dict[int, int] = {}
+    first_of: dict[tuple, int] = {}
+    rest_list = rest.tolist()
+    for s, lo, hi in zip(
+        state[starts].tolist(), starts.tolist(), starts[1:].tolist() + [len(moves)]
+    ):
+        same_as[s] = first_of.setdefault((sigs[s][0], *rest_list[lo:hi]), s)
+    first = np.zeros(len(sigs), dtype=bool)
+    first[list(first_of.values())] = True
+    state, rest = state[first[state]], rest[first[state]]
+    state, move_letter, move_block = _expand(letter_sets, state, *np.divmod(rest, base))
+    keys = _distinct((state * n_letters + move_letter) * base + move_block)
     state, rest = np.divmod(keys, n_letters * base)
     move_letter, move_block = np.divmod(rest, base)
-    sigs = [(b, -1) for b in blocks.tolist()]
-    if not len(keys):
-        return sigs
     new_state = np.ones(len(keys), dtype=bool)
     new_state[1:] = state[1:] != state[:-1]
     new_group = new_state.copy()
@@ -491,23 +587,50 @@ def _signatures(
     ends = np.cumsum(emit.sum(axis=1))[end_state].tolist()
     for i, lo, hi in zip(state[new_state].tolist(), [0] + ends[:-1], ends):
         sigs[i] = tuple(flat[lo:hi])
+    for s, rep in same_as.items():
+        sigs[s] = sigs[rep]
     return sigs
 
 
 def _quotient_transitions(
     letters: list[Letter],
+    letter_sets: np.ndarray,
     blocks: np.ndarray,
     src: np.ndarray,
-    letter: np.ndarray,
+    lset: np.ndarray,
     dst: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct moves between blocks, sorted by source, the letter's sorted
-    proposition list, and target."""
-    n_letters, n_blocks = len(letters), int(blocks.max()) + 1
+    """Distinct letter edges between blocks, sorted by source, the letter's
+    sorted proposition list, and target."""
+    n_sets, n_letters, n_blocks = len(letter_sets), len(letters), int(blocks.max()) + 1
     by_name = np.array(sorted(range(n_letters), key=lambda i: sorted(letters[i])))
     rank = np.empty(n_letters, dtype=np.int64)
     rank[by_name] = np.arange(n_letters)
-    keys = np.unique((blocks[src] * n_letters + rank[letter]) * n_blocks + blocks[dst])
+    moves = _distinct((blocks[src] * n_sets + lset) * n_blocks + blocks[dst])
+    rest, tail = np.divmod(moves, n_blocks)
+    head, rest = np.divmod(rest, n_sets)
+    head, letter, tail = _expand(letter_sets, head, rest, tail)
+    keys = _distinct((head * n_letters + rank[letter]) * n_blocks + tail)
     head, rest = np.divmod(keys, n_letters * n_blocks)
     letter_rank, tail = np.divmod(rest, n_blocks)
     return head, by_name[letter_rank], tail
+
+
+def _letter_edges(
+    edges: list[tuple[np.ndarray, np.ndarray]],
+    explored: list[tuple[int, int, np.ndarray]],
+    alive: np.ndarray,
+    remap: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Letter edges between alive counter states, renumbered by ``remap``,
+    in the order of a walk over each explored state's letter edges."""
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty)]
+    for c, state, move_dst in explored:
+        if alive[c]:
+            out_letter, out_move = edges[state]
+            dst = move_dst[out_move]
+            ok = alive[dst]
+            parts.append((np.full(int(ok.sum()), remap[c]), out_letter[ok], remap[dst[ok]]))
+    src, letter, dst = (np.concatenate(p) for p in zip(*parts))
+    return src, letter, dst

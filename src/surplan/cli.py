@@ -57,9 +57,12 @@ def command_check(args: argparse.Namespace) -> int:
     _say(f"scenario:            {scenario.name}")
     _say(f"states:              {scenario.ts.n}")
     _say(f"mission:             {scenario.formula_text}")
-    _say(f"automaton states:    {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")
-    _say(f"product states:      {offline.product.n} ({offline.trimmed.n} after trimming)")
-    _say(f"surveillance states: {int(offline.trimmed.s_pi_inf.sum())} recurrent in product")
+    ba, product, trimmed = offline.ba, offline.product, offline.trimmed
+    _say(f"automaton states:    {ba.n_states} ({len(ba.accepting)} accepting)")
+    _say(f"automaton transitions: {len(ba.transitions)} over {2 ** len(ba.propositions)} letters")
+    _say(f"product states:      {product.n} ({trimmed.n} after trimming)")
+    _say(f"product edges:       {len(product.edge_src)} ({len(trimmed.edge_src)} after trimming)")
+    _say(f"surveillance states: {int(trimmed.s_pi_inf.sum())} recurrent in product")
     _say(f"optimality condition: {'holds' if label_ok else 'does not hold'}")
     for stage, seconds in offline.timings.items():
         _say(f"{stage + ' time:':<21}{seconds:.3f}s")

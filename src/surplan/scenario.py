@@ -122,17 +122,21 @@ def _mission_formula(text: str, surveillance_prop: str, propositions: set[str]) 
     The planner requires the mission to demand infinitely many visits to
     surveyed states.  If no top-level conjunct already has that shape, one
     is appended as the last conjunct. A label, the surveillance one included,
-    must be a name the formula grammar reads as a proposition.
+    must be a name the formula grammar reads as a proposition, and the
+    surveillance label must be declared like any other.
     """
-    labels = propositions | {surveillance_prop}
-    for prop in sorted(labels):
+    for prop in sorted(propositions | {surveillance_prop}):
         if not is_atom_name(prop):
             raise ScenarioError(
                 f"label {prop!r} cannot appear in a formula: a label is a letter or _"
                 f" then letters, digits or _, and none of {', '.join(sorted(KEYWORDS))}"
             )
+    if surveillance_prop not in propositions:
+        raise ScenarioError(
+            f"surveillance label {surveillance_prop!r} is not declared in [labels]"
+        )
     try:
-        formula = parse(text, labels)
+        formula = parse(text, propositions)
     except LtlSyntaxError as exc:
         raise ScenarioError(f"mission formula rejected: {exc}") from exc
     recurrent = Always(Eventually(Atom(surveillance_prop)))

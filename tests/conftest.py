@@ -224,14 +224,17 @@ def random_formula(rng: np.random.Generator, props: list[str], depth: int) -> Fo
     return Always(sub())
 
 
-def random_formula_cases(n: int) -> list[tuple[Formula, list[str]]]:
-    """``n`` random formulas with 1-5 propositions and depth 1-5, each with
-    its propositions; case ``i`` depends on ``i`` alone."""
-    props = ["a", "b", "c", "d", "e"]
+def random_formula_cases(
+    n: int, fewest_props: int = 1
+) -> list[tuple[Formula, list[str]]]:
+    """``n`` random formulas with ``fewest_props`` to ``fewest_props + 4``
+    propositions and depth 1-5, each with its propositions; case ``i``
+    depends on ``i`` and ``fewest_props`` alone."""
+    props = ["a", "b", "c", "d", "e", "f", "g"]
     cases = []
     for seed in range(n):
         rng = np.random.default_rng(seed)
-        case_props = props[: 1 + seed % 5]
+        case_props = props[: fewest_props + seed % 5]
         cases.append((random_formula(rng, case_props, 1 + seed // 5 % 5), case_props))
     return cases
 

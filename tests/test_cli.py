@@ -26,6 +26,11 @@ def test_check_reports_feasible_scenario(capsys):
     assert "feasible:            yes" in out
     assert "states:              100" in out
     assert "optimality condition: holds" in out
+    # the sizes of the automaton and of the product before and after trimming
+    assert "automaton states:    11 (4 accepting)" in out
+    assert "automaton transitions: 160 over 16 letters" in out
+    assert "product states:      712 (462 after trimming)" in out
+    assert "product edges:       8782 (3996 after trimming)" in out
     # one line per offline stage, just above the total
     lines = out.splitlines()
     total = next(i for i, line in enumerate(lines) if line.startswith("offline time:"))
@@ -176,6 +181,15 @@ def test_check_on_a_label_no_formula_can_name_exits_with_usage_error(tmp_path, c
     )
     assert main(["check", str(path)]) == 2
     assert "label 'true'" in capsys.readouterr().err
+
+
+def test_check_on_an_undeclared_surveillance_label_exits_with_usage_error(tmp_path, capsys):
+    path = tmp_path / "patrol.ini"
+    path.write_text(
+        Path(TRIANGLE).read_text().replace("surveillance = sur", "surveillance = patrol", 1)
+    )
+    assert main(["check", str(path)]) == 2
+    assert "surveillance label 'patrol'" in capsys.readouterr().err
 
 
 def test_run_with_out_naming_an_existing_file_exits_with_usage_error(tmp_path, capsys):

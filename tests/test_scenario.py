@@ -248,6 +248,13 @@ def test_a_surveillance_label_no_formula_can_name_is_refused(tmp_path, name):
         load_scenario(write(tmp_path, text))
 
 
+def test_an_undeclared_surveillance_label_is_refused(tmp_path):
+    # before, this loaded and `surplan check` reported an infeasible mission
+    text = MINIMAL_GRID.replace("formula = G F sur", "formula = G F sur\nsurveillance = patrol")
+    with pytest.raises(ScenarioError, match="surveillance label 'patrol' is not declared"):
+        load_scenario(write(tmp_path, text))
+
+
 def test_labels_the_grammar_reads_as_propositions_load(tmp_path):
     text = MINIMAL_GRID.replace("sur = 2,2", "_x9 = 2,2\nGF = 0,1\ntrue_ = 1,1")
     text = text.replace("formula = G F sur", "formula = G F GF & G F true_\nsurveillance = _x9")
