@@ -9,18 +9,19 @@ propositions it must hold and those it must not). Each postponed subformula
 per transition and is then reduced to a single accepting set by the usual
 counter construction.
 
-A state's guarded choices are worked out once, and expanded to the letters
-that satisfy their guards in one array pass. Past the tableau, the
-construction works on moves rather than on one edge per letter: a move is
+A state's guarded choices are worked out once. Past the tableau, the
+construction works on moves and never lists one edge per letter: a move is
 one of a state's distinct ``(target, marks)`` pairs, carrying the id of the
-set of letters that take it (letters are integer indices into
-``canonical_letters``). Debt marks are bitmasks and the counter levels come
-from a lookup table; the counter numbers and explores its states from each
-move's first and last position in the letter-by-letter edge listing, so it
-numbers them as a walk over that listing would. Pruning reads the moves'
-``(src, dst)`` pairs, and the quotient expands letter sets to letters only
-after deduplicating moves, and on the quotient itself. Only the final
-automaton becomes a :class:`BuchiAutomaton`.
+set of letters that take it: those any of its choices' guards admit
+(letters are integer indices into ``canonical_letters``). The lowest and highest letters
+of a guard are read off its bitmasks, which places each move's first and
+last edge in the letter-by-letter order; the counter numbers and explores
+its states from those, so it numbers them as a walk over every letter edge
+would. Debt marks are bitmasks and the counter levels come from a lookup
+table. Pruning reads the moves' ``(src, dst)`` pairs, and letter sets are
+expanded to letters only at the end: after deduplicating moves in the
+quotient, and on the final automaton's moves. Only the final automaton
+becomes a :class:`BuchiAutomaton`.
 
 Every ordering in the construction is derived from canonical formula and
 letter orders and from insertion-ordered dicts, never from set iteration, so
@@ -58,8 +59,9 @@ from .ltl import (
 class BuchiAutomaton:
     """Nondeterministic automaton over letters drawn from 2^propositions.
 
-    Transitions carry concrete proposition sets. A run is accepting when it
-    enters accepting states infinitely often.
+    Transitions carry concrete proposition sets, and their order is
+    unspecified. A run is accepting when it enters accepting states
+    infinitely often.
     """
 
     def __init__(
@@ -118,10 +120,6 @@ class BuchiAutomaton:
                 lines.append(f"state {i}:")
             lines.extend(listed[i])
         return "\n".join(lines)
-
-
-def _formula_key(f: Formula) -> str:
-    return str(f)
 
 
 def until_like_subformulas(formula: Formula) -> list[Formula]:
@@ -268,12 +266,12 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
         accepting = np.isin(np.arange(n_blocks), blocks[accepting])
         src, letter, dst = _quotient_transitions(letters, sets, blocks, src, lset, dst)
     else:
-        src, letter, dst = _letter_edges(obligations.edges, explored, alive, remap)
+        src, letter, dst = _expand(sets, src, lset, dst)
 
     descriptions = []
     for pair in pairs.tolist():
         state, level = divmod(pair, n_untils + 1)
-        members = ", ".join(sorted(_formula_key(f) for f in obligations.order[state]))
+        members = ", ".join(sorted(str(f) for f in obligations.order[state]))
         descriptions.append("{" + members + f"}} @{level}")
     return BuchiAutomaton(
         len(pairs),
@@ -288,15 +286,15 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
 class _Obligations(NamedTuple):
     """Obligation-set automaton, listed state by state.
 
-    ``edges[s]`` is state ``s``'s letter edges as ``(letter, move)`` arrays,
-    letter by letter. ``moves[s]`` is its moves as ``(target, marks, letter
-    set, order by last edge)`` arrays; moves are numbered in order of their
+    ``moves[s]`` is state ``s``'s moves as ``(target, marks, letter set,
+    order by last edge)`` arrays. A move's first and last edge are its
+    first and last in a listing of the state's letter edges letter by letter,
+    choices in order within a letter; moves are numbered in order of their
     first edge. ``masks`` holds the debt bitmask of every marks index, and
     row ``i`` of ``letter_sets`` the letters of letter set ``i``.
     """
 
     order: list[frozenset]
-    edges: list[tuple[np.ndarray, np.ndarray]]
     moves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     masks: list[int]
     letter_sets: np.ndarray
@@ -308,18 +306,17 @@ def _obligation_automaton(
     """Obligation-set automaton with per-transition debt bookkeeping.
 
     States are numbered breadth-first in discovery order. Each state's
-    guarded choices are worked out once and then expanded to the letters
-    that satisfy their guards; since the index of a letter in
-    ``canonical_letters`` is its own bitmask over the sorted propositions,
-    that is one match matrix per state. Edges are listed letter by letter,
-    in choice order within a letter, without repeating a ``(target, marks)``
-    move, and new targets are numbered in order of first sight. A marks
-    index's debt bitmask has bit ``i`` set when ``untils[i]`` was discharged
-    on the edge or not examined on it.
+    guarded choices are worked out once and grouped into moves; since the
+    index of a letter in ``canonical_letters`` is its own bitmask over the
+    sorted propositions, a move's letter set is the OR of its choices'
+    packed match rows, and its first and last edge come from its choices'
+    lowest and highest letters. New targets are numbered in order of first
+    edge. A marks index's debt bitmask has bit ``i`` set when ``untils[i]``
+    was discharged on the edge or not examined on it.
     """
     n_letters = 1 << len(props)
     prop_bit = {p: 1 << i for i, p in enumerate(props)}
-    letter_bits = np.arange(n_letters, dtype=np.int64)[:, None]
+    letter_bits = np.arange(n_letters, dtype=np.int64)
     memo: dict = {}
     # marks index of every (discharged, examined) pair, via its debt bitmask
     marks_of: dict[tuple[frozenset, frozenset], int] = {}
@@ -327,7 +324,6 @@ def _obligation_automaton(
     first = frozenset((start,))
     states: dict[frozenset, int] = {first: 0}
     order: list[frozenset] = [first]
-    edges: list[tuple[np.ndarray, np.ndarray]] = []
     # each state's move targets, marks and order by last edge, and each
     # move's letters as a packed membership row
     move_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -336,12 +332,12 @@ def _obligation_automaton(
     while frontier:
         new_frontier: list[frozenset] = []
         for state in frontier:
-            choices = _state_choices(sorted(state, key=_formula_key), prop_bit, memo)
+            choices = _state_choices(sorted(state, key=str), prop_bit, memo)
             # distinct (next, marks) moves, first numbered in choice order
             choice_moves: dict[tuple[frozenset, int], int] = {}
             move_of_choice: list[int] = []
             pos_list: list[int] = []
-            guard_list: list[int] = []
+            neg_list: list[int] = []
             for nxt, dis, pro, pos, neg in choices:
                 marks = marks_of.get((dis, pro))
                 if marks is None:
@@ -354,34 +350,35 @@ def _obligation_automaton(
                     marks_of[dis, pro] = marks
                 move_of_choice.append(choice_moves.setdefault((nxt, marks), len(choice_moves)))
                 pos_list.append(pos)
-                guard_list.append(pos | neg)
-            # a letter matches when, of the guarded propositions, it holds exactly pos
-            pos = np.array(pos_list, dtype=np.int64)
-            matches = (letter_bits & np.array(guard_list, dtype=np.int64)) == pos
-            # row-major: letter by letter, choices in order within a letter
-            out_letter, choice = np.nonzero(matches)
-            out_move = np.array(move_of_choice, dtype=np.int64)[choice]
-            if len(choice_moves) < len(choices):
-                # two choices of one move can both match a letter: keep the
-                # first listing of each (letter, move) pair, in listing order
-                keys = out_letter * len(choice_moves) + out_move
-                keep = np.sort(np.unique(keys, return_index=True)[1])
-                out_letter, out_move = out_letter[keep], out_move[keep]
-            # each move's first and last edge; every choice matches its own
-            # guard's letter, so every move has one
-            by_move = np.argsort(out_move, kind="stable")
-            starts = np.ones(len(by_move) + 1, dtype=bool)
-            starts[1:-1] = out_move[by_move[1:]] != out_move[by_move[:-1]]
-            first_edge, last_edge = by_move[starts[:-1]], by_move[starts[1:]]
+                neg_list.append(neg)
+            # the choices grouped by move, in choice order within a move
+            n = len(choices)
+            move_of = np.array(move_of_choice, dtype=np.int64)
+            at = np.argsort(move_of, kind="stable")
+            starts = np.searchsorted(move_of[at], np.arange(len(choice_moves)))
+            pos = np.array(pos_list, dtype=np.int64)[at]
+            neg = np.array(neg_list, dtype=np.int64)[at]
+            # a letter matches when, of the guarded propositions, it holds
+            # exactly pos; a move's letters are those of any of its choices
+            matches = (letter_bits & (pos | neg)[:, None]) == pos[:, None]
+            member = np.bitwise_or.reduceat(np.packbits(matches, axis=1), starts)
+            # An edge's place in the listing is letter * n + choice. A
+            # choice's lowest letter is pos and its highest every letter
+            # outside neg; a choice matches its move's lowest (highest)
+            # letter only if that is its own lowest (highest) too. So a
+            # move's first edge is its least (pos, choice), and its last edge
+            # its greatest highest letter with the least choice on it.
+            first_edge = np.minimum.reduceat(pos * n + at, starts)
+            high, rest = np.divmod(
+                np.maximum.reduceat(((n_letters - 1) & ~neg) * n + n - 1 - at, starts), n
+            )
+            last_edge = high * n + n - 1 - rest
             # renumber the moves in order of their first edge
             seen = np.argsort(first_edge)
-            renumber = np.empty(len(seen), dtype=np.int64)
-            renumber[seen] = np.arange(len(seen))
-            out_move = renumber[out_move]
             move_list = list(choice_moves)
             move_target: list[int] = []
             move_marks: list[int] = []
-            # targets are numbered in order of first sight along the edges
+            # targets are numbered in order of their moves' first edges
             for old in seen.tolist():
                 nxt, marks = move_list[old]
                 target = states.get(nxt)
@@ -391,17 +388,14 @@ def _obligation_automaton(
                     new_frontier.append(nxt)
                 move_target.append(target)
                 move_marks.append(marks)
-            member = np.zeros((len(seen), n_letters), dtype=bool)
-            member[out_move, out_letter] = True
-            member_rows.append(np.packbits(member, axis=1))
-            edges.append((out_letter, out_move))
+            member_rows.append(member[seen])
             move_parts.append((
                 np.array(move_target, dtype=np.int64),
                 np.array(move_marks, dtype=np.int64),
                 np.argsort(last_edge[seen]),
             ))
         frontier = new_frontier
-    if len(edges) != len(order):
+    if len(move_parts) != len(order):
         raise ContractError("internal bookkeeping mismatch")
     # one id per distinct letter set
     packed = np.concatenate(member_rows)
@@ -413,7 +407,7 @@ def _obligation_automaton(
         (target, marks, sets, by_last)
         for (target, marks, by_last), sets in zip(move_parts, np.split(move_set.ravel(), bounds))
     ]
-    return _Obligations(order, edges, moves, list(mask_index), letter_sets)
+    return _Obligations(order, moves, list(mask_index), letter_sets)
 
 
 def _counter_levels(
@@ -615,22 +609,3 @@ def _quotient_transitions(
     letter_rank, tail = np.divmod(rest, n_blocks)
     return head, by_name[letter_rank], tail
 
-
-def _letter_edges(
-    edges: list[tuple[np.ndarray, np.ndarray]],
-    explored: list[tuple[int, int, np.ndarray]],
-    alive: np.ndarray,
-    remap: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Letter edges between alive counter states, renumbered by ``remap``,
-    in the order of a walk over each explored state's letter edges."""
-    empty = np.zeros(0, dtype=np.int64)
-    parts = [(empty, empty, empty)]
-    for c, state, move_dst in explored:
-        if alive[c]:
-            out_letter, out_move = edges[state]
-            dst = move_dst[out_move]
-            ok = alive[dst]
-            parts.append((np.full(int(ok.sum()), remap[c]), out_letter[ok], remap[dst[ok]]))
-    src, letter, dst = (np.concatenate(p) for p in zip(*parts))
-    return src, letter, dst

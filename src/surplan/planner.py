@@ -55,7 +55,6 @@ class StepInfo:
     elapsed_used: float
     indicator: bool
     survey: bool
-    unmasked_survey: bool
     candidates: tuple[int, ...]
     attractions: tuple[float, ...]
     # an array, so left out of equality and hashing
@@ -228,7 +227,6 @@ class Planner:
             elapsed_used=float(elapsed),
             indicator=bool(indicator[chosen_edge]),
             survey=raw_survey,
-            unmasked_survey=unmasked,
             candidates=tuple(dsts),
             attractions=tuple(float(a) for a in attractions),
             scores=scores,

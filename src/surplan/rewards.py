@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,14 +33,6 @@ class RewardField:
             if (self.values < 0).any():
                 raise ValidationError("rewards must be non-negative")
         self.clock = 0.0
-
-
-class RewardDynamics(Protocol):
-    """How a reward field changes over time and reacts to collection."""
-
-    def evolve(self, field: RewardField, dt: float) -> None: ...
-
-    def on_collect(self, field: RewardField, state: int) -> float: ...
 
 
 class DecaySpawnDynamics:

@@ -116,12 +116,17 @@ class MetricStats:
         return MetricStats(means, variances, avg, var, spread)
 
     def as_dict(self) -> dict:
+        """The fields for JSON, which has no nan: an undefined one is ``None``."""
+
+        def defined(x: float) -> float | None:
+            return None if math.isnan(x) else x
+
         return {
-            "run_means": list(self.run_means),
-            "run_variances": list(self.run_variances),
-            "avg": self.avg,
-            "var": self.var,
-            "spread_percent": self.spread_percent,
+            "run_means": [defined(m) for m in self.run_means],
+            "run_variances": [defined(v) for v in self.run_variances],
+            "avg": defined(self.avg),
+            "var": defined(self.var),
+            "spread_percent": defined(self.spread_percent),
         }
 
 
@@ -445,7 +450,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
             dict(zip(("steps", "weight"), run.longest_core_gap)) for run in result.runs
         ],
     }
-    paths["stats_json"].write_text(json.dumps(payload, indent=2) + "\n")
+    paths["stats_json"].write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return paths
 
 

@@ -1,13 +1,15 @@
-"""Letter-by-letter counter, pruning and quotient passes: the oracle for
-``surplan.buchi``.
+"""Letter-by-letter edge listing, counter, pruning and quotient passes: the
+oracle for ``surplan.buchi``.
 
-``surplan.buchi`` runs these passes on moves that carry letter sets. The
-versions here expand every obligation move to one edge per letter first and
-then work row by row, as the construction did before it worked on moves.
-``reference_to_buchi`` chains them after the library's obligation automaton
-(the tableau, checked against the per-letter tableau in ``conftest.py``), so
-its automaton must equal ``to_buchi``'s in every state number, description
-and transition, in the same order.
+``surplan.buchi`` works on moves that carry letter sets and never lists one
+edge per letter. ``letter_edges`` lists them: every obligation state's
+guarded choices expanded to the letters they match, letter by letter, and
+the passes here work on that listing row by row, as the construction did
+before it worked on moves. ``reference_to_buchi`` chains them after the
+library's obligation automaton (the tableau, checked against the per-letter
+tableau in ``conftest.py``), so its automaton must equal ``to_buchi``'s in
+every state number, description and transition; only the order of the
+transitions may differ where the quotient merges nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from surplan.buchi import (
     BuchiAutomaton,
+    _Obligations,
     _obligation_automaton,
+    _state_choices,
     until_like_subformulas,
 )
 from surplan.ltl import Formula, Letter, atoms, canonical_letters, nnf
@@ -42,7 +46,7 @@ def reference_to_buchi(
     edges = [
         (out_letter, target[out_move], marks[out_move])
         for (out_letter, out_move), (target, marks, _, _) in zip(
-            obligations.edges, obligations.moves
+            letter_edges(obligations, untils, sorted(props)), obligations.moves
         )
     ]
     pairs, src, letter, dst = _counter_levels(edges, obligations.masks, n_untils)
@@ -80,6 +84,48 @@ def reference_to_buchi(
         descriptions,
     )
     return ba, merged
+
+
+def letter_edges(
+    obligations: _Obligations, untils: list[Formula], props: list[str]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each obligation state's letter edges as ``(letter, move)`` arrays:
+    letter by letter, in choice order within a letter, without repeating a
+    ``(letter, move)`` pair. A choice's move is the state's move with its
+    target and debt mask."""
+    n_letters = 1 << len(props)
+    prop_bit = {p: 1 << i for i, p in enumerate(props)}
+    letter_bits = np.arange(n_letters, dtype=np.int64)[:, None]
+    state_of = {state: i for i, state in enumerate(obligations.order)}
+    marks_of = {mask: m for m, mask in enumerate(obligations.masks)}
+    memo: dict = {}
+    listing = []
+    for state, (target, marks, _, _) in zip(obligations.order, obligations.moves):
+        move_of = {(t, m): i for i, (t, m) in enumerate(zip(target.tolist(), marks.tolist()))}
+        choices = _state_choices(sorted(state, key=str), prop_bit, memo)
+        choice_move = np.array(
+            [
+                move_of[state_of[nxt], marks_of[_debt_mask(untils, dis, pro)]]
+                for nxt, dis, pro, _, _ in choices
+            ],
+            dtype=np.int64,
+        )
+        pos = np.array([c[3] for c in choices], dtype=np.int64)
+        guard = np.array([c[3] | c[4] for c in choices], dtype=np.int64)
+        out_letter, choice = np.nonzero((letter_bits & guard) == pos)
+        out_move = choice_move[choice]
+        # the first listing of each (letter, move) pair, in listing order
+        keys = out_letter * len(target) + out_move
+        keep = np.sort(np.unique(keys, return_index=True)[1])
+        listing.append((out_letter[keep], out_move[keep]))
+    return listing
+
+
+def _debt_mask(untils: list[Formula], discharged: frozenset, examined: frozenset) -> int:
+    """Bit ``i`` set when ``untils[i]`` was discharged or not examined."""
+    return sum(
+        1 << i for i, u in enumerate(untils) if u not in examined or u in discharged
+    )
 
 
 def _counter_levels(

@@ -68,6 +68,20 @@ def test_run_writes_outputs_and_stats_recomputes(tmp_path, capsys):
     assert table.strip() in run_output
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_undefined_statistics_are_written_as_json_null(tmp_path, capsys):
+    # one run has no spread across runs
+    out_dir = tmp_path / "out"
+    assert main(["run", TRIANGLE, "--runs", "1", "--iterations", "30", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    payload = json.loads((out_dir / "stats.json").read_text(), parse_constant=_refuse_constant)
+    assert payload["stats"]["reward_per_transition"]["spread_percent"] is None
+    assert "nan" in (out_dir / "stats.txt").read_text()
+
+
 def test_run_on_infeasible_scenario_prints_the_exact_line(capsys):
     assert main(["run", INFEASIBLE]) == 1
     assert capsys.readouterr().out.strip() == "Mission cannot be accomplished."

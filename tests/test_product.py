@@ -6,6 +6,7 @@ components, distances through explicit minimization, all without touching
 the library's vectorized code paths or scipy.
 """
 
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -458,3 +459,65 @@ def test_surveillance_states_flagged_from_system_labels(triangle_ts):
     for p in range(product.n):
         q = int(product.ts_of[p])
         assert bool(product.surveillance[p]) == ("sur" in triangle_ts.label(q))
+
+
+# the benchmark's 7-proposition patrol mission on a 9x9 grid
+SMALL_LARGE_MISSION = """\
+[grid]
+rows = 9
+cols = 9
+initial = 4,0
+
+[labels]
+p1 = 2,2
+p2 = 2,6
+p3 = 4,4
+p4 = 6,2
+p5 = 6,6
+u = 1,2 1,3 1,4 1,5 1,6 7,2 7,3 7,4 7,5 7,6
+sur = 0,4 8,4
+
+[mission]
+formula = G F p1 & G F p2 & G F p3 & G F p4 & G F p5 & G !u & G F sur
+surveillance = sur
+
+[planner]
+visibility = 6
+horizon = 7
+"""
+
+
+def _numbering_digest(product):
+    digest = hashlib.sha256()
+    for values in (
+        product.ts_of,
+        product.ba_of,
+        product.edge_src,
+        product.edge_dst,
+        product.edge_weight,
+    ):
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "name, formula, pins",
+    [
+        ("default_grid.ini", None, ("71d8f1238532e0f1", "62b6ccf66a46bd10")),
+        ("triangle.ini", None, ("1a09f94e081882c8", "1a09f94e081882c8")),
+        ("small_large_mission.ini", None, ("8c5ad43ac25bac30", "3d5c90ff0ce2f1f0")),
+        # an automaton the quotient does not shrink (11 states)
+        ("default_grid.ini", "G (F !b | X X a)", ("3ca8448cb2e8bebe", "be80682526758e37")),
+    ],
+)
+def test_product_numbering_is_pinned(tmp_path, name, formula, pins):
+    """The untrimmed and the trimmed product keep every state's number and
+    every edge, in order. The automaton's transitions come in no specified
+    order, and none of it may reach the product."""
+    path = SCENARIOS / name
+    if name == "small_large_mission.ini":
+        path = tmp_path / name
+        path.write_text(SMALL_LARGE_MISSION)
+    scenario = load_scenario(path)
+    result = offline_phase(scenario.ts, formula or scenario.formula, scenario.surveillance_prop)
+    assert (_numbering_digest(result.product), _numbering_digest(result.trimmed)) == pins
