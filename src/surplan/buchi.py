@@ -1,10 +1,11 @@
 """Automaton form of mission formulas over infinite words.
 
 The translation unfolds a formula in negation normal form into obligation
-sets: each automaton state is the set of subformulas that still must hold.
-Each obligation is rewritten into guarded choices: the obligations it passes
-to the next position, together with a guard on the current letter (the
-propositions it must hold and those it must not). Each postponed subformula
+sets: each automaton state is the set of subformulas that still must hold,
+held as an integer bitmask with one bit per subformula. Each obligation is
+rewritten into guarded choices: the obligations it passes to the next
+position, together with a guard on the current letter (the propositions it
+must hold and those it must not). Each postponed subformula
 (an until or an eventually) owes a discharge; acceptance tracks those debts
 per transition and is then reduced to a single accepting set by the usual
 counter construction.
@@ -17,8 +18,8 @@ set of letters that take it: those any of its choices' guards admit
 of a guard are read off its bitmasks, which places each move's first and
 last edge in the letter-by-letter order; the counter numbers and explores
 its states from those, so it numbers them as a walk over every letter edge
-would. Debt marks are bitmasks and the counter levels come from a lookup
-table. Pruning reads the moves' ``(src, dst)`` pairs, and letter sets are
+would, walking only each explored state's distinct targets. Debt marks are
+bitmasks and the counter levels come from a lookup table. Pruning reads the moves' ``(src, dst)`` pairs, and letter sets are
 expanded to letters only at the end: after deduplicating moves in the
 quotient, and on the final automaton's moves. Only the final automaton
 becomes a :class:`BuchiAutomaton`.
@@ -131,71 +132,88 @@ def until_like_subformulas(formula: Formula) -> list[Formula]:
     return seen
 
 
-_EMPTY = frozenset()
-
 # A guarded choice is (obligations passed to the next position,
 #                      postponed subformulas discharged right now,
 #                      postponed subformulas whose requirement was examined right now,
 #                      propositions the letter must hold, propositions it must not),
-# the last two as bitmasks over the sorted propositions.
-_Choice = tuple[frozenset, frozenset, frozenset, int, int]
+# the first three as bitmasks over a _Closure's subformulas, the last two as
+# bitmasks over the sorted propositions.
+_Choice = tuple[int, int, int, int, int]
 
 
-def _sat(formula: Formula, prop_bit: dict[str, int], memo: dict) -> tuple[_Choice, ...]:
+class _Closure:
+    """One bit per subformula of a normalized formula, and the guarded choices
+    worked out so far by bit.
+
+    The until and eventually subformulas come first, in ``untils`` order, so
+    bit ``i`` of an obligation mask is ``untils[i]``; the other subformulas
+    follow in first-occurrence order. The masks are unbounded ints, however
+    many subformulas there are. ``by_str`` lists the bits in ``str`` order of
+    their formulas, the order in which a state's members are combined.
+    """
+
+    def __init__(self, start: Formula, untils: list[Formula], props: list[str]):
+        self.formulas = list(dict.fromkeys([*untils, *subformulas(start)]))
+        self.bit = {f: i for i, f in enumerate(self.formulas)}
+        self.by_str = sorted(range(len(self.formulas)), key=lambda i: str(self.formulas[i]))
+        self.prop_bit = {p: 1 << i for i, p in enumerate(props)}
+        self.memo: dict[int, tuple[_Choice, ...]] = {}
+
+    def decode(self, mask: int) -> frozenset:
+        """The subformulas whose bits ``mask`` sets."""
+        return frozenset(f for i, f in enumerate(self.formulas) if mask >> i & 1)
+
+
+def _sat(bit: int, closure: _Closure) -> tuple[_Choice, ...]:
     """Guarded choices of one obligation, in a deterministic order."""
-    cached = memo.get(formula)
+    cached = closure.memo.get(bit)
     if cached is not None:
         return cached
+    formula, mark, prop_bit = closure.formulas[bit], 1 << bit, closure.prop_bit
+
+    def sat(sub: Formula) -> tuple[_Choice, ...]:
+        return _sat(closure.bit[sub], closure)
+
     if isinstance(formula, TrueConst):
-        result: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY, 0, 0),)
+        result: tuple[_Choice, ...] = ((0, 0, 0, 0, 0),)
     elif isinstance(formula, Atom):
-        result = ((_EMPTY, _EMPTY, _EMPTY, prop_bit[formula.name], 0),)
+        result = ((0, 0, 0, prop_bit[formula.name], 0),)
     elif isinstance(formula, Not):
         sub = formula.sub
         if isinstance(sub, TrueConst):
             result = ()
         elif isinstance(sub, Atom):
-            result = ((_EMPTY, _EMPTY, _EMPTY, 0, prop_bit[sub.name]),)
+            result = ((0, 0, 0, 0, prop_bit[sub.name]),)
         else:
             raise ContractError("negation below non-atomic formula; normalize first")
     elif isinstance(formula, And):
-        result = _combine(
-            _sat(formula.left, prop_bit, memo), _sat(formula.right, prop_bit, memo)
-        )
+        result = _combine(sat(formula.left), sat(formula.right))
     elif isinstance(formula, Or):
-        result = tuple(
-            dict.fromkeys(
-                _sat(formula.left, prop_bit, memo) + _sat(formula.right, prop_bit, memo)
-            )
-        )
+        result = tuple(dict.fromkeys(sat(formula.left) + sat(formula.right)))
     elif isinstance(formula, Next):
-        result = ((frozenset((formula.sub,)), _EMPTY, _EMPTY, 0, 0),)
+        result = ((1 << closure.bit[formula.sub], 0, 0, 0, 0),)
     elif isinstance(formula, Until):
-        mark = frozenset((formula,))
         choices = {}
-        for nxt, dis, pro, pos, neg in _sat(formula.right, prop_bit, memo):
+        for nxt, dis, pro, pos, neg in sat(formula.right):
             choices[nxt, dis | mark, pro | mark, pos, neg] = None
-        for nxt, dis, pro, pos, neg in _sat(formula.left, prop_bit, memo):
+        for nxt, dis, pro, pos, neg in sat(formula.left):
             choices[nxt | mark, dis, pro | mark, pos, neg] = None
         result = tuple(choices)
     elif isinstance(formula, Eventually):
-        mark = frozenset((formula,))
         choices = {}
-        for nxt, dis, pro, pos, neg in _sat(formula.sub, prop_bit, memo):
+        for nxt, dis, pro, pos, neg in sat(formula.sub):
             choices[nxt, dis | mark, pro | mark, pos, neg] = None
-        choices[mark, _EMPTY, mark, 0, 0] = None
+        choices[mark, 0, mark, 0, 0] = None
         result = tuple(choices)
     elif isinstance(formula, Always):
-        keep = frozenset((formula,))
         result = tuple(
             dict.fromkeys(
-                (nxt | keep, dis, pro, pos, neg)
-                for nxt, dis, pro, pos, neg in _sat(formula.sub, prop_bit, memo)
+                (nxt | mark, dis, pro, pos, neg) for nxt, dis, pro, pos, neg in sat(formula.sub)
             )
         )
     else:
         raise TypeError(f"unknown formula node {formula!r}")
-    memo[formula] = result
+    closure.memo[bit] = result
     return result
 
 
@@ -210,15 +228,15 @@ def _combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, .
     return tuple(out)
 
 
-def _state_choices(
-    members: Sequence[Formula], prop_bit: dict[str, int], memo: dict
-) -> tuple[_Choice, ...]:
-    """Guarded choices of an obligation state whose members are in order."""
-    choices: tuple[_Choice, ...] = ((_EMPTY, _EMPTY, _EMPTY, 0, 0),)
-    for member in members:
-        choices = _combine(choices, _sat(member, prop_bit, memo))
-        if not choices:
-            break
+def _state_choices(state: int, closure: _Closure) -> tuple[_Choice, ...]:
+    """Guarded choices of an obligation state, its members combined in
+    ``str`` order."""
+    choices: tuple[_Choice, ...] = ((0, 0, 0, 0, 0),)
+    for bit in closure.by_str:
+        if state >> bit & 1:
+            choices = _combine(choices, _sat(bit, closure))
+            if not choices:
+                break
     return choices
 
 
@@ -286,7 +304,7 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
 class _Obligations(NamedTuple):
     """Obligation-set automaton, listed state by state.
 
-    ``moves[s]`` is state ``s``'s moves as ``(target, marks, letter set,
+    ``order[s]`` is state ``s``'s obligation set. ``moves[s]`` is state ``s``'s moves as ``(target, marks, letter set,
     order by last edge)`` arrays. A move's first and last edge are its
     first and last in a listing of the state's letter edges letter by letter,
     choices in order within a letter; moves are numbered in order of their
@@ -315,49 +333,35 @@ def _obligation_automaton(
     was discharged on the edge or not examined on it.
     """
     n_letters = 1 << len(props)
-    prop_bit = {p: 1 << i for i, p in enumerate(props)}
     letter_bits = np.arange(n_letters, dtype=np.int64)
-    memo: dict = {}
-    # marks index of every (discharged, examined) pair, via its debt bitmask
-    marks_of: dict[tuple[frozenset, frozenset], int] = {}
+    closure = _Closure(start, untils, props)
+    # the debt bitmask is over the untils, which hold the lowest bits
+    all_untils = (1 << len(untils)) - 1
     mask_index: dict[int, int] = {}
-    first = frozenset((start,))
-    states: dict[frozenset, int] = {first: 0}
-    order: list[frozenset] = [first]
+    states: dict[int, int] = {1 << closure.bit[start]: 0}
+    order = list(states)
     # each state's move targets, marks and order by last edge, and each
     # move's letters as a packed membership row
     move_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     member_rows: list[np.ndarray] = []
-    frontier = [first]
+    frontier = list(states)
     while frontier:
-        new_frontier: list[frozenset] = []
+        new_frontier: list[int] = []
         for state in frontier:
-            choices = _state_choices(sorted(state, key=str), prop_bit, memo)
-            # distinct (next, marks) moves, first numbered in choice order
-            choice_moves: dict[tuple[frozenset, int], int] = {}
-            move_of_choice: list[int] = []
-            pos_list: list[int] = []
-            neg_list: list[int] = []
-            for nxt, dis, pro, pos, neg in choices:
-                marks = marks_of.get((dis, pro))
-                if marks is None:
-                    mask = sum(
-                        1 << i
-                        for i, u in enumerate(untils)
-                        if u not in pro or u in dis
-                    )
-                    marks = mask_index.setdefault(mask, len(mask_index))
-                    marks_of[dis, pro] = marks
-                move_of_choice.append(choice_moves.setdefault((nxt, marks), len(choice_moves)))
-                pos_list.append(pos)
-                neg_list.append(neg)
+            choices = _state_choices(state, closure)
+            # distinct (next, debt) moves, first numbered in choice order
+            choice_moves: dict[tuple[int, int], int] = {}
+            move_of_choice = [
+                choice_moves.setdefault((nxt, (~pro | dis) & all_untils), len(choice_moves))
+                for nxt, dis, pro, _, _ in choices
+            ]
             # the choices grouped by move, in choice order within a move
             n = len(choices)
             move_of = np.array(move_of_choice, dtype=np.int64)
             at = np.argsort(move_of, kind="stable")
             starts = np.searchsorted(move_of[at], np.arange(len(choice_moves)))
-            pos = np.array(pos_list, dtype=np.int64)[at]
-            neg = np.array(neg_list, dtype=np.int64)[at]
+            pos = np.array([c[3] for c in choices], dtype=np.int64)[at]
+            neg = np.array([c[4] for c in choices], dtype=np.int64)[at]
             # a letter matches when, of the guarded propositions, it holds
             # exactly pos; a move's letters are those of any of its choices
             matches = (letter_bits & (pos | neg)[:, None]) == pos[:, None]
@@ -380,14 +384,14 @@ def _obligation_automaton(
             move_marks: list[int] = []
             # targets are numbered in order of their moves' first edges
             for old in seen.tolist():
-                nxt, marks = move_list[old]
+                nxt, debt = move_list[old]
                 target = states.get(nxt)
                 if target is None:
                     target = states[nxt] = len(order)
                     order.append(nxt)
                     new_frontier.append(nxt)
                 move_target.append(target)
-                move_marks.append(marks)
+                move_marks.append(mask_index.setdefault(debt, len(mask_index)))
             member_rows.append(member[seen])
             move_parts.append((
                 np.array(move_target, dtype=np.int64),
@@ -407,7 +411,7 @@ def _obligation_automaton(
         (target, marks, sets, by_last)
         for (target, marks, by_last), sets in zip(move_parts, np.split(move_set.ravel(), bounds))
     ]
-    return _Obligations(order, moves, list(mask_index), letter_sets)
+    return _Obligations([closure.decode(state) for state in order], moves, list(mask_index), letter_sets)
 
 
 def _counter_levels(
@@ -433,11 +437,14 @@ def _counter_levels(
                 j += 1
             table[m, level] = j
 
-    ids: dict[int, int] = {0: 0}
+    # the id of every counter state numbered so far, -1 for the others
+    id_of = np.full(len(moves) * width, -1, dtype=np.int64)
+    id_of[0] = 0
+    numbered = [np.zeros(1, dtype=np.int64)]
+    n_ids = 1
+    done = np.zeros(len(moves) * width, dtype=bool)
     pending = [0]
-    done: set[int] = set()
     explored: list[tuple[int, int, np.ndarray]] = []
-    by_last = [order.tolist() for _, _, _, order in moves]
     # Numbered and pushed exactly as a DFS that walks the state's letter
     # edges, numbers each target on first sight and pushes every target not
     # yet done: new ids go in order of first edge, and a target pushed twice
@@ -446,21 +453,25 @@ def _counter_levels(
     # order of their first edge.
     while pending:
         pair = pending.pop()
-        if pair in done:
+        if done[pair]:
             continue
-        done.add(pair)
+        done[pair] = True
         state, level = divmod(pair, width)
-        move_target, move_marks, _, _ = moves[state]
-        targets = (move_target * width + table[move_marks, level]).tolist()
-        for target in dict.fromkeys(targets):
-            ids.setdefault(target, len(ids))
-        # each distinct target once, in order of its last edge
-        in_last_order = [targets[m] for m in by_last[state]]
-        for target in reversed(dict.fromkeys(reversed(in_last_order))):
-            if target not in done:
-                pending.append(target)
-        explored.append((ids[pair], state, np.array([ids[t] for t in targets], dtype=np.int64)))
-    return np.array(list(ids), dtype=np.int64), explored
+        move_target, move_marks, _, by_last = moves[state]
+        targets = move_target * width + table[move_marks, level]
+        distinct, first = np.unique(targets, return_index=True)
+        in_first_order = distinct[np.argsort(first)]
+        fresh = in_first_order[id_of[in_first_order] < 0]
+        id_of[fresh] = np.arange(n_ids, n_ids + len(fresh))
+        numbered.append(fresh)
+        n_ids += len(fresh)
+        # each distinct target once, in order of its last edge: the later its
+        # first place in the reversed last-edge order, the earlier its push
+        from_end = np.unique(targets[by_last[::-1]], return_index=True)[1]
+        pushed = distinct[np.argsort(-from_end)]
+        pending.extend(pushed[~done[pushed]].tolist())
+        explored.append((int(id_of[pair]), state, id_of[targets]))
+    return np.concatenate(numbered), explored
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -75,15 +75,13 @@ class LocalRunCache:
         # the relations admission has interned, numbered by their ids
         self._relations: list[np.ndarray] = []
         if product is not None:
-            ba = product.ba
-            letters = list(dict.fromkeys(ts.labels))
-            letter_id = {letter: i for i, letter in enumerate(letters)}
-            self._letter_of = np.array([letter_id[l] for l in ts.labels], dtype=np.int64)
+            ba, table = product.ba, product.letters
+            n_letters = len(table.letters)
+            self._letter_of = table.letter_of
             # boolean transition matrices, one per letter, read on table misses
-            self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=bool)
-            for i, letter in enumerate(letters):
-                for s in range(ba.n_states):
-                    self._delta[i, s, list(ba.successors(s, letter))] = True
+            self._delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
+            rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
+            self._delta.reshape(-1, ba.n_states)[rows, table.succ] = True
             kept = np.zeros((ts.n, ba.n_states), dtype=bool)
             kept[product.ts_of, product.ba_of] = True
             # the distinct rows of automaton states kept with a system state
@@ -95,7 +93,7 @@ class LocalRunCache:
             # meet[id, kept id], -1 where not filled yet
             self._relation_id: dict[bytes, int] = {}
             self._nonempty = np.zeros((0, ba.n_states), dtype=bool)
-            self._step = np.full((len(letters), 0), -1, dtype=np.intp)
+            self._step = np.full((n_letters, 0), -1, dtype=np.intp)
             self._meet = np.full((0, len(self._kept)), -1, dtype=np.intp)
             self._root = np.array([self._intern(np.diag(row)) for row in self._kept], dtype=np.intp)
             self._grow()

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -22,25 +22,53 @@ from scipy.sparse.csgraph import breadth_first_order, dijkstra
 from .buchi import BuchiAutomaton, to_buchi
 from .errors import InternalConsistencyError, ValidationError
 from .localruns import LocalRunCache
-from .ltl import Formula, parse
+from .ltl import Formula, Letter, parse
 # unused here: imported only for perfbench/spans.py, which patches it here
 from .ts import TransitionSystem, min_weight_matrix  # noqa: F401
 
 INF = math.inf
 
 
+class LetterTable(NamedTuple):
+    """The letters a system's states emit and the automaton's moves on them.
+
+    ``letters`` are the distinct labels in order of their first state, and
+    state ``q`` emits ``letters[letter_of[q]]``. Over letter ``a`` automaton
+    state ``s`` moves to ``succ[ptr[a * n_ba + s]:ptr[a * n_ba + s + 1]]``, in
+    ascending order, with ``n_ba`` the automaton's state count.
+    """
+
+    letters: list[Letter]
+    letter_of: np.ndarray
+    ptr: np.ndarray
+    succ: np.ndarray
+
+
+def letter_table(ts: TransitionSystem, ba: BuchiAutomaton) -> LetterTable:
+    """The letter table of a system and an automaton."""
+    letters = list(dict.fromkeys(ts.labels))
+    letter_id = {letter: i for i, letter in enumerate(letters)}
+    letter_of = np.array([letter_id[label] for label in ts.labels], dtype=np.int64)
+    rows = [ba.successors(s, letter) for letter in letters for s in range(ba.n_states)]
+    ptr = np.cumsum([0] + [len(row) for row in rows])
+    succ = np.array([t for row in rows for t in row], dtype=np.int64)
+    return LetterTable(letters, letter_of, ptr, succ)
+
+
 class ProductAutomaton:
     """Reachable product graph with weighted edges and analysis fields.
 
-    Analysis results (limit sets, distance fields, indicators) start as None
-    and are filled in by the offline pipeline. ``initial`` is None when the
-    initial product state did not survive pruning.
+    ``letters`` is the letter table of ``ts`` and ``ba``. Analysis results
+    (limit sets, distance fields, indicators) start as None and are filled
+    in by the offline pipeline. ``initial`` is None when the initial product
+    state did not survive pruning.
     """
 
     def __init__(
         self,
         ts: TransitionSystem,
         ba: BuchiAutomaton,
+        letters: LetterTable,
         ts_of: np.ndarray,
         ba_of: np.ndarray,
         initial: int | None,
@@ -53,6 +81,7 @@ class ProductAutomaton:
     ):
         self.ts = ts
         self.ba = ba
+        self.letters = letters
         self.surveillance_prop = surveillance_prop
         self.ts_of = np.asarray(ts_of, dtype=np.int64)
         self.ba_of = np.asarray(ba_of, dtype=np.int64)
@@ -96,52 +125,67 @@ def build_product(
     """Reachable part of the product of a system and an automaton.
 
     An edge (q, s) -> (q', s') exists when q -> q' is a system transition and
-    the automaton moves s -> s' over the label of q. Discovery order is
-    deterministic, so state numbering is reproducible. States whose system
-    component carries the surveillance proposition are flagged.
+    the automaton moves s -> s' over the label of q. States are numbered as
+    a breadth-first search from the initial pair numbers them, which lists
+    each state's edges by system move, then by automaton target. States
+    whose system component carries the surveillance proposition are flagged.
     """
     if not ts.propositions >= ba.propositions & ts.propositions:
         raise ValidationError("automaton propositions incompatible with system")
-    start = (ts.initial, ba.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order: list[tuple[int, int]] = [start]
-    edge_src: list[int] = []
-    edge_dst: list[int] = []
-    edge_weight: list[float] = []
-    queue: deque[tuple[int, int]] = deque([start])
-    while queue:
-        q, s = queue.popleft()
-        src = index[(q, s)]
-        letter = ts.label(q)
-        ba_targets = ba.successors(s, letter)
-        for q2 in ts.successors(q):
-            w = ts.weight(q, q2)
-            for s2 in ba_targets:
-                key = (q2, s2)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                    queue.append(key)
-                edge_src.append(src)
-                edge_dst.append(index[key])
-                edge_weight.append(w)
-    ts_of = np.array([q for q, _ in order], dtype=np.int64)
-    ba_of = np.array([s for _, s in order], dtype=np.int64)
-    accepting = np.array([s in ba.accepting for _, s in order], dtype=bool)
-    surveillance = np.array(
-        [surveillance_prop in ts.label(q) for q, _ in order], dtype=bool
-    )
+    table = letter_table(ts, ba)
+    n_ba = ba.n_states
+    # a state (q, s) is keyed q * n_ba + s; the id of every key numbered so
+    # far, -1 for the others
+    id_of = np.full(ts.n * n_ba, -1, dtype=np.int64)
+    level = np.array([ts.initial * n_ba + ba.initial])
+    id_of[level] = 0
+    levels: list[np.ndarray] = []
+    edge_src: list[np.ndarray] = []
+    edge_dst: list[np.ndarray] = []
+    edge_weight: list[np.ndarray] = []
+    # Level by level: a FIFO search numbers the states one level reaches in
+    # order of their first edge from it, parent-major. The level's states
+    # hold the ids from lo on, and the next level's follow them.
+    lo = 0
+    while len(level):
+        levels.append(level)
+        q, s = np.divmod(level, n_ba)
+        move_lo = ts.move_ptr[q]
+        n_moves = ts.move_ptr[q + 1] - move_lo
+        row = table.letter_of[q] * n_ba + s
+        target_lo = table.ptr[row]
+        n_targets = table.ptr[row + 1] - target_lo
+        # every state's system moves times its automaton targets
+        counts = n_moves * n_targets
+        parent = np.repeat(np.arange(len(level)), counts)
+        within = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        move, target = np.divmod(within, n_targets[parent])
+        move += move_lo[parent]
+        key = ts.move_dst[move] * n_ba + table.succ[target_lo[parent] + target]
+        new = key[id_of[key] < 0]
+        distinct, first = np.unique(new, return_index=True)
+        edge_src.append(parent + lo)
+        lo += len(level)
+        level = distinct[np.argsort(first)]
+        id_of[level] = np.arange(lo, lo + len(level))
+        edge_dst.append(id_of[key])
+        edge_weight.append(ts.move_weight[move])
+    ts_of, ba_of = np.divmod(np.concatenate(levels), n_ba)
+    accepting = np.zeros(n_ba, dtype=bool)
+    accepting[list(ba.accepting)] = True
+    surveillance = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
     return ProductAutomaton(
         ts,
         ba,
+        table,
         ts_of,
         ba_of,
         0,
-        np.array(edge_src, dtype=np.int64),
-        np.array(edge_dst, dtype=np.int64),
-        np.array(edge_weight, dtype=np.float64),
-        accepting,
-        surveillance,
+        np.concatenate(edge_src),
+        np.concatenate(edge_dst),
+        np.concatenate(edge_weight),
+        accepting[ba_of],
+        surveillance[table.letter_of[ts_of]],
         surveillance_prop,
     )
 
@@ -165,8 +209,10 @@ def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]
 
     A state stays in either set only while some successor can still reach the
     other (current) set; removal alternates between the two sets until stable.
-    The result are exactly the states visitable infinitely often by a single
-    run that sees both sets infinitely often.
+    What stays are the accepting (surveillance) states that reach a strongly
+    connected component holding an edge, an accepting and a surveillance
+    state. Such a state need not recur itself: on ``0 (acc) -> 1 (sur) ->
+    2 (acc) -> 1``, state 0 stays but a run visits it once.
     """
     f_inf = product.accepting.copy()
     s_inf = product.surveillance.copy()
@@ -304,6 +350,7 @@ def trim_product(product: ProductAutomaton) -> ProductAutomaton:
     trimmed = ProductAutomaton(
         product.ts,
         product.ba,
+        product.letters,
         product.ts_of[kept],
         product.ba_of[kept],
         initial,

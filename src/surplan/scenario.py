@@ -269,10 +269,10 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
     initial = ts_section.require("initial")
     ts_section.check_unknown()
     transitions: dict[tuple[str, str], float] = {}
-    states: list[str] = []
+    # state names in order of first mention, which numbers the states
+    states: dict[str, None] = {}
     for src, entry in parser.items("transitions"):
-        if src not in states:
-            states.append(src)
+        states.setdefault(src)
         for token in entry.split():
             try:
                 dst, weight_text = token.rsplit(":", 1)
@@ -282,8 +282,7 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
                     f"[transitions] {src}: bad entry {token!r}, expected state:weight"
                 ) from exc
             transitions[(src, dst)] = weight
-            if dst not in states:
-                states.append(dst)
+            states.setdefault(dst)
     labeling: dict[str, set[str]] = {}
     for prop, entry in labels_section.items():
         for name in entry.split():
@@ -292,7 +291,7 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
             labeling.setdefault(name, set()).add(prop)
     try:
         return TransitionSystem(
-            names=states,
+            names=list(states),
             initial=initial,
             transitions=transitions,
             propositions=set(labels_section),

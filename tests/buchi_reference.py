@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from surplan.buchi import (
     BuchiAutomaton,
+    _Closure,
     _Obligations,
     _obligation_automaton,
     _state_choices,
@@ -46,7 +47,7 @@ def reference_to_buchi(
     edges = [
         (out_letter, target[out_move], marks[out_move])
         for (out_letter, out_move), (target, marks, _, _) in zip(
-            letter_edges(obligations, untils, sorted(props)), obligations.moves
+            letter_edges(obligations, normalized, untils, sorted(props)), obligations.moves
         )
     ]
     pairs, src, letter, dst = _counter_levels(edges, obligations.masks, n_untils)
@@ -86,23 +87,34 @@ def reference_to_buchi(
     return ba, merged
 
 
+def decoded_choices(
+    state: frozenset, closure: _Closure
+) -> list[tuple[frozenset, frozenset, frozenset, int, int]]:
+    """The guarded choices of an obligation state, their three obligation
+    masks decoded to sets of formulas."""
+    mask = sum(1 << closure.bit[f] for f in state)
+    return [
+        (closure.decode(nxt), closure.decode(dis), closure.decode(pro), pos, neg)
+        for nxt, dis, pro, pos, neg in _state_choices(mask, closure)
+    ]
+
+
 def letter_edges(
-    obligations: _Obligations, untils: list[Formula], props: list[str]
+    obligations: _Obligations, start: Formula, untils: list[Formula], props: list[str]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each obligation state's letter edges as ``(letter, move)`` arrays:
     letter by letter, in choice order within a letter, without repeating a
     ``(letter, move)`` pair. A choice's move is the state's move with its
     target and debt mask."""
     n_letters = 1 << len(props)
-    prop_bit = {p: 1 << i for i, p in enumerate(props)}
     letter_bits = np.arange(n_letters, dtype=np.int64)[:, None]
     state_of = {state: i for i, state in enumerate(obligations.order)}
     marks_of = {mask: m for m, mask in enumerate(obligations.masks)}
-    memo: dict = {}
+    closure = _Closure(start, untils, props)
     listing = []
     for state, (target, marks, _, _) in zip(obligations.order, obligations.moves):
         move_of = {(t, m): i for i, (t, m) in enumerate(zip(target.tolist(), marks.tolist()))}
-        choices = _state_choices(sorted(state, key=str), prop_bit, memo)
+        choices = decoded_choices(state, closure)
         choice_move = np.array(
             [
                 move_of[state_of[nxt], marks_of[_debt_mask(untils, dis, pro)]]

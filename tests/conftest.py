@@ -7,7 +7,10 @@ graph machinery (scipy) so that agreement between the two is meaningful.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +30,7 @@ from surplan.ltl import (
     TrueConst,
     Until,
 )
-from surplan.product import ProductAutomaton
+from surplan.product import ProductAutomaton, letter_table
 from surplan.ts import TransitionSystem
 
 INF = math.inf
@@ -361,6 +364,7 @@ def random_product(
     return ProductAutomaton(
         ts=dummy_ts,
         ba=dummy_ba,
+        letters=letter_table(dummy_ts, dummy_ba),
         ts_of=np.zeros(n_states, dtype=np.int64),
         ba_of=np.zeros(n_states, dtype=np.int64),
         initial=0,
@@ -495,6 +499,21 @@ class LocalRunOracle:
                 admitted.append(reach.any(axis=2))
             admits = np.concatenate(admitted)
         return ts_states, valid, cumw, novel, admits
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is being made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="session")

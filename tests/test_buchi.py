@@ -15,16 +15,16 @@ import surplan
 
 from surplan.buchi import (
     BuchiAutomaton,
+    _Closure,
     _obligation_automaton,
-    _state_choices,
     to_buchi,
     until_like_subformulas,
 )
 from surplan.errors import ContractError
 from surplan.scenario import load_scenario
-from surplan.ltl import atoms, canonical_letters, nnf, parse
+from surplan.ltl import And, Atom, Eventually, Next, atoms, canonical_letters, nnf, parse
 
-from buchi_reference import _debt_mask, letter_edges, reference_to_buchi
+from buchi_reference import _debt_mask, decoded_choices, letter_edges, reference_to_buchi
 from conftest import _state_successors, random_formula, random_formula_cases
 from lasso_semantics import enumerate_lassos, formula_satisfied_on_lasso, semantic_lasso_table
 from lasso_runs import find_accepting_lasso_run, lasso_acceptance_table, lasso_accepts
@@ -250,8 +250,18 @@ def test_random_formula_automata_are_pinned():
     assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] == "c331f17bb43dda96"
 
 
+def _wide_closure_missions():
+    """Missions whose obligation masks pass bit 63: 70 nested nexts, and 66
+    nested eventualities, which also give 66 debt bits and 67 counter levels."""
+    chain = Atom("a")
+    for _ in range(66):
+        chain = Eventually(And(Atom("b"), Next(chain)))
+    return [parse(" ".join(["X"] * 70) + " a"), chain]
+
+
 def _oracle_cases():
     cases = [("large_mission", parse(LARGE_MISSION, LARGE_MISSION_PROPS), LARGE_MISSION_PROPS)]
+    cases += [(f"wide closure {i}", f, []) for i, f in enumerate(_wide_closure_missions())]
     for name in ("default_grid.ini", "triangle.ini", "infeasible.ini"):
         scenario = load_scenario(SCENARIOS / name)
         cases.append((name, scenario.formula, scenario.ts.propositions))
@@ -271,15 +281,15 @@ def test_guarded_choices_match_the_per_letter_tableau():
         normalized = nnf(formula)
         untils = until_like_subformulas(normalized)
         letters = canonical_letters(props)
-        prop_bit = {p: 1 << i for i, p in enumerate(props)}
+        closure = _Closure(normalized, untils, props)
         obligations = _obligation_automaton(normalized, untils, props)
         order, masks = obligations.order, obligations.masks
-        memo, oracle_memo = {}, {}
+        oracle_memo = {}
         for state, (out_letter, out_move), (target, marks, lset, by_last) in zip(
-            order, letter_edges(obligations, untils, props), obligations.moves
+            order, letter_edges(obligations, normalized, untils, props), obligations.moves
         ):
             members = sorted(state, key=str)
-            guarded = _state_choices(members, prop_bit, memo)
+            guarded = decoded_choices(state, closure)
             out_target, out_marks = target[out_move], marks[out_move]
             for li, letter in enumerate(letters):
                 expected = set(_state_successors(members, letter, oracle_memo))
@@ -326,6 +336,17 @@ def test_moves_with_letter_sets_build_the_letter_wise_automaton():
         assert Counter(got.transitions) == Counter(expected.transitions), str(formula)
         unmerged += not merged
     assert 20 <= unmerged <= len(cases) - 20, unmerged
+
+
+def test_closures_wider_than_64_bits_build_the_letter_wise_automaton():
+    for formula in _wide_closure_missions():
+        normalized = nnf(formula)
+        untils = until_like_subformulas(normalized)
+        assert len(_Closure(normalized, untils, sorted(atoms(formula))).formulas) > 64
+        expected, _ = reference_to_buchi(formula)
+        got = to_buchi(formula)
+        assert got.to_text() == expected.to_text(), str(formula)
+        assert Counter(got.transitions) == Counter(expected.transitions), str(formula)
 
 
 def test_seven_proposition_mission_compiles_in_bounded_memory():

@@ -35,10 +35,12 @@ from surplan.ts import TransitionSystem
 from conftest import (
     dijkstra_oracle,
     lexicographic_mission_distance,
+    random_formula_cases,
     random_product,
     random_ts,
     tarjan_scc,
 )
+from product_reference import reference_build_product
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -178,6 +180,41 @@ def test_build_product_matches_definition():
             q, s = int(product.ts_of[p]), int(product.ba_of[p])
             assert bool(product.accepting[p]) == (s in ba.accepting)
             assert bool(product.surveillance[p]) == ("sur" in ts.label(q))
+
+
+def assert_product_matches_fifo_search(ts, ba, surveillance_prop="sur"):
+    """``build_product`` equals the one-state-at-a-time FIFO search in every
+    array, and its letter table agrees with the automaton's successors."""
+    got = build_product(ts, ba, surveillance_prop)
+    expected = reference_build_product(ts, ba, surveillance_prop)
+    assert got.initial == expected.initial
+    for name in (
+        "ts_of", "ba_of", "edge_src", "edge_dst", "edge_weight", "accepting", "surveillance", "edge_ptr"
+    ):
+        values, oracle = getattr(got, name), getattr(expected, name)
+        assert values.dtype == oracle.dtype and np.array_equal(values, oracle), name
+    table = got.letters
+    assert table.letters == list(dict.fromkeys(ts.labels))
+    assert [table.letters[a] for a in table.letter_of.tolist()] == list(ts.labels)
+    for a, letter in enumerate(table.letters):
+        for s in range(ba.n_states):
+            row = a * ba.n_states + s
+            moves = table.succ[table.ptr[row] : table.ptr[row + 1]].tolist()
+            assert moves == list(ba.successors(s, letter)), (a, s)
+
+
+def test_level_by_level_product_matches_the_fifo_search(workloads, tmp_path):
+    rng = np.random.default_rng(91)
+    for formula, props in random_formula_cases(120):
+        n_states = int(rng.integers(2, 31))
+        ts = random_ts(rng, n_states, int(rng.integers(0, 3 * n_states)), n_props=len(props))
+        assert_product_matches_fifo_search(ts, to_buchi(formula, ts.propositions))
+    for name, workload in workloads.SHRUNK.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.scenario_text(workload, 1))
+        scenario = load_scenario(path)
+        ba = to_buchi(scenario.formula, scenario.ts.propositions)
+        assert_product_matches_fifo_search(scenario.ts, ba, scenario.surveillance_prop)
 
 
 def test_surveillance_distance_matches_heap_dijkstra():
@@ -395,6 +432,7 @@ def test_edges_not_sorted_by_source_are_refused():
         ProductAutomaton(
             product.ts,
             product.ba,
+            product.letters,
             product.ts_of,
             product.ba_of,
             product.initial,

@@ -7,9 +7,6 @@ records for it, so a change that moves a single decision fails here.
 """
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -17,26 +14,11 @@ from surplan.product import offline_phase
 from surplan.scenario import load_scenario
 from surplan.sim import emit_outputs, run_experiment
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
 PINS = {
     "case_study": "34830cceef4e83f3692698043e5bb689132651f7f582a842c5c6f8ab8398c305",
     "long_patrol": "dd825e224e0b9ed79d11211a98d63a5cbd7ae9608b551f12a7ff570d2c2506d9",
     "large_mission": "4419efa1eddb75939985e1dddedbc4a83b110b105a4eaeecf002e5f58e62c216",
 }
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up while the class is being made
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
