@@ -265,7 +265,8 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     lset = np.concatenate([obligations.moves[state][2] for _, state, _ in explored])
 
     # prune dead states; the initial state stays, without moves when dead
-    alive = _alive_states(len(pairs), accepting, src, dst)
+    n = len(pairs)
+    alive = alive_states(csr_array((np.ones(len(src)), (dst, src)), shape=(n, n)), (accepting,))
     keep = alive.copy()
     keep[0] = True
     remap = np.cumsum(keep) - 1
@@ -484,26 +485,22 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
-def _alive_states(
-    n: int, accepting: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> np.ndarray:
-    """Mask of the states that can contribute to an accepting run: those
-    that reach an accepting state whose strongly connected component holds
-    a move."""
-    pairs = _distinct(src * n + dst)
-    heads, tails = np.divmod(pairs, n)
-    ones = np.ones(len(pairs))
-    graph = csr_array((ones, (heads, tails)), shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    has_internal_edge = np.zeros(n_comp, dtype=bool)
-    has_internal_edge[labels[heads[labels[heads] == labels[tails]]]] = True
+def alive_states(reverse: csr_array, marks: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the states that reach a strongly connected component holding
+    a move and a state of every mark: the states from which some run visits
+    each mark infinitely often (Tarjan 1972; Couvreur 1999). ``reverse``
+    holds each move ``p -> q`` in row ``q``, column ``p``."""
+    n_comp, labels = connected_components(reverse, directed=True, connection="strong")
+    src_comp = labels[reverse.indices]
+    dst_comp = np.repeat(labels, np.diff(reverse.indptr))
     good_comp = np.zeros(n_comp, dtype=bool)
-    good_comp[labels[accepting & has_internal_edge[labels]]] = True
+    good_comp[src_comp[src_comp == dst_comp]] = True
+    for mark in marks:
+        good_comp &= np.bincount(labels[mark], minlength=n_comp) > 0
     alive = good_comp[labels]
     if not alive.any():
         return alive
     # backward closure: anything that reaches an alive state stays
-    reverse = csr_array((ones, (tails, heads)), shape=(n, n))
     return np.isfinite(dijkstra(reverse, indices=np.flatnonzero(alive), min_only=True))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
-from .buchi import BuchiAutomaton, to_buchi
+from .buchi import BuchiAutomaton, alive_states, to_buchi
 from .errors import InternalConsistencyError, ValidationError
 from .localruns import LocalRunCache
 from .ltl import Formula, Letter, parse
@@ -130,7 +130,7 @@ def build_product(
     each state's edges by system move, then by automaton target. States
     whose system component carries the surveillance proposition are flagged.
     """
-    if not ts.propositions >= ba.propositions & ts.propositions:
+    if not ba.propositions <= ts.propositions:
         raise ValidationError("automaton propositions incompatible with system")
     table = letter_table(ts, ba)
     n_ba = ba.n_states
@@ -197,34 +197,18 @@ def _distance_to_set(product: ProductAutomaton, mask: np.ndarray) -> np.ndarray:
     return dijkstra(product.reverse, indices=np.flatnonzero(mask), min_only=True)
 
 
-def _has_successor_in(product: ProductAutomaton, mask: np.ndarray) -> np.ndarray:
-    """States with at least one edge, self-loops included, into the marked set."""
-    hit = np.zeros(product.n, dtype=bool)
-    hit[product.edge_src[mask[product.edge_dst]]] = True
-    return hit
-
-
 def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """Restrict accepting and surveillance sets to their recurrent cores.
 
-    A state stays in either set only while some successor can still reach the
-    other (current) set; removal alternates between the two sets until stable.
-    What stays are the accepting (surveillance) states that reach a strongly
-    connected component holding an edge, an accepting and a surveillance
-    state. Such a state need not recur itself: on ``0 (acc) -> 1 (sur) ->
-    2 (acc) -> 1``, state 0 stays but a run visits it once.
+    One strongly connected components pass finds the good components: those
+    holding an edge (a self-loop counts), an accepting and a surveillance
+    state. One backward search from them finds every state that reaches one.
+    What stays are the accepting (surveillance) states among those. Such a
+    state need not recur itself: on ``0 (acc) -> 1 (sur) -> 2 (acc) -> 1``,
+    state 0 stays but a run visits it once.
     """
-    f_inf = product.accepting.copy()
-    s_inf = product.surveillance.copy()
-    while True:
-        reach_s = _distance_to_set(product, s_inf) < INF
-        new_f = f_inf & _has_successor_in(product, reach_s)
-        reach_f = _distance_to_set(product, new_f) < INF
-        new_s = s_inf & _has_successor_in(product, reach_f)
-        if np.array_equal(new_f, f_inf) and np.array_equal(new_s, s_inf):
-            break
-        f_inf, s_inf = new_f, new_s
-    return f_inf, s_inf
+    reach = alive_states(product.reverse, (product.accepting, product.surveillance))
+    return product.accepting & reach, product.surveillance & reach
 
 
 def surveillance_distance(product: ProductAutomaton, s_inf: np.ndarray) -> np.ndarray:

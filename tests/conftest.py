@@ -327,17 +327,18 @@ def _state_successors(
     return choices
 
 
-def random_product(
-    rng: np.random.Generator,
-    n_states: int,
-    n_edges: int,
-    weights: Sequence[float] = (1.0, 2.0, 3.0),
+def array_product(
+    edge_src: np.ndarray,
+    edge_dst: np.ndarray,
+    edge_weight: np.ndarray,
+    accepting: np.ndarray,
+    surveillance: np.ndarray,
 ) -> ProductAutomaton:
-    """Random directed weighted graph dressed up as a product automaton.
+    """A directed weighted graph given by its edge arrays (sorted by source),
+    dressed up as a product automaton.
 
     The analysis algorithms only read the graph arrays, so a trivial
-    one-state system and automaton stand in for the real components. Edge
-    weights are drawn from ``weights``.
+    one-state system and automaton stand in for the real components.
     """
     from surplan.buchi import BuchiAutomaton
 
@@ -356,11 +357,7 @@ def random_product(
         transitions=tuple((0, letter, 0) for letter in letters),
         accepting=frozenset({0}),
     )
-    edges = set()
-    while len(edges) < min(n_edges, n_states * n_states):
-        edges.add((int(rng.integers(n_states)), int(rng.integers(n_states))))
-    edge_src, edge_dst = (np.array(col, dtype=np.int64) for col in zip(*sorted(edges)))
-    edge_weight = rng.choice(list(weights), size=len(edge_src))
+    n_states = len(accepting)
     return ProductAutomaton(
         ts=dummy_ts,
         ba=dummy_ba,
@@ -371,8 +368,43 @@ def random_product(
         edge_src=edge_src,
         edge_dst=edge_dst,
         edge_weight=edge_weight,
-        accepting=rng.random(n_states) < 0.3,
-        surveillance=rng.random(n_states) < 0.3,
+        accepting=accepting,
+        surveillance=surveillance,
+    )
+
+
+def random_product(
+    rng: np.random.Generator,
+    n_states: int,
+    n_edges: int,
+    weights: Sequence[float] = (1.0, 2.0, 3.0),
+) -> ProductAutomaton:
+    """Random directed weighted graph dressed up as a product automaton, with
+    edge weights drawn from ``weights``."""
+    edges = set()
+    while len(edges) < min(n_edges, n_states * n_states):
+        edges.add((int(rng.integers(n_states)), int(rng.integers(n_states))))
+    edge_src, edge_dst = (np.array(col, dtype=np.int64) for col in zip(*sorted(edges)))
+    edge_weight = rng.choice(list(weights), size=len(edge_src))
+    accepting = rng.random(n_states) < 0.3
+    surveillance = rng.random(n_states) < 0.3
+    return array_product(edge_src, edge_dst, edge_weight, accepting, surveillance)
+
+
+def chain_product(n_states: int, loop: int) -> ProductAutomaton:
+    """The chain ``0 -> 1 -> ... -> n_states - 1`` closed by an edge from its
+    last state back to ``loop``, accepting on even and surveyed on odd states.
+
+    A loop of one state holds only one of the two marks, so no state is in
+    either recurrent core; a longer loop holds both, so every marked state is.
+    """
+    states = np.arange(n_states)
+    return array_product(
+        states,
+        np.append(states[1:], loop),
+        np.ones(n_states),
+        states % 2 == 0,
+        states % 2 == 1,
     )
 
 

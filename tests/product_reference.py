@@ -29,7 +29,7 @@ def reference_build_product(
     deterministic, so state numbering is reproducible. States whose system
     component carries the surveillance proposition are flagged.
     """
-    if not ts.propositions >= ba.propositions & ts.propositions:
+    if not ba.propositions <= ts.propositions:
         raise ValidationError("automaton propositions incompatible with system")
     start = (ts.initial, ba.initial)
     index: dict[tuple[int, int], int] = {start: 0}

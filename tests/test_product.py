@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import surplan.product as product_module
+from surplan import buchi
 from surplan.buchi import to_buchi
 from surplan.errors import InternalConsistencyError, ValidationError
 from surplan.ltl import parse
@@ -33,6 +35,7 @@ from surplan.scenario import load_scenario
 from surplan.ts import TransitionSystem
 
 from conftest import (
+    chain_product,
     dijkstra_oracle,
     lexicographic_mission_distance,
     random_formula_cases,
@@ -233,13 +236,47 @@ def test_surveillance_distance_matches_heap_dijkstra():
 
 def test_inf_sets_match_scc_oracle():
     rng = np.random.default_rng(73)
+    products = []
     for _ in range(60):
         n = int(rng.integers(2, 30))
-        product = random_product(rng, n, int(rng.integers(1, 4 * n)))
+        products.append(random_product(rng, n, int(rng.integers(1, 4 * n))))
+    # an infeasible chain, whose last state's self-loop is accepting only, and
+    # a feasible one, whose last two states form a loop
+    products += [chain_product(2001, 2000), chain_product(2000, 1998)]
+    for product in products:
         f_inf, s_inf = compute_inf_sets(product)
         f_expect, s_expect = inf_sets_oracle(product)
         assert np.array_equal(f_inf, f_expect)
         assert np.array_equal(s_inf, s_expect)
+
+
+def test_inf_sets_take_one_component_pass_and_at_most_one_search(monkeypatch):
+    """On alternating chains of 40,000 states the recurrent cores come from
+    one strongly connected components pass and at most one graph search,
+    whatever the size. An alternating fixpoint would remove one accepting
+    and surveyed pair per round, so it would search once per state."""
+    calls = {}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            assert calls[key] <= 1, f"{key} ran more than once"
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(buchi, "connected_components", counted(buchi.connected_components, "scc"))
+    search = counted(buchi.dijkstra, "search")
+    monkeypatch.setattr(buchi, "dijkstra", search)
+    monkeypatch.setattr(product_module, "dijkstra", search)
+    n = 40_000
+    for loop, feasible in ((n - 1, False), (n - 2, True)):
+        calls.update(scc=0, search=0)
+        product = chain_product(n, loop)
+        f_inf, s_inf = compute_inf_sets(product)
+        assert calls == {"scc": 1, "search": int(feasible)}
+        assert np.array_equal(f_inf, product.accepting & feasible)
+        assert np.array_equal(s_inf, product.surveillance & feasible)
 
 
 def test_distances_match_double_loop_oracle():
@@ -489,6 +526,13 @@ def test_offline_phase_infeasible_mission(triangle_ts):
     assert result.trimmed.initial is None
     assert result.trimmed.n == 0
     assert not result.trimmed.f_inf.any() if result.trimmed.f_inf is not None else True
+
+
+def test_a_formula_over_an_undeclared_proposition_is_refused(triangle_ts):
+    """A parsed formula skips the check of its atoms against the system; the
+    product build refuses its automaton, whose propositions the system lacks."""
+    with pytest.raises(ValidationError, match="incompatible with system"):
+        offline_phase(triangle_ts, parse("G F zap"), "sur")
 
 
 def test_surveillance_states_flagged_from_system_labels(triangle_ts):
