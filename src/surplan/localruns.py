@@ -3,13 +3,16 @@
 A potential scores a move ``q_k -> q`` by the rewards on local runs: runs
 from ``q`` inside the visibility region of ``q_k`` that, with the move's
 weight, fit the horizon. One cache holds them for every run over an offline
-result as one prefix tree (a fan) per ``q_k``. A move into product state
-``dst`` allows the runs some trimmed product path from ``dst`` projects
-onto. To find them, each node carries the id of one relation, from every
-start automaton state to the states that can end its run; the cache interns
-the relations and fills its tables of steps and meets between them only for
-the keys the fans meet, a subset construction built on the fly. Each move's
-runs and each such subset is a segment of nodes; one pass over a fan and one
+result as one prefix tree (a fan) per ``q_k``, built one level per run
+length; only the runs whose state's lightest move still fits the horizon
+offer their moves to the next level. A move into product state ``dst``
+allows the runs some trimmed product path from ``dst`` projects onto. To
+find them, each node carries the id of one relation, from every start
+automaton state to the states that can end its run; the cache interns the
+relations and fills its tables of steps and meets between them only for the
+keys the fans meet, a subset construction built on the fly. Each move's runs
+and each such subset is a segment of nodes, ordered by one stable sort of
+small integer keys (a radix sort); one pass over a fan and one
 ``np.maximum.reduceat`` score every segment at once.
 """
 
@@ -31,6 +34,20 @@ def path_sums(values: np.ndarray, parent: np.ndarray, bounds: list[int]) -> np.n
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         sums[lo:hi] += sums[parent[lo:hi]]
     return sums
+
+
+def out_moves(
+    ptr: np.ndarray, states: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every move out of the states of ``nodes``, node-major, as its node
+    and its index in the CSR move arrays whose row pointers are ``ptr``."""
+    at = states[nodes]
+    starts = ptr[at]
+    counts = ptr[at + 1] - starts
+    node = np.repeat(nodes, counts)
+    # each node's moves, numbered from where its moves start in the result
+    first = np.cumsum(counts) - counts
+    return node, np.arange(len(node)) + np.repeat(starts - first, counts)
 
 
 @dataclass(frozen=True)
@@ -72,6 +89,8 @@ class LocalRunCache:
         self.hits = 0
         self.misses = 0
         self._edge_segments: dict[int, np.ndarray] = {}
+        # each state's lightest move; TransitionSystem refuses a state without one
+        self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
         # the relations admission has interned, numbered by their ids
         self._relations: list[np.ndarray] = []
         if product is not None:
@@ -84,9 +103,12 @@ class LocalRunCache:
             self._delta.reshape(-1, ba.n_states)[rows, table.succ] = True
             kept = np.zeros((ts.n, ba.n_states), dtype=bool)
             kept[product.ts_of, product.ba_of] = True
-            # the distinct rows of automaton states kept with a system state
-            self._kept, kept_id = np.unique(kept, axis=0, return_inverse=True)
-            self._kept_id = kept_id.reshape(-1)
+            # the distinct rows of automaton states kept with a system state,
+            # in row order, found by a 1-D unique of the rows packed to bytes
+            packed = np.packbits(kept, axis=1)
+            packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, self._kept_id = np.unique(packed, return_index=True, return_inverse=True)
+            self._kept = kept[first]
             # a relation is an n_ba x n_ba boolean matrix whose row s0 holds
             # the automaton states that can end a run started in s0; by id,
             # its nonempty rows and the lazy tables step[letter, id] and
@@ -155,23 +177,24 @@ class LocalRunCache:
         seeded = allowed[moves] & (entry <= self.horizon)
         roots, entry = moves[seeded], entry[seeded]
         # one level per run length: the run of the level before that each
-        # run extends, its last state, its weight so far and its root
+        # run extends, its last state, its weight so far and its root, with
+        # its root's entry weight alongside. A run offers its moves only if
+        # the lightest one fits, added in the order of the horizon test:
+        # rounding is monotone, so no other move fits when that one does not.
         states, cums, root = roots, np.zeros(len(roots)), np.arange(len(roots))
         levels = [(np.full(len(roots), -1), states, cums, root)]
         while True:
-            starts = ptr[states]
-            counts = ptr[states + 1] - starts
-            parent = np.repeat(np.arange(len(states)), counts)
-            # each run's moves, numbered from where its children start
-            first = np.cumsum(counts) - counts
-            move = np.arange(len(parent)) + np.repeat(starts - first, counts)
+            live = np.flatnonzero((cums + self._lightest[states]) + entry <= self.horizon)
+            if not len(live):
+                break
+            parent, move = out_moves(ptr, states, live)
             nxt = succ[move]
             total = cums[parent] + weight[move]
-            fits = allowed[nxt] & (total + entry[root[parent]] <= self.horizon)
-            if not fits.any():
-                break
+            fits = allowed[nxt] & (total + entry[parent] <= self.horizon)
             parent = parent[fits]
-            states, cums, root = nxt[fits], total[fits], root[parent]
+            if not len(parent):
+                break
+            states, cums, entry, root = nxt[fits], total[fits], entry[parent], root[parent]
             levels.append((parent, states, cums, root))
 
         sizes = [len(level[1]) for level in levels]
@@ -187,18 +210,23 @@ class LocalRunCache:
             up = parent[up[sizes[d] :]]
 
         # every move's runs, then every subset a start automaton state
-        # admits, each in node order, from one stable sort
+        # admits, each in node order: the keys are below n_moves * (1 + n_ba),
+        # so a stable sort of them in the smallest type that holds them is a
+        # radix sort for up to 16 bits
         n_moves, n_ba = len(roots), 0 if self.product is None else self._kept.shape[1]
         key, index = root, np.arange(len(state))
         if n_ba:
             admitted, s0 = self._admission(parent, state, bounds)
             key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
             index = np.concatenate([index, admitted])
-        order = np.argsort(key, kind="stable")
-        key, index = key[order], index[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        small = key.astype(np.min_scalar_type(n_moves * (1 + n_ba)))
+        index = index[np.argsort(small, kind="stable")]
+        # each key present is a segment, which starts where the smaller keys end
+        count = np.bincount(key)
+        present = np.flatnonzero(count)
+        starts = (np.cumsum(count) - count)[present]
         subsets = np.full(n_moves * n_ba, -1)
-        subsets[key[starts[n_moves:]] - n_moves] = np.arange(n_moves, len(starts))
+        subsets[present[n_moves:] - n_moves] = np.arange(n_moves, len(present))
         subsets = subsets.reshape(n_moves, n_ba)
         moves = dict(zip(roots.tolist(), range(n_moves)))
         return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts)
@@ -228,16 +256,21 @@ class LocalRunCache:
             up = parent[lo:hi]
             stepped = self._lookup(self._step, letter[up], rel[up], step)
             rel[lo:hi] = self._lookup(self._meet, stepped, kept[lo:hi], meet)
-        return np.nonzero(self._nonempty[rel])
+        # np.nonzero of the 2-D rows, from the 1-D one, which is faster
+        n_ba = self._nonempty.shape[1]
+        pairs = np.flatnonzero(np.take(self._nonempty, rel, axis=0))
+        nodes = pairs // n_ba
+        return nodes, pairs - nodes * n_ba
 
     def _lookup(self, table: np.ndarray, rows: np.ndarray, cols: np.ndarray, make) -> np.ndarray:
         """``table[rows, cols]``, first filling each entry not filled yet with
         the id of the relation ``make(row, col)``, one call per distinct key."""
-        found = table[rows, cols]
+        width = table.shape[1]
+        at = rows * width + cols
+        found = np.take(table, at)
         missing = found < 0
         if missing.any():
-            width = table.shape[1]
-            keys, inverse = np.unique(rows[missing] * width + cols[missing], return_inverse=True)
+            keys, inverse = np.unique(at[missing], return_inverse=True)
             made = np.array([self._intern(make(*divmod(k, width))) for k in keys.tolist()])
             table[keys // width, keys % width] = made
             found[missing] = made[inverse]

@@ -39,7 +39,7 @@ from surplan.rewards import (
     make_preference,
 )
 from surplan.scenario import default_case_study, load_scenario
-from surplan.sim import check_alternation, check_never_visits, run_experiment
+from surplan.sim import run_experiment
 
 from conftest import (
     dijkstra_oracle_from,
@@ -50,6 +50,7 @@ from conftest import (
 )
 from lasso_runs import lasso_acceptance_table, lasso_accepts
 from lasso_semantics import formula_satisfied_on_lasso, semantic_lasso_table
+from mission_checks import check_alternation, check_never_visits
 from system_runs import local_runs, run_times
 from test_product import distances_oracle, inf_sets_oracle, product_min_w_oracle
 from test_rewards import pot_oracles

@@ -1,7 +1,7 @@
 """Shared local-run cache: equivalence with the definitional enumeration,
-with the per-move recurrence and with admission as first formulated, tree
-scores summed in travel order at every width, and one build per fan across
-runs, experiments and callers."""
+with the per-move recurrence, with admission as first formulated and with the
+unpruned fan build, tree scores summed in travel order at every width, and
+one build per fan across runs, experiments and callers."""
 
 import dataclasses
 from collections import Counter
@@ -12,7 +12,8 @@ import pytest
 
 from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
-from surplan.localruns import LocalRunCache, path_sums
+from surplan import localruns
+from surplan.localruns import Fan, LocalRunCache, path_sums
 from surplan.planner import CostEvaluator
 from surplan.product import build_product, offline_phase, trim_product
 from surplan.rewards import (
@@ -27,6 +28,7 @@ from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
 from conftest import LocalRunOracle, dijkstra_oracle_from, random_product, random_ts
+from fan_reference import reference_build_fan, reference_kept
 from system_runs import literal_potential, local_runs, run_times
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -577,3 +579,139 @@ def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch)
     assert second.local_runs["fans"] == len(builds)
     assert second.local_runs["misses"] == len(builds)
     assert second.local_runs["segments"] == sum(len(fan.starts) for fan in cache.fans.values())
+
+
+def assert_fans_equal_reference(cache):
+    """Every fan equals the unpruned, int64-sorted build in every field,
+    dtype included, and the kept rows equal a 2-D unique; returns the fans."""
+    if cache.product is not None:
+        rows, ids = reference_kept(cache)
+        assert np.array_equal(cache._kept, rows)
+        assert cache._kept_id.dtype == ids.dtype and np.array_equal(cache._kept_id, ids)
+    fans = []
+    for q_k in range(cache.ts.n):
+        fan, expected = cache.fan(q_k), reference_build_fan(cache, q_k)
+        for field in dataclasses.fields(Fan):
+            mine, theirs = getattr(fan, field.name), getattr(expected, field.name)
+            assert type(mine) is type(theirs), field.name
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype, field.name
+                assert np.array_equal(mine, theirs), field.name
+            else:
+                assert mine == theirs, field.name
+        fans.append(fan)
+    return fans
+
+
+def lightest_moves(ts):
+    return np.array([min(ts.weight(q, r) for r in ts.successors(q)) for q in range(ts.n)])
+
+
+def node_entries(ts, q_k, fan):
+    """The entry weight of every node's move, ``q_k`` to its root's state."""
+    entry = np.array([ts.weight(q_k, q) for q in fan.state[: fan.bounds[1]].tolist()])
+    return entry[node_roots(fan)]
+
+
+def exact_horizon_cases(rng, count):
+    """``(ts, trimmed, visibility, horizon, q_k)`` on non-dyadic weights,
+    each horizon the weight of a run after a move out of ``q_k``, added as
+    the fan adds it, whose last move is the lightest out of its state: the
+    run fits the horizon exactly, and so does its parent with that move."""
+    for trial in range(count):
+        ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=5, weights=(0.1, 0.2, 0.3, 0.7))
+        q_k = int(rng.integers(ts.n))
+        q = int(rng.choice(ts.successors(q_k)))
+        entry, total = ts.weight(q_k, q), 0.0
+        length = int(rng.integers(1, 5))
+        for i in range(length):
+            out = ts.successors(q)
+            if i == length - 1:
+                nxt = min(out, key=lambda r: ts.weight(q, r))
+            else:
+                nxt = int(rng.choice(out))
+            total, q = total + ts.weight(q, nxt), nxt
+        trimmed = random_trimmed_product(rng, ts) if trial % 2 else None
+        yield ts, trimmed, float(rng.choice([1.0, 5.0])), total + entry, q_k
+
+
+def test_fans_equal_the_unpruned_build_on_exact_horizons():
+    """On non-dyadic weights whose horizons some run's float sum hits
+    exactly, every fan equals the unpruned build, with and without a
+    product, and runs on both edges of the horizon and of the prune occur."""
+    rng = np.random.default_rng(1812)
+    exact = boundary = 0
+    for ts, trimmed, visibility, horizon, _ in exact_horizon_cases(rng, 60):
+        lightest = lightest_moves(ts)
+        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        for q_k, fan in enumerate(assert_fans_equal_reference(cache)):
+            if len(fan.state):
+                entry = node_entries(ts, q_k, fan)
+                exact += int(np.sum(fan.cumw + entry == horizon))
+                boundary += int(np.sum((fan.cumw + lightest[fan.state]) + entry == horizon))
+    assert exact >= 30 and boundary >= 30
+
+
+def test_the_expansion_offers_moves_only_from_runs_whose_lightest_move_fits(monkeypatch):
+    """Each level offers the moves of exactly the runs whose weight, plus
+    their state's lightest move, plus their entry weight, fits the horizon,
+    summed in that order."""
+    offered = []
+    original = localruns.out_moves
+
+    def recording(ptr, states, nodes):
+        offered.append(nodes.copy())
+        return original(ptr, states, nodes)
+
+    monkeypatch.setattr(localruns, "out_moves", recording)
+    rng = np.random.default_rng(1813)
+    pruned = 0
+    for ts, trimmed, visibility, horizon, q_k in exact_horizon_cases(rng, 60):
+        offered.clear()
+        fan = LocalRunCache(ts, trimmed, visibility, horizon).fan(q_k)
+        if not len(fan.state):
+            assert offered == []
+            continue
+        fits = (fan.cumw + lightest_moves(ts)[fan.state]) + node_entries(ts, q_k, fan) <= horizon
+        expected = [
+            np.flatnonzero(fits[lo:hi]) for lo, hi in zip(fan.bounds[:-1], fan.bounds[1:])
+        ]
+        expected = [live for live in expected if len(live)]
+        assert len(offered) == len(expected)
+        for mine, theirs in zip(offered, expected):
+            assert np.array_equal(mine, theirs)
+        pruned += int(np.sum(~fits))
+    assert pruned > 0
+
+
+def test_fans_equal_the_unpruned_build_on_default_grid():
+    scenario = load_scenario(SCENARIOS / "default_grid.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    assert_fans_equal_reference(
+        LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    )
+
+
+@pytest.mark.parametrize("name", ["case_study", "long_patrol", "large_mission"])
+def test_fans_equal_the_unpruned_build_on_the_workloads(tmp_path, workloads, name):
+    path = tmp_path / f"{name}.ini"
+    path.write_text(workloads.scenario_text(workloads.WORKLOADS[name], 1000))
+    scenario = load_scenario(path)
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    assert_fans_equal_reference(
+        LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    )
+
+
+def test_wide_segment_keys_sort_in_sixteen_bits():
+    """Past 255 segment keys, a fan's keys sort as 16-bit integers, and its
+    segments still equal the int64 sort's."""
+    rng = np.random.default_rng(1814)
+    widest = 0
+    for _ in range(3):
+        ts = random_ts(rng, int(rng.integers(5, 8)), extra_edges=12)
+        trimmed = random_trimmed_product(rng, ts, (65, 90), (300, 500))
+        cache = LocalRunCache(ts, trimmed, 5.0, 7.0)
+        for fan in assert_fans_equal_reference(cache):
+            widest = max(widest, len(fan.moves) * (1 + trimmed.ba.n_states))
+    assert np.min_scalar_type(widest) == np.uint16

@@ -15,8 +15,6 @@ from surplan.sim import (
     MetricStats,
     RunResult,
     StepRecord,
-    check_alternation,
-    check_never_visits,
     compute_stats,
     emit_outputs,
     read_trace,
@@ -25,6 +23,8 @@ from surplan.sim import (
     write_timeseries,
     write_trace,
 )
+
+from mission_checks import check_alternation, check_never_visits
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
