@@ -100,7 +100,7 @@ class LocalRunCache:
             # boolean transition matrices, one per letter, read on table misses
             self._delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
             rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
-            self._delta.reshape(-1, ba.n_states)[rows, table.succ] = True
+            self._delta.reshape(-1, ba.n_states)[rows, table.target] = True
             kept = np.zeros((ts.n, ba.n_states), dtype=bool)
             kept[product.ts_of, product.ba_of] = True
             # the distinct rows of automaton states kept with a system state,

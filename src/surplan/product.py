@@ -34,14 +34,14 @@ class LetterTable(NamedTuple):
 
     ``letters`` are the distinct labels in order of their first state, and
     state ``q`` emits ``letters[letter_of[q]]``. Over letter ``a`` automaton
-    state ``s`` moves to ``succ[ptr[a * n_ba + s]:ptr[a * n_ba + s + 1]]``, in
+    state ``s`` moves to ``target[ptr[a * n_ba + s]:ptr[a * n_ba + s + 1]]``, in
     ascending order, with ``n_ba`` the automaton's state count.
     """
 
     letters: list[Letter]
     letter_of: np.ndarray
     ptr: np.ndarray
-    succ: np.ndarray
+    target: np.ndarray
 
 
 def letter_table(ts: TransitionSystem, ba: BuchiAutomaton) -> LetterTable:
@@ -51,8 +51,8 @@ def letter_table(ts: TransitionSystem, ba: BuchiAutomaton) -> LetterTable:
     letter_of = np.array([letter_id[label] for label in ts.labels], dtype=np.int64)
     rows = [ba.successors(s, letter) for letter in letters for s in range(ba.n_states)]
     ptr = np.cumsum([0] + [len(row) for row in rows])
-    succ = np.array([t for row in rows for t in row], dtype=np.int64)
-    return LetterTable(letters, letter_of, ptr, succ)
+    target = np.array([t for row in rows for t in row], dtype=np.int64)
+    return LetterTable(letters, letter_of, ptr, target)
 
 
 class ProductAutomaton:
@@ -111,9 +111,6 @@ class ProductAutomaton:
         self.ind_pi: np.ndarray | None = None
         self.ind_phi: np.ndarray | None = None
 
-    def state_name(self, state: int) -> str:
-        return f"({self.ts.state_name(int(self.ts_of[state]))}, {int(self.ba_of[state])})"
-
     def edges_from(self, state: int) -> range:
         """Ids of the edges leaving ``state``."""
         return range(self.edge_ptr[state], self.edge_ptr[state + 1])
@@ -161,7 +158,7 @@ def build_product(
         within = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
         move, target = np.divmod(within, n_targets[parent])
         move += move_lo[parent]
-        key = ts.move_dst[move] * n_ba + table.succ[target_lo[parent] + target]
+        key = ts.move_dst[move] * n_ba + table.target[target_lo[parent] + target]
         new = key[id_of[key] < 0]
         distinct, first = np.unique(new, return_index=True)
         edge_src.append(parent + lo)

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import LtlSyntaxError, ScenarioError, ValidationError
 from .ltl import KEYWORDS, Always, And, Atom, Eventually, Formula, is_atom_name, parse
 from .rewards import PREFERENCES, POTENTIALS
@@ -78,39 +80,36 @@ def build_grid(
     def inside(r: int, c: int) -> bool:
         return 0 <= r < rows and 0 <= c < cols
 
+    names = [grid_state_name(r, c) for r in range(rows) for c in range(cols)]
+    labeling: dict[str, set[str]] = {}
     for prop, cells in labels.items():
-        for cell in cells:
-            if not inside(*cell):
-                raise ScenarioError(f"label {prop!r} names cell {cell} outside the {rows}x{cols} grid")
+        for r, c in cells:
+            if not inside(r, c):
+                raise ScenarioError(f"label {prop!r} names cell {(r, c)} outside the {rows}x{cols} grid")
+            labeling.setdefault(names[r * cols + c], set()).add(prop)
     if not inside(*initial):
         raise ScenarioError(f"initial cell {initial} outside the {rows}x{cols} grid")
 
-    states = [grid_state_name(r, c) for r in range(rows) for c in range(cols)]
-    transitions: dict[tuple[str, str], float] = {}
+    cell = np.arange(rows * cols).reshape(rows, cols)
     moves = [
         (-1, 0, vertical), (1, 0, vertical),
         (0, -1, horizontal), (0, 1, horizontal),
         (-1, -1, diagonal), (-1, 1, diagonal),
         (1, -1, diagonal), (1, 1, diagonal),
-    ]
-    for r in range(rows):
-        for c in range(cols):
-            src = grid_state_name(r, c)
-            for dr, dc, w in moves:
-                if inside(r + dr, c + dc):
-                    transitions[(src, grid_state_name(r + dr, c + dc))] = w
-            if self_loop is not None:
-                transitions[(src, src)] = self_loop
-
-    labeling: dict[str, set[str]] = {}
-    for prop, cells in labels.items():
-        for r, c in cells:
-            labeling.setdefault(grid_state_name(r, c), set()).add(prop)
-
+    ] + ([] if self_loop is None else [(0, 0, self_loop)])
+    src, dst, weight = [], [], []
+    for dr, dc, w in moves:
+        # the cells whose neighbor (r + dr, c + dc) lies inside the grid
+        start = cell[max(-dr, 0) : rows - max(dr, 0), max(-dc, 0) : cols - max(dc, 0)].ravel()
+        src.append(start)
+        dst.append(start + dr * cols + dc)
+        weight.append(np.full(len(start), w, dtype=np.float64))
     return TransitionSystem(
-        names=states,
-        initial=grid_state_name(*initial),
-        transitions=transitions,
+        names=names,
+        initial=names[initial[0] * cols + initial[1]],
+        src=np.concatenate(src),
+        dst=np.concatenate(dst),
+        weight=np.concatenate(weight),
         propositions=set(labels),
         labels=labeling,
     )
@@ -268,21 +267,22 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
     ts_section = _SectionView(parser, "ts")
     initial = ts_section.require("initial")
     ts_section.check_unknown()
-    transitions: dict[tuple[str, str], float] = {}
-    # state names in order of first mention, which numbers the states
-    states: dict[str, None] = {}
-    for src, entry in parser.items("transitions"):
-        states.setdefault(src)
+    # state ids in order of first mention
+    states: dict[str, int] = {}
+    src, dst, weight = [], [], []
+    for source, entry in parser.items("transitions"):
+        i = states.setdefault(source, len(states))
         for token in entry.split():
             try:
-                dst, weight_text = token.rsplit(":", 1)
-                weight = float(weight_text)
+                target, weight_text = token.rsplit(":", 1)
+                w = float(weight_text)
             except ValueError as exc:
                 raise ScenarioError(
-                    f"[transitions] {src}: bad entry {token!r}, expected state:weight"
+                    f"[transitions] {source}: bad entry {token!r}, expected state:weight"
                 ) from exc
-            transitions[(src, dst)] = weight
-            states.setdefault(dst)
+            src.append(i)
+            dst.append(states.setdefault(target, len(states)))
+            weight.append(w)
     labeling: dict[str, set[str]] = {}
     for prop, entry in labels_section.items():
         for name in entry.split():
@@ -293,7 +293,9 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
         return TransitionSystem(
             names=list(states),
             initial=initial,
-            transitions=transitions,
+            src=src,
+            dst=dst,
+            weight=weight,
             propositions=set(labels_section),
             labels=labeling,
         )

@@ -8,7 +8,6 @@ files and traces.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,15 +16,18 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ValidationError
 
-INF = math.inf
-
 
 class TransitionSystem:
     """Finite weighted digraph with labeled states and an initial state.
 
-    :param names: unique state names.
+    The moves are kept only as CSR arrays, with no per-move dict or tuple:
+    the moves out of state ``i`` go to ``move_dst[move_ptr[i]:move_ptr[i + 1]]``,
+    in ascending order, with weights ``move_weight[...]``.
+
+    :param names: unique state names; state ``i`` is ``names[i]``.
     :param initial: name of the initial state.
-    :param transitions: mapping ``(source name, target name) -> weight``.
+    :param src, dst, weight: the moves as aligned sequences of source id,
+        target id and weight, in any order.
     :param propositions: the atomic propositions states may be labeled with.
     :param labels: mapping ``state name -> iterable of propositions``; states
         missing from the mapping carry the empty label.
@@ -35,7 +37,9 @@ class TransitionSystem:
         self,
         names: Sequence[str],
         initial: str,
-        transitions: Mapping[tuple[str, str], float],
+        src: Sequence[int],
+        dst: Sequence[int],
+        weight: Sequence[float],
         propositions: Iterable[str],
         labels: Mapping[str, Iterable[str]],
     ):
@@ -63,35 +67,35 @@ class TransitionSystem:
                     f"state {name!r} labeled with undeclared propositions {sorted(stray)}"
                 )
             label_map[name] = props
+        unlabeled: frozenset[str] = frozenset()
         self.labels: tuple[frozenset[str], ...] = tuple(
-            label_map.get(name, frozenset()) for name in names
+            label_map.get(name, unlabeled) for name in names
         )
 
-        weight_of: dict[tuple[int, int], float] = {}
-        for (a, b), w in transitions.items():
-            if a not in self.index or b not in self.index:
-                raise ValidationError(f"transition ({a!r}, {b!r}) references unknown state")
-            w = float(w)
-            if not (w > 0.0) or math.isinf(w):
-                raise ValidationError(
-                    f"transition ({a!r}, {b!r}) must have a finite positive weight, got {w}"
-                )
-            weight_of[(self.index[a], self.index[b])] = w
-        self.weight_of = weight_of
-
-        succ: list[list[int]] = [[] for _ in range(self.n)]
-        for (i, j) in weight_of:
-            succ[i].append(j)
-        self.succ: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(js)) for js in succ)
-        for i, js in enumerate(self.succ):
-            if not js:
-                raise ValidationError(f"state {names[i]!r} has no outgoing transition")
-
-        # the moves in CSR form, in the order of succ: the moves out of i go
-        # to move_dst[move_ptr[i]:move_ptr[i + 1]] with weights move_weight[...]
-        self.move_ptr = np.cumsum([0] + [len(js) for js in self.succ])
-        self.move_dst = np.array([j for js in self.succ for j in js], dtype=np.int64)
-        self.move_weight = np.array([weight_of[(i, j)] for i, js in enumerate(self.succ) for j in js])
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        weight = np.asarray(weight, dtype=np.float64)
+        if not src.shape == dst.shape == weight.shape == (len(src),):
+            raise ValidationError("src, dst and weight must be aligned 1-D sequences")
+        unknown = (src < 0) | (src >= self.n) | (dst < 0) | (dst >= self.n)
+        if unknown.any():
+            k = unknown.argmax()
+            raise ValidationError(f"transition ({src[k]}, {dst[k]}) references unknown state")
+        bad = ~(weight > 0.0) | np.isinf(weight)
+        if bad.any():
+            k = bad.argmax()
+            raise ValidationError(f"transition ({names[src[k]]!r}, {names[dst[k]]!r})"
+                                  f" must have a finite positive weight, got {weight[k]}")
+        order = np.lexsort((dst, src))
+        src, dst, weight = src[order], dst[order], weight[order]
+        repeated = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        if repeated.any():
+            k = repeated.argmax()
+            raise ValidationError(f"transition ({names[src[k]]!r}, {names[dst[k]]!r}) is given twice")
+        out_degree = np.bincount(src, minlength=self.n)
+        if not out_degree.all():
+            raise ValidationError(f"state {names[out_degree.argmin()]!r} has no outgoing transition")
+        self.move_ptr = np.concatenate(([0], np.cumsum(out_degree)))
+        self.move_dst, self.move_weight = dst, weight
         # the same moves for scipy's searches, with int32 copies of the index
         # arrays: scipy would copy int64 ones on every search, and the
         # expansions measured faster indexing with int64
@@ -100,18 +104,11 @@ class TransitionSystem:
             shape=(self.n, self.n),
         )
 
-        self.max_weight = max(weight_of.values())
+        self.max_weight = float(weight.max())
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return self.succ[i]
-
-    def weight(self, i: int, j: int) -> float:
-        try:
-            return self.weight_of[(i, j)]
-        except KeyError:
-            raise ValidationError(
-                f"({self.names[i]!r}, {self.names[j]!r}) is not a transition"
-            ) from None
+    def successors(self, i: int) -> np.ndarray:
+        """Targets of the moves out of ``i``, ascending: a view of ``move_dst``."""
+        return self.move_dst[self.move_ptr[i] : self.move_ptr[i + 1]]
 
     def label(self, i: int) -> frozenset[str]:
         return self.labels[i]
@@ -157,15 +154,14 @@ def validate_visibility_assumption(ts: TransitionSystem, v: float) -> None:
     move of weight at most ``v`` is visible by itself; any other move needs
     a search from its source, bounded by ``v``.
     """
-    searched: dict[int, np.ndarray] = {}
-    for (i, j), w in ts.weight_of.items():
-        if w <= v:
-            continue
-        if i not in searched:
-            searched[i] = visible_distances(ts, i, v)
-        if searched[i][j] > v:
+    src = np.repeat(np.arange(ts.n), np.diff(ts.move_ptr))
+    for i in np.unique(src[ts.move_weight > v]).tolist():
+        # a move of weight at most v is never hidden: test all of i's moves
+        dst = ts.successors(i)
+        hidden = dst[visible_distances(ts, i, v)[dst] > v]
+        if len(hidden):
             raise ValidationError(
-                f"successor {ts.names[j]!r} of {ts.names[i]!r} lies outside the "
+                f"successor {ts.names[hidden[0]]!r} of {ts.names[i]!r} lies outside the "
                 f"visibility radius (no run of weight <= {v})"
             )
 

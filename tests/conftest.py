@@ -6,6 +6,7 @@ graph machinery (scipy) so that agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import importlib.util
 import math
@@ -34,6 +35,35 @@ from surplan.product import ProductAutomaton, letter_table
 from surplan.ts import TransitionSystem
 
 INF = math.inf
+
+
+@functools.lru_cache(maxsize=16)
+def move_weights(ts: TransitionSystem) -> dict[tuple[int, int], float]:
+    """The system's moves as ``(source, target) -> weight``, read from its
+    CSR arrays; the dict is shared between calls, so read it only."""
+    src = np.repeat(np.arange(ts.n), np.diff(ts.move_ptr))
+    return dict(zip(zip(src.tolist(), ts.move_dst.tolist()), ts.move_weight.tolist()))
+
+
+def named_system(
+    names: Sequence[str],
+    initial: str,
+    transitions: dict[tuple[str, str], float],
+    propositions=(),
+    labels=None,
+) -> TransitionSystem:
+    """A system whose moves are given as ``(source name, target name) ->
+    weight``, turned into the constructor's id arrays."""
+    index = {name: i for i, name in enumerate(names)}
+    return TransitionSystem(
+        names=names,
+        initial=initial,
+        src=[index[a] for a, _ in transitions],
+        dst=[index[b] for _, b in transitions],
+        weight=list(transitions.values()),
+        propositions=propositions,
+        labels=labels or {},
+    )
 
 
 def dijkstra_oracle(n: int, edges: dict[tuple[int, int], float]) -> list[list[float]]:
@@ -70,11 +100,13 @@ def ts_shortening_indicator(
 ) -> int:
     """1 when the transition strictly shortens the minimum weight to any
     surveyed state, else 0; distances from :func:`dijkstra_oracle`."""
-    ts.weight(q, q_next)
+    weights = move_weights(ts)
+    if (q, q_next) not in weights:
+        raise ContractError(f"({q}, {q_next}) is not a transition")
     targets = list(surveyed)
     if not targets:
         return 0
-    here, there = (np.array(dijkstra_oracle_from(ts.n, ts.weight_of, p)) for p in (q, q_next))
+    here, there = (np.array(dijkstra_oracle_from(ts.n, weights, p)) for p in (q, q_next))
     return int(there[targets].min() < here[targets].min())
 
 
@@ -85,9 +117,10 @@ def elapsed_walkback(ts: TransitionSystem, prefix: Sequence[int], surveyed) -> f
     planner's raw elapsed weight, which the trace's cost column reads, is
     checked against."""
     start = max((i for i in range(1, len(prefix)) if prefix[i] in surveyed), default=0)
+    weights = move_weights(ts)
     total = 0.0
     for a, b in zip(prefix[start:], prefix[start + 1 :]):
-        total += ts.weight_of[(a, b)]
+        total += weights[a, b]
     return total
 
 
@@ -194,13 +227,7 @@ def random_ts(
         name: {p for p in props if rng.random() < 0.35}
         for name in names
     }
-    return TransitionSystem(
-        names=names,
-        initial=names[int(rng.integers(n_states))],
-        transitions=transitions,
-        propositions=props,
-        labels=labels,
-    )
+    return named_system(names, names[int(rng.integers(n_states))], transitions, props, labels)
 
 
 def random_formula(rng: np.random.Generator, props: list[str], depth: int) -> Formula:
@@ -342,13 +369,7 @@ def array_product(
     """
     from surplan.buchi import BuchiAutomaton
 
-    dummy_ts = TransitionSystem(
-        names=["d"],
-        initial="d",
-        transitions={("d", "d"): 1.0},
-        propositions=["sur"],
-        labels={"d": {"sur"}},
-    )
+    dummy_ts = named_system(["d"], "d", {("d", "d"): 1.0}, ["sur"], {"d": {"sur"}})
     letters = [frozenset(), frozenset({"sur"})]
     dummy_ba = BuchiAutomaton(
         n_states=1,
@@ -452,12 +473,9 @@ class LocalRunOracle:
         self.product = product
         self.visibility = float(visibility)
         self.horizon = float(horizon)
-        self.distance = np.array(dijkstra_oracle(ts.n, ts.weight_of))
-        self.indptr = np.cumsum([0] + [len(js) for js in ts.succ])
-        self.succ = np.array([j for js in ts.succ for j in js], dtype=np.int64)
-        self.weight = np.array(
-            [ts.weight_of[(i, j)] for i, js in enumerate(ts.succ) for j in js]
-        )
+        self.weights = move_weights(ts)
+        self.distance = np.array(dijkstra_oracle(ts.n, self.weights))
+        self.indptr, self.succ, self.weight = ts.move_ptr, ts.move_dst, ts.move_weight
         if product is not None:
             ba = product.ba
             self.delta = {
@@ -473,7 +491,7 @@ class LocalRunOracle:
     def bundle(self, q_k: int, q: int):
         """``(ts_states, valid, cumw, novel, admits)``; ``admits`` is None
         without a product. Raises ContractError when the move has no run."""
-        entry = self.ts.weight_of[(q_k, q)]
+        entry = self.weights[q_k, q]
         allowed = self.distance[q_k] <= self.visibility
         if not allowed[q] or entry > self.horizon:
             raise ContractError("a local run set must contain at least one run")
@@ -550,7 +568,7 @@ def workloads():
 
 @pytest.fixture(scope="session")
 def triangle_ts() -> TransitionSystem:
-    return TransitionSystem(
+    return named_system(
         names=["q0", "q1", "q2"],
         initial="q0",
         transitions={

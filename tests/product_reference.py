@@ -43,8 +43,8 @@ def reference_build_product(
         src = index[(q, s)]
         letter = ts.label(q)
         ba_targets = ba.successors(s, letter)
-        for q2 in ts.successors(q):
-            w = ts.weight(q, q2)
+        lo, hi = ts.move_ptr[q], ts.move_ptr[q + 1]
+        for q2, w in zip(ts.move_dst[lo:hi].tolist(), ts.move_weight[lo:hi].tolist()):
             for s2 in ba_targets:
                 key = (q2, s2)
                 if key not in index:

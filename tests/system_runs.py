@@ -16,7 +16,7 @@ import numpy as np
 from surplan.errors import ContractError, ValidationError
 from surplan.ts import TransitionSystem, enumerate_budget_runs
 
-from conftest import dijkstra_oracle_from
+from conftest import dijkstra_oracle_from, move_weights
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,7 @@ class FiniteRun:
 
 def run_weight(ts: TransitionSystem, run: FiniteRun) -> float:
     """Sum of transition weights along the run; 0 for a single state."""
-    total = 0.0
-    for a, b in zip(run.states, run.states[1:]):
-        total += ts.weight(a, b)
-    return total
+    return run_times(ts, run)[-1]
 
 
 def run_times(ts: TransitionSystem, run: FiniteRun) -> tuple[float, ...]:
@@ -50,9 +47,12 @@ def run_times(ts: TransitionSystem, run: FiniteRun) -> tuple[float, ...]:
     Consecutive entries differ by exactly the weight of the taken transition;
     no time is spent inside states.
     """
+    weights = move_weights(ts)
     times = [0.0]
     for a, b in zip(run.states, run.states[1:]):
-        times.append(times[-1] + ts.weight(a, b))
+        if (a, b) not in weights:
+            raise ValidationError(f"({ts.names[a]!r}, {ts.names[b]!r}) is not a transition")
+        times.append(times[-1] + weights[a, b])
     return tuple(times)
 
 
@@ -65,7 +65,7 @@ def visibility_set(ts: TransitionSystem, q_k: int, v: float) -> frozenset[int]:
     """
     if v < 0:
         raise ContractError("visibility radius must be nonnegative")
-    distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
+    distance = dijkstra_oracle_from(ts.n, move_weights(ts), q_k)
     return frozenset(q for q, d in enumerate(distance) if d <= v)
 
 
@@ -78,7 +78,8 @@ def local_runs(
     visibility region of ``q_k``, and whose weight plus the weight of the
     entry transition ``(q_k, q)`` does not exceed the horizon ``h``.
     """
-    if (q_k, q) not in ts.weight_of:
+    weights = move_weights(ts)
+    if (q_k, q) not in weights:
         raise ContractError(
             f"({ts.names[q_k]!r}, {ts.names[q]!r}) is not a transition"
         )
@@ -88,11 +89,11 @@ def local_runs(
         )
     allowed = np.zeros(ts.n, dtype=bool)
     allowed[list(visibility_set(ts, q_k, v))] = True
-    entry = ts.weight_of[(q_k, q)]
+    entry = weights[q_k, q]
     return [
         FiniteRun(states)
         for states, _ in enumerate_budget_runs(
-            ts.successors, ts.weight, allowed, q, entry, h
+            ts.successors, lambda a, b: weights[a, b], allowed, q, entry, h
         )
     ]
 

@@ -43,6 +43,7 @@ from surplan.sim import run_experiment
 
 from conftest import (
     dijkstra_oracle_from,
+    move_weights,
     random_formula,
     random_product,
     random_ts,
@@ -354,7 +355,7 @@ def test_criterion_6_scoring_functions_unit_suite():
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=6)
         v, h = 4.0, 7.0
         for q_k in range(ts.n):
-            distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
+            distance = dijkstra_oracle_from(ts.n, move_weights(ts), q_k)
             for q in ts.successors(q_k):
                 if distance[q] > v:
                     continue
@@ -468,7 +469,7 @@ def _drive_checking_surveillance_optimality(offline, scenario, run_seed, cache):
                 runs = cache.get(e)
                 if runs is None:
                     visible = (
-                        np.array(dijkstra_oracle_from(ts.n, ts.weight_of, q_k))
+                        np.array(dijkstra_oracle_from(ts.n, move_weights(ts), q_k))
                         <= scenario.visibility
                     )
                     runs = _literal_runs_from(

@@ -27,7 +27,7 @@ from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
-from conftest import LocalRunOracle, dijkstra_oracle_from, random_product, random_ts
+from conftest import LocalRunOracle, dijkstra_oracle_from, move_weights, random_product, random_ts
 from fan_reference import reference_build_fan, reference_kept
 from system_runs import literal_potential, local_runs, run_times
 
@@ -155,13 +155,14 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
         return tables[q_k]
 
     compared = 0
-    distance = [np.array(dijkstra_oracle_from(ts.n, ts.weight_of, q)) for q in range(ts.n)]
+    weights = move_weights(ts)
+    distance = [np.array(dijkstra_oracle_from(ts.n, weights, q)) for q in range(ts.n)]
     for q_k in range(ts.n):
         allowed = distance[q_k] <= visibility
         moves = cache.fan(q_k).moves
         for q in ts.successors(q_k):
             runs = enumerate_budget_runs(
-                ts.successors, ts.weight, allowed, q, ts.weight(q_k, q), horizon
+                ts.successors, lambda a, b: weights[a, b], allowed, q, weights[q_k, q], horizon
             )
             if not runs:
                 assert q not in moves
@@ -388,7 +389,7 @@ def test_cache_matches_reference_on_default_grid():
         scenario.horizon,
         reward_fields(rng, offline.ts.n),
     )
-    assert compared == len(offline.ts.weight_of) + len(offline.trimmed.edge_src)
+    assert compared == len(offline.ts.move_dst) + len(offline.trimmed.edge_src)
 
 
 @pytest.mark.parametrize("visibility, horizon", [(3.0, 6.0), (2.0, 9.0)])
@@ -604,12 +605,14 @@ def assert_fans_equal_reference(cache):
 
 
 def lightest_moves(ts):
-    return np.array([min(ts.weight(q, r) for r in ts.successors(q)) for q in range(ts.n)])
+    weights = move_weights(ts)
+    return np.array([min(weights[q, r] for r in ts.successors(q).tolist()) for q in range(ts.n)])
 
 
 def node_entries(ts, q_k, fan):
     """The entry weight of every node's move, ``q_k`` to its root's state."""
-    entry = np.array([ts.weight(q_k, q) for q in fan.state[: fan.bounds[1]].tolist()])
+    weights = move_weights(ts)
+    entry = np.array([weights[q_k, q] for q in fan.state[: fan.bounds[1]].tolist()])
     return entry[node_roots(fan)]
 
 
@@ -620,17 +623,18 @@ def exact_horizon_cases(rng, count):
     run fits the horizon exactly, and so does its parent with that move."""
     for trial in range(count):
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=5, weights=(0.1, 0.2, 0.3, 0.7))
+        weights = move_weights(ts)
         q_k = int(rng.integers(ts.n))
         q = int(rng.choice(ts.successors(q_k)))
-        entry, total = ts.weight(q_k, q), 0.0
+        entry, total = weights[q_k, q], 0.0
         length = int(rng.integers(1, 5))
         for i in range(length):
-            out = ts.successors(q)
+            out = ts.successors(q).tolist()
             if i == length - 1:
-                nxt = min(out, key=lambda r: ts.weight(q, r))
+                nxt = min(out, key=lambda r: weights[q, r])
             else:
                 nxt = int(rng.choice(out))
-            total, q = total + ts.weight(q, nxt), nxt
+            total, q = total + weights[q, nxt], nxt
         trimmed = random_trimmed_product(rng, ts) if trial % 2 else None
         yield ts, trimmed, float(rng.choice([1.0, 5.0])), total + entry, q_k
 

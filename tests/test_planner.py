@@ -26,7 +26,13 @@ from surplan.rewards import (
 )
 from surplan.scenario import build_grid, load_scenario
 
-from conftest import alpha_bar, elapsed_walkback, random_ts, ts_shortening_indicator
+from conftest import (
+    alpha_bar,
+    elapsed_walkback,
+    move_weights,
+    random_ts,
+    ts_shortening_indicator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +307,7 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     for ts in (grid.ts, triangle_ts, *dyadic):
         ev = CostEvaluator(LocalRunCache(ts, None, 6.0, 9.0), ThresholdPreference(50.0), "sur")
         assert ev.surveyed
-        for q, q_next in ts.weight_of:
+        for q, q_next in move_weights(ts):
             assert ev.indicator(q, q_next) == ts_shortening_indicator(
                 ts, q, q_next, ev.surveyed
             )

@@ -32,12 +32,13 @@ from surplan.product import (
     verify_descent,
 )
 from surplan.scenario import load_scenario
-from surplan.ts import TransitionSystem
 
 from conftest import (
     chain_product,
     dijkstra_oracle,
     lexicographic_mission_distance,
+    move_weights,
+    named_system,
     random_formula_cases,
     random_product,
     random_ts,
@@ -151,6 +152,7 @@ def test_build_product_matches_definition():
         formula = parse("G F sur")
         ba = to_buchi(formula, sorted(ts.propositions))
         product = build_product(ts, ba, "sur")
+        weights = move_weights(ts)
 
         # reachable closure of the definitional edge relation
         start = (ts.initial, ba.initial)
@@ -159,9 +161,9 @@ def test_build_product_matches_definition():
         edges = set()
         while frontier:
             q, s = frontier.pop()
-            for q2 in ts.successors(q):
+            for q2 in ts.successors(q).tolist():
                 for s2 in ba.successors(s, ts.label(q)):
-                    edges.add(((q, s), (q2, s2), ts.weight(q, q2)))
+                    edges.add(((q, s), (q2, s2), weights[q, q2]))
                     if (q2, s2) not in seen:
                         seen.add((q2, s2))
                         frontier.append((q2, s2))
@@ -202,7 +204,7 @@ def assert_product_matches_fifo_search(ts, ba, surveillance_prop="sur"):
     for a, letter in enumerate(table.letters):
         for s in range(ba.n_states):
             row = a * ba.n_states + s
-            moves = table.succ[table.ptr[row] : table.ptr[row + 1]].tolist()
+            moves = table.target[table.ptr[row] : table.ptr[row + 1]].tolist()
             assert moves == list(ba.successors(s, letter)), (a, s)
 
 
@@ -491,7 +493,7 @@ def fractional_ts(seed):
         for b in r.sample(names, r.randint(1, 3)):
             transitions[(a, b)] = r.choice((0.1, 0.2, 0.3, 0.7, 1.1))
     labels = {a: {p for p in ("a", "b", "sur") if r.random() < 0.3} for a in names}
-    return TransitionSystem(names, names[0], transitions, ("a", "b", "sur"), labels)
+    return named_system(names, names[0], transitions, ("a", "b", "sur"), labels)
 
 
 def test_fractional_weights_keep_mission_descent():

@@ -21,7 +21,7 @@ from surplan.rewards import (
     register_potential,
 )
 
-from conftest import dijkstra_oracle_from, random_ts
+from conftest import dijkstra_oracle_from, move_weights, random_ts
 from system_runs import local_runs, run_times
 
 
@@ -216,7 +216,7 @@ def test_potentials_match_literal_oracles():
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=6)
         v, h = 4.0, 7.0
         for q_k in range(ts.n):
-            distance = dijkstra_oracle_from(ts.n, ts.weight_of, q_k)
+            distance = dijkstra_oracle_from(ts.n, move_weights(ts), q_k)
             succ = [q for q in ts.successors(q_k) if distance[q] <= v]
             for q in succ:
                 runs = [

@@ -23,6 +23,9 @@ from surplan.scenario import (
 )
 from surplan.sim import run_seed_for
 
+from conftest import move_weights
+from grid_reference import reference_build_grid
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -87,9 +90,10 @@ def test_grid_structure():
     center = ts.state_id(grid_state_name(1, 1))
     assert len(ts.successors(corner)) == 3
     assert len(ts.successors(center)) == 8
-    assert ts.weight(corner, ts.state_id(grid_state_name(0, 1))) == 2.0
-    assert ts.weight(corner, ts.state_id(grid_state_name(1, 0))) == 2.0
-    assert ts.weight(corner, ts.state_id(grid_state_name(1, 1))) == 3.0
+    weights = move_weights(ts)
+    assert weights[corner, ts.state_id(grid_state_name(0, 1))] == 2.0
+    assert weights[corner, ts.state_id(grid_state_name(1, 0))] == 2.0
+    assert weights[corner, ts.state_id(grid_state_name(1, 1))] == 3.0
     assert ts.initial == center
     assert ts.label(corner) == {"p"}
 
@@ -108,7 +112,41 @@ def test_single_cell_grid_needs_declared_self_loop():
         build_grid(1, 1, {}, initial=(0, 0))
     ts = build_grid(1, 1, {}, initial=(0, 0), self_loop=1.5)
     assert ts.n == 1
-    assert ts.weight(0, 0) == 1.5
+    assert move_weights(ts) == {(0, 0): 1.5}
+
+
+def test_grid_matches_the_per_cell_build():
+    rng = np.random.default_rng(19)
+    shapes = [(1, 1), (1, 7), (6, 1), (2, 2), (12, 12)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 13, size=2)) for _ in range(40)]
+    for rows, cols in shapes:
+        weights = [float(w) for w in rng.choice([0.3, 0.7, 1.0, 1.5, 2.25, 4.0], size=3)]
+        self_loop = 0.9 if rows * cols == 1 or rng.random() < 0.5 else None
+        cells = [(int(r), int(c)) for r, c in zip(rng.integers(rows, size=5), rng.integers(cols, size=5))]
+        labels = {"a": set(cells[:2]), "sur": set(cells[1:4])}
+        args = (rows, cols, labels, cells[4], *weights, self_loop)
+        ts = build_grid(*args)
+        expected = reference_build_grid(*args)
+        assert ts.names == expected.names
+        assert ts.initial == expected.initial
+        assert ts.labels == expected.labels
+        for field in ("move_ptr", "move_dst", "move_weight"):
+            mine, reference = getattr(ts, field), getattr(expected, field)
+            assert mine.dtype == reference.dtype, field
+            assert np.array_equal(mine, reference), (rows, cols, field)
+
+
+def test_a_large_grid_builds_without_per_move_objects():
+    # a dict entry and two name strings per move peaked at 108 MB here
+    labels = {"a": {(0, 0)}, "sur": {(0, 0), (199, 199)}}
+    tracemalloc.start()
+    try:
+        ts = build_grid(200, 200, labels, initial=(199, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts.move_dst) == 8 * 200 * 200 - 6 * 200 - 6 * 200 + 4
+    assert peak < 64 * 2**20, peak
 
 
 def test_load_minimal_grid_scenario(tmp_path):
@@ -149,9 +187,9 @@ def test_shipped_scenarios_load():
     }
     triangle = load_scenario(SCENARIOS / "triangle.ini")
     assert triangle.ts.n == 3
-    assert triangle.ts.weight(
+    assert move_weights(triangle.ts)[
         triangle.ts.state_id("q1"), triangle.ts.state_id("q2")
-    ) == 2.0
+    ] == 2.0
     infeasible = load_scenario(SCENARIOS / "infeasible.ini")
     assert infeasible.ts.n == 9
 
@@ -160,7 +198,7 @@ def test_default_case_study_matches_shipped_file():
     sc = default_case_study()
     shipped = load_scenario(SCENARIOS / "default_grid.ini")
     assert sc.ts.names == shipped.ts.names
-    assert sc.ts.weight_of == shipped.ts.weight_of
+    assert move_weights(sc.ts) == move_weights(shipped.ts)
     assert sc.ts.labels == shipped.ts.labels
     assert sc.formula == shipped.formula
     assert (sc.visibility, sc.horizon) == (shipped.visibility, shipped.horizon)
@@ -203,9 +241,31 @@ horizon = 4
     sc = load_scenario(write(tmp_path, text))
     assert sc.ts.n == 2
     x, y = sc.ts.state_id("x"), sc.ts.state_id("y")
-    assert sc.ts.weight(x, y) == 1.5
-    assert sc.ts.weight(y, y) == 1.0
+    assert move_weights(sc.ts) == {(x, y): 1.5, (y, x): 2.5, (y, y): 1.0}
     assert sc.ts.label(y) == {"sur"}
+
+
+def test_a_repeated_target_is_refused(tmp_path):
+    text = """
+[ts]
+initial = x
+
+[transitions]
+x = y:1 y:2
+y = x:1
+
+[labels]
+sur = y
+
+[mission]
+formula = G F sur
+
+[planner]
+visibility = 4
+horizon = 4
+"""
+    with pytest.raises(ScenarioError, match=r"transition \('x', 'y'\) is given twice"):
+        load_scenario(write(tmp_path, text))
 
 
 def test_explicit_systems_load_in_linear_time_numbered_by_first_mention(tmp_path):
@@ -230,7 +290,7 @@ def test_explicit_systems_load_in_linear_time_numbered_by_first_mention(tmp_path
     sc = load_scenario(path)
     elapsed = time.perf_counter() - started
     assert sc.ts.names == tuple(mentioned)
-    assert sc.ts.succ[sc.ts.state_id("c7")] == (sc.ts.state_id("c8"),)
+    assert sc.ts.successors(sc.ts.state_id("c7")).tolist() == [sc.ts.state_id("c8")]
     assert sc.ts.label(sc.ts.state_id("c7")) == {"sur"}
     assert elapsed < 5.0, elapsed
 
