@@ -10,16 +10,20 @@ must hold and those it must not). Each postponed subformula
 per transition and is then reduced to a single accepting set by the usual
 counter construction.
 
-A state's guarded choices are worked out once. Past the tableau, the
+A state's guarded choices are worked out once, folding its members from the
+last back to the first; the product of each suffix of members is kept, so
+states that share a suffix share its product. Past the tableau, the
 construction works on moves and never lists one edge per letter: a move is
 one of a state's distinct ``(target, marks)`` pairs, carrying the id of the
 set of letters that take it: those any of its choices' guards admit
-(letters are integer indices into ``canonical_letters``). The lowest and highest letters
-of a guard are read off its bitmasks, which places each move's first and
-last edge in the letter-by-letter order; the counter numbers and explores
-its states from those, so it numbers them as a walk over every letter edge
-would, walking only each explored state's distinct targets. Debt marks are
-bitmasks and the counter levels come from a lookup table. Pruning reads the moves' ``(src, dst)`` pairs, and letter sets are
+(letters are integer indices into ``canonical_letters``). The lowest and
+highest letters of a guard are read off its bitmasks, which places each
+move's first and last edge in the letter-by-letter order; the counter
+numbers and explores its states from those, so it numbers them as a walk
+over every letter edge would, walking only each explored state's distinct
+targets, which one stable sort of its targets gives. Debt marks are
+bitmasks and the counter levels come from a lookup table. Pruning reads
+the distinct ``(src, dst)`` pairs of the moves, and letter sets are
 expanded to letters only at the end: after deduplicating moves in the
 quotient, and on the final automaton's moves. Only the final automaton
 becomes a :class:`BuchiAutomaton`.
@@ -150,6 +154,8 @@ class _Closure:
     follow in first-occurrence order. The masks are unbounded ints, however
     many subformulas there are. ``by_str`` lists the bits in ``str`` order of
     their formulas, the order in which a state's members are combined.
+    ``suffixes`` holds the product of every proper suffix of a state's
+    members worked out so far, keyed by the suffix's member mask.
     """
 
     def __init__(self, start: Formula, untils: list[Formula], props: list[str]):
@@ -158,6 +164,7 @@ class _Closure:
         self.by_str = sorted(range(len(self.formulas)), key=lambda i: str(self.formulas[i]))
         self.prop_bit = {p: 1 << i for i, p in enumerate(props)}
         self.memo: dict[int, tuple[_Choice, ...]] = {}
+        self.suffixes: dict[int, tuple[_Choice, ...]] = {}
 
     def decode(self, mask: int) -> frozenset:
         """The subformulas whose bits ``mask`` sets."""
@@ -230,13 +237,30 @@ def _combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, .
 
 def _state_choices(state: int, closure: _Closure) -> tuple[_Choice, ...]:
     """Guarded choices of an obligation state, its members combined in
-    ``str`` order."""
+    ``str`` order.
+
+    The members are folded from the last back to the first, each proper
+    suffix's product kept by its member mask, so states that share a suffix
+    of members share its product. ``_combine`` is associative, the order of
+    first occurrence included (a pair whose guards contradict still does
+    with more guards OR-ed in, and a combined choice first appears where its
+    partial combinations first do), so this equals the fold from the left.
+    The whole state's product is not kept: each state is asked for once,
+    and keeping them all would hold every choice of the tableau until the
+    automaton is built.
+    """
     choices: tuple[_Choice, ...] = ((0, 0, 0, 0, 0),)
-    for bit in closure.by_str:
-        if state >> bit & 1:
-            choices = _combine(choices, _sat(bit, closure))
-            if not choices:
-                break
+    suffix = 0
+    for bit in reversed([bit for bit in closure.by_str if state >> bit & 1]):
+        suffix |= 1 << bit
+        product = closure.suffixes.get(suffix)
+        if product is None:
+            product = _sat(bit, closure)
+            if suffix != 1 << bit:
+                product = _combine(product, choices)
+            if suffix != state:
+                closure.suffixes[suffix] = product
+        choices = product
     return choices
 
 
@@ -257,16 +281,20 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     letters = canonical_letters(props)
 
     obligations = _obligation_automaton(normalized, untils, sorted(props))
-    pairs, explored = _counter_levels(obligations.moves, obligations.masks, n_untils)
+    pairs, explored_states, src, dst = _counter_levels(
+        obligations.moves, obligations.masks, n_untils
+    )
     accepting = pairs % (n_untils + 1) == n_untils
-    # one counter move per explored counter state and obligation move
-    src = np.concatenate([np.full(len(dst), c) for c, _, dst in explored])
-    dst = np.concatenate([dst for _, _, dst in explored])
-    lset = np.concatenate([obligations.moves[state][2] for _, state, _ in explored])
+    lset = np.concatenate([obligations.moves[state][2] for state in explored_states])
 
-    # prune dead states; the initial state stays, without moves when dead
+    # prune dead states; the initial state stays, without moves when dead.
+    # The reversed graph holds each distinct (src, dst) pair once.
     n = len(pairs)
-    alive = alive_states(csr_array((np.ones(len(src)), (dst, src)), shape=(n, n)), (accepting,))
+    head, tail = np.divmod(_distinct(dst * n + src), n)
+    reverse = csr_array(
+        (np.ones(len(head)), tail, np.searchsorted(head, np.arange(n + 1))), shape=(n, n)
+    )
+    alive = alive_states(reverse, (accepting,))
     keep = alive.copy()
     keep[0] = True
     remap = np.cumsum(keep) - 1
@@ -305,12 +333,14 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
 class _Obligations(NamedTuple):
     """Obligation-set automaton, listed state by state.
 
-    ``order[s]`` is state ``s``'s obligation set. ``moves[s]`` is state ``s``'s moves as ``(target, marks, letter set,
-    order by last edge)`` arrays. A move's first and last edge are its
-    first and last in a listing of the state's letter edges letter by letter,
-    choices in order within a letter; moves are numbered in order of their
-    first edge. ``masks`` holds the debt bitmask of every marks index, and
-    row ``i`` of ``letter_sets`` the letters of letter set ``i``.
+    ``order[s]`` is state ``s``'s obligation set. ``moves[s]`` is state
+    ``s``'s moves as ``(target, marks, letter set, last edge)`` arrays. A
+    move's first and last edge are its first and last in a listing of the
+    state's letter edges letter by letter, choices in order within a letter;
+    moves are numbered in order of their first edge, and a move's last edge
+    is its place in that listing (``letter * choices + choice``), which only
+    orders the state's moves. ``masks`` holds the debt bitmask of every marks
+    index, and row ``i`` of ``letter_sets`` the letters of letter set ``i``.
     """
 
     order: list[frozenset]
@@ -334,15 +364,20 @@ def _obligation_automaton(
     was discharged on the edge or not examined on it.
     """
     n_letters = 1 << len(props)
-    letter_bits = np.arange(n_letters, dtype=np.int64)
+    # letters in the narrowest unsigned type that holds them, and packed
+    # letter rows ORed as whole words (at 7 propositions, uint8 letters and
+    # two uint64 words per row)
+    letter_type = np.min_scalar_type(n_letters - 1)
+    letter_bits = np.arange(n_letters, dtype=letter_type)
+    word = np.dtype(f"u{min(max(n_letters // 8, 1), 8)}")
     closure = _Closure(start, untils, props)
     # the debt bitmask is over the untils, which hold the lowest bits
     all_untils = (1 << len(untils)) - 1
     mask_index: dict[int, int] = {}
     states: dict[int, int] = {1 << closure.bit[start]: 0}
     order = list(states)
-    # each state's move targets, marks and order by last edge, and each
-    # move's letters as a packed membership row
+    # each state's move targets, marks and last edges, and each move's
+    # letters as a packed membership row
     move_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     member_rows: list[np.ndarray] = []
     frontier = list(states)
@@ -365,8 +400,10 @@ def _obligation_automaton(
             neg = np.array([c[4] for c in choices], dtype=np.int64)[at]
             # a letter matches when, of the guarded propositions, it holds
             # exactly pos; a move's letters are those of any of its choices
-            matches = (letter_bits & (pos | neg)[:, None]) == pos[:, None]
-            member = np.bitwise_or.reduceat(np.packbits(matches, axis=1), starts)
+            guard = (pos | neg).astype(letter_type)[:, None]
+            matches = (letter_bits & guard) == pos.astype(letter_type)[:, None]
+            rows = np.packbits(matches, axis=1).view(word)
+            member = np.bitwise_or.reduceat(rows, starts).view(np.uint8)
             # An edge's place in the listing is letter * n + choice. A
             # choice's lowest letter is pos and its highest every letter
             # outside neg; a choice matches its move's lowest (highest)
@@ -397,7 +434,7 @@ def _obligation_automaton(
             move_parts.append((
                 np.array(move_target, dtype=np.int64),
                 np.array(move_marks, dtype=np.int64),
-                np.argsort(last_edge[seen]),
+                last_edge[seen],
             ))
         frontier = new_frontier
     if len(move_parts) != len(order):
@@ -409,8 +446,8 @@ def _obligation_automaton(
     letter_sets = np.unpackbits(packed[first_row], axis=1, count=n_letters).astype(bool)
     bounds = np.cumsum([len(target) for target, _, _ in move_parts])[:-1]
     moves = [
-        (target, marks, sets, by_last)
-        for (target, marks, by_last), sets in zip(move_parts, np.split(move_set.ravel(), bounds))
+        (target, marks, sets, last)
+        for (target, marks, last), sets in zip(move_parts, np.split(move_set.ravel(), bounds))
     ]
     return _Obligations([closure.decode(state) for state in order], moves, list(mask_index), letter_sets)
 
@@ -419,33 +456,44 @@ def _counter_levels(
     moves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     masks: list[int],
     n_untils: int,
-) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """Counter construction: wait for debt 0, then 1, ..., then n-1; a state
     at level n_untils certifies one full round of discharges and restarts.
 
     Counter states ``state * (n_untils + 1) + level`` are explored depth
-    first from state 0 at level 0. Returns them in numbering order, and the
-    explored ones in exploration order as ``(id, state, target id of each
-    of the state's moves)``.
+    first from state 0 at level 0. Returns them in numbering order, the
+    obligation state of each explored one in exploration order, and the
+    ``(src, dst)`` ids of one counter move per explored state and move of
+    its obligation state. Each explored state's targets are sorted once,
+    stably: the runs of equal targets give the distinct targets, each run's
+    first move is its target's first edge, and the greatest last edge over
+    a run is its target's last.
     """
     width = n_untils + 1
     # next level after an edge with these marks, by the level it leaves
-    table = np.empty((len(masks), width), dtype=np.int64)
+    table = np.empty((width, len(masks)), dtype=np.int64)
     for m, mask in enumerate(masks):
         for level in range(width):
             j = 0 if level == n_untils else level
             while j < n_untils and mask >> j & 1:
                 j += 1
-            table[m, level] = j
+            table[level, m] = j
+    # each obligation state's move targets at level 0
+    level_zero = [move_target * width for move_target, _, _, _ in moves]
 
     # the id of every counter state numbered so far, -1 for the others
     id_of = np.full(len(moves) * width, -1, dtype=np.int64)
     id_of[0] = 0
     numbered = [np.zeros(1, dtype=np.int64)]
     n_ids = 1
-    done = np.zeros(len(moves) * width, dtype=bool)
+    # done flags, read one at a time as bytes and many at a time through a
+    # boolean view of the same memory
+    done_flags = bytearray(len(moves) * width)
+    done = np.frombuffer(done_flags, dtype=bool)
     pending = [0]
-    explored: list[tuple[int, int, np.ndarray]] = []
+    explored: list[int] = []
+    explored_states: list[int] = []
+    target_parts: list[np.ndarray] = []
     # Numbered and pushed exactly as a DFS that walks the state's letter
     # edges, numbers each target on first sight and pushes every target not
     # yet done: new ids go in order of first edge, and a target pushed twice
@@ -454,25 +502,34 @@ def _counter_levels(
     # order of their first edge.
     while pending:
         pair = pending.pop()
-        if done[pair]:
+        if done_flags[pair]:
             continue
-        done[pair] = True
+        done_flags[pair] = 1
         state, level = divmod(pair, width)
-        move_target, move_marks, _, by_last = moves[state]
-        targets = move_target * width + table[move_marks, level]
-        distinct, first = np.unique(targets, return_index=True)
-        in_first_order = distinct[np.argsort(first)]
-        fresh = in_first_order[id_of[in_first_order] < 0]
-        id_of[fresh] = np.arange(n_ids, n_ids + len(fresh))
-        numbered.append(fresh)
-        n_ids += len(fresh)
-        # each distinct target once, in order of its last edge: the later its
-        # first place in the reversed last-edge order, the earlier its push
-        from_end = np.unique(targets[by_last[::-1]], return_index=True)[1]
-        pushed = distinct[np.argsort(-from_end)]
+        _, move_marks, _, last = moves[state]
+        targets = level_zero[state] + table[level][move_marks]
+        by_target = np.argsort(targets, kind="stable")
+        ordered = targets[by_target]
+        run_start = np.ones(len(ordered), dtype=bool)
+        run_start[1:] = ordered[1:] != ordered[:-1]
+        starts = np.flatnonzero(run_start)
+        distinct = ordered[starts]
+        unseen = id_of[distinct] < 0
+        if unseen.any():
+            # with the stable sort a run's first move is its target's first edge
+            fresh = targets[np.sort(by_target[starts[unseen]])]
+            id_of[fresh] = np.arange(n_ids, n_ids + len(fresh))
+            numbered.append(fresh)
+            n_ids += len(fresh)
+        # each distinct target once, in order of its last edge
+        pushed = distinct[np.argsort(np.maximum.reduceat(last[by_target], starts))]
         pending.extend(pushed[~done[pushed]].tolist())
-        explored.append((int(id_of[pair]), state, id_of[targets]))
-    return np.concatenate(numbered), explored
+        explored.append(pair)
+        explored_states.append(state)
+        target_parts.append(targets)
+    src = np.repeat(id_of[explored], [len(targets) for targets in target_parts])
+    dst = id_of[np.concatenate(target_parts)]
+    return np.concatenate(numbered), explored_states, src, dst
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from .errors import ContractError, LtlSyntaxError, MissionInfeasible, ScenarioError, ValidationError
@@ -51,7 +52,9 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def command_check(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     scenario = load_scenario(args.scenario, _overrides(args))
+    load_seconds = time.perf_counter() - started
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     label_ok = offline.accepting_label_condition
     _say(f"scenario:            {scenario.name}")
@@ -64,6 +67,7 @@ def command_check(args: argparse.Namespace) -> int:
     _say(f"product edges:       {len(product.edge_src)} ({len(trimmed.edge_src)} after trimming)")
     _say(f"surveillance states: {int(trimmed.s_pi_inf.sum())} recurrent in product")
     _say(f"optimality condition: {'holds' if label_ok else 'does not hold'}")
+    _say(f"{'load time:':<21}{load_seconds:.3f}s")
     for stage, seconds in offline.timings.items():
         _say(f"{stage + ' time:':<21}{seconds:.3f}s")
     total = sum(offline.timings.values())

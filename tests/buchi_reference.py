@@ -10,6 +10,10 @@ library's obligation automaton (the tableau, checked against the per-letter
 tableau in ``conftest.py``), so its automaton must equal ``to_buchi``'s in
 every state number, description and transition; only the order of the
 transitions may differ where the quotient merges nothing.
+
+``reference_state_choices`` folds an obligation state's members' choices
+from the left, which specifies the order of a state's guarded choices; the
+library shares the products of suffixes of members instead.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from surplan.buchi import (
     BuchiAutomaton,
+    _Choice,
     _Closure,
     _Obligations,
     _obligation_automaton,
+    _sat,
     _state_choices,
     until_like_subformulas,
 )
@@ -85,6 +91,31 @@ def reference_to_buchi(
         descriptions,
     )
     return ba, merged
+
+
+def reference_state_choices(state: int, closure: _Closure) -> tuple[_Choice, ...]:
+    """Guarded choices of an obligation state, folded from the left: the
+    empty choice combined with each member's choices in ``str`` order, as
+    ``surplan.buchi`` did before it shared suffix products."""
+    choices: tuple[_Choice, ...] = ((0, 0, 0, 0, 0),)
+    for bit in closure.by_str:
+        if state >> bit & 1:
+            choices = _reference_combine(choices, _sat(bit, closure))
+            if not choices:
+                break
+    return choices
+
+
+def _reference_combine(a: tuple[_Choice, ...], b: tuple[_Choice, ...]) -> tuple[_Choice, ...]:
+    """Both choices at once, each combined choice at its first occurrence; a
+    pair whose guards contradict is dropped."""
+    out = {}
+    for na, da, pa, pos_a, neg_a in a:
+        for nb, db, pb, pos_b, neg_b in b:
+            pos, neg = pos_a | pos_b, neg_a | neg_b
+            if not pos & neg:
+                out[na | nb, da | db, pa | pb, pos, neg] = None
+    return tuple(out)
 
 
 def decoded_choices(

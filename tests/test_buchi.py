@@ -10,13 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import surplan
 
 from surplan.buchi import (
     BuchiAutomaton,
     _Closure,
+    _combine,
     _obligation_automaton,
+    _state_choices,
     to_buchi,
     until_like_subformulas,
 )
@@ -24,7 +28,13 @@ from surplan.errors import ContractError
 from surplan.scenario import load_scenario
 from surplan.ltl import And, Atom, Eventually, Next, atoms, canonical_letters, nnf, parse
 
-from buchi_reference import _debt_mask, decoded_choices, letter_edges, reference_to_buchi
+from buchi_reference import (
+    _debt_mask,
+    decoded_choices,
+    letter_edges,
+    reference_state_choices,
+    reference_to_buchi,
+)
 from conftest import _state_successors, random_formula, random_formula_cases
 from lasso_semantics import enumerate_lassos, formula_satisfied_on_lasso, semantic_lasso_table
 from lasso_runs import find_accepting_lasso_run, lasso_acceptance_table, lasso_accepts
@@ -285,7 +295,7 @@ def test_guarded_choices_match_the_per_letter_tableau():
         obligations = _obligation_automaton(normalized, untils, props)
         order, masks = obligations.order, obligations.masks
         oracle_memo = {}
-        for state, (out_letter, out_move), (target, marks, lset, by_last) in zip(
+        for state, (out_letter, out_move), (target, marks, lset, last) in zip(
             order, letter_edges(obligations, normalized, untils, props), obligations.moves
         ):
             members = sorted(state, key=str)
@@ -313,11 +323,63 @@ def test_guarded_choices_match_the_per_letter_tableau():
             firsts = [moves_listed.index(m) for m in range(len(target))]
             lasts = [len(moves_listed) - 1 - moves_listed[::-1].index(m) for m in range(len(target))]
             assert firsts == sorted(firsts), name
-            assert by_last.tolist() == sorted(range(len(target)), key=lasts.__getitem__), name
+            assert len(np.unique(last)) == len(last), name
+            assert np.argsort(last).tolist() == sorted(range(len(target)), key=lasts.__getitem__), name
             for m in range(len(target)):
                 on_move = out_letter[out_move == m].tolist()
                 assert np.flatnonzero(obligations.letter_sets[lset[m]]).tolist() == on_move, name
     assert checked > 10_000
+
+
+def test_state_choices_equal_the_left_fold_in_order():
+    """Every reachable obligation state's guarded choices, order included,
+    equal the left fold of its members' choices: with the suffix products
+    shared across the states in numbering order, as the construction asks
+    for them, and in reverse order."""
+    checked = 0
+    for name, formula, extra in _oracle_cases():
+        props = sorted(atoms(formula) | set(extra))
+        normalized = nnf(formula)
+        untils = until_like_subformulas(normalized)
+        closure = _Closure(normalized, untils, props)
+        masks = [
+            sum(1 << closure.bit[f] for f in state)
+            for state in _obligation_automaton(normalized, untils, props).order
+        ]
+        expected = [reference_state_choices(mask, closure) for mask in masks]
+        for order in (masks, masks[::-1]):
+            shared = _Closure(normalized, untils, props)
+            got = {mask: _state_choices(mask, shared) for mask in order}
+            assert [got[mask] for mask in masks] == expected, name
+        checked += len(masks)
+    assert checked > 1000, checked
+
+
+_CHOICES = st.lists(
+    st.tuples(*[st.integers(0, 3)] * 3, st.integers(0, 7), st.integers(0, 7)), max_size=6
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHOICES, _CHOICES, _CHOICES)
+def test_combining_choices_is_associative_in_order(a, b, c):
+    """Small ranges draw repeated choices and guards that contradict."""
+    assert _combine(_combine(a, b), c) == _combine(a, _combine(b, c))
+
+
+def test_seven_proposition_mission_shares_the_tableau_products(monkeypatch):
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return _combine(a, b)
+
+    monkeypatch.setattr("surplan.buchi._combine", counted)
+    to_buchi(parse(LARGE_MISSION, LARGE_MISSION_PROPS), LARGE_MISSION_PROPS)
+    # 647 calls when each state folds its members from the left, 75 with
+    # the products of suffixes of members shared
+    assert calls <= 100, calls
 
 
 def test_moves_with_letter_sets_build_the_letter_wise_automaton():

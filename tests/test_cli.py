@@ -39,6 +39,15 @@ def test_check_reports_feasible_scenario(capsys):
         assert re.fullmatch(rf"{stage} time: +\d+\.\d{{3}}s", line), line
 
 
+def test_check_reports_load_time_before_the_offline_stages(capsys):
+    assert main(["check", DEFAULT]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("load time:"))
+    assert re.fullmatch(r"load time: +\d+\.\d{3}s", lines[at]), lines[at]
+    assert float(lines[at].split()[-1].removesuffix("s")) >= 0
+    assert lines[at + 1].startswith("automaton time:")
+
+
 def test_check_reports_infeasible_scenario(capsys):
     assert main(["check", INFEASIBLE]) == 1
     out = capsys.readouterr().out
