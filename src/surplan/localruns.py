@@ -8,12 +8,17 @@ length; only the runs whose state's lightest move still fits the horizon
 offer their moves to the next level. A move into product state ``dst``
 allows the runs some trimmed product path from ``dst`` projects onto. To
 find them, each node carries the id of one relation, from every start
-automaton state to the states that can end its run; the cache interns the
-relations and fills its tables of steps and meets between them only for the
-keys the fans meet, a subset construction built on the fly. Each move's runs
-and each such subset is a segment of nodes, ordered by one stable sort of
-small integer keys (a radix sort); one pass over a fan and one
-``np.maximum.reduceat`` score every segment at once.
+automaton state to the states that can end its run. A child's relation
+depends only on its parent's and on the class of the move between them: the
+letter the move's source emits and the automaton states kept with its
+target. The expansion reads it from one lazy table, ``child[relation, move
+class]``, that the cache fills the first time a key occurs, a subset
+construction built on the fly. The nodes of one root and one relation form
+a run class. A fan lists its nodes by class, and each segment it scores
+(each move's runs, then each subset of them that a start automaton state
+admits) is a list of classes. One pass over a fan and two
+``np.maximum.reduceat`` score every class, then every segment. Without a
+product every node carries relation 0 and no subset is scored.
 """
 
 from __future__ import annotations
@@ -50,6 +55,25 @@ def out_moves(
     return node, np.arange(len(node)) + np.repeat(starts - first, counts)
 
 
+def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort of ``key``, whose values lie below ``bound``: the
+    order, the distinct keys and where each starts in the order. The keys are
+    sorted, and returned, in the narrowest unsigned type that holds them; for
+    up to 16 bits numpy's stable sort is a radix sort."""
+    small = key.astype(np.min_scalar_type(max(bound - 1, 0)))
+    order = np.argsort(small, kind="stable")
+    ordered = small[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    return order, ordered[starts], starts
+
+
+def extended(table: np.ndarray, rows: int, fill) -> np.ndarray:
+    """``table`` with ``rows`` rows of ``fill`` appended."""
+    return np.concatenate([table, np.full((rows,) + table.shape[1:], fill, dtype=table.dtype)])
+
+
 @dataclass(frozen=True)
 class Fan:
     """The local runs after every move out of one system state, as a tree.
@@ -57,10 +81,14 @@ class Fan:
     A node is a run, of length ``d + 1`` in ``bounds[d]:bounds[d + 1]``, with
     the run it extends (``parent``, -1 at roots), its last ``state``, weight
     ``cumw`` and whether that state is ``novel`` (not the state left and not
-    earlier in the run). ``moves`` maps each successor with runs to its root,
-    also its segment; ``subsets[root, s]`` is the segment automaton state
-    ``s`` admits (-1: none; no columns without a product). Segment ``j`` is
-    ``index[starts[j]:starts[j + 1]]``.
+    earlier in the run). A class is the nodes of one root and one relation,
+    ordered by root: class ``c`` is ``index[starts[c]:starts[c + 1]]``.
+    ``moves`` maps each successor with runs to its root, also its segment;
+    ``subsets[root, s]`` is the segment automaton state ``s`` admits (-1:
+    none; no columns without a product). Segment ``j`` is the classes
+    ``segments[segment_starts[j]:segment_starts[j + 1]]``: a move's are all
+    classes of its root, a subset's those of its root whose relation admits
+    its start state.
     """
 
     moves: dict[int, int]
@@ -72,6 +100,8 @@ class Fan:
     subsets: np.ndarray
     index: np.ndarray
     starts: np.ndarray
+    segments: np.ndarray
+    segment_starts: np.ndarray
 
 
 class LocalRunCache:
@@ -91,16 +121,18 @@ class LocalRunCache:
         self._edge_segments: dict[int, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
-        # the relations admission has interned, numbered by their ids
-        self._relations: list[np.ndarray] = []
-        if product is not None:
+        if product is None:
+            # one letter and one kept row, both over no automaton state: every
+            # node carries the one relation, which admits no start state
+            letter_of, delta = np.zeros(ts.n, dtype=np.intp), np.zeros((1, 0, 0), dtype=bool)
+            self._kept, self._kept_id = np.zeros((1, 0), dtype=bool), np.zeros(ts.n, dtype=np.intp)
+        else:
             ba, table = product.ba, product.letters
-            n_letters = len(table.letters)
-            self._letter_of = table.letter_of
+            n_letters, letter_of = len(table.letters), table.letter_of
             # boolean transition matrices, one per letter, read on table misses
-            self._delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
+            delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
             rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
-            self._delta.reshape(-1, ba.n_states)[rows, table.target] = True
+            delta.reshape(-1, ba.n_states)[rows, table.target] = True
             kept = np.zeros((ts.n, ba.n_states), dtype=bool)
             kept[product.ts_of, product.ba_of] = True
             # the distinct rows of automaton states kept with a system state,
@@ -109,25 +141,39 @@ class LocalRunCache:
             packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
             _, first, self._kept_id = np.unique(packed, return_index=True, return_inverse=True)
             self._kept = kept[first]
-            # a relation is an n_ba x n_ba boolean matrix whose row s0 holds
-            # the automaton states that can end a run started in s0; by id,
-            # its nonempty rows and the lazy tables step[letter, id] and
-            # meet[id, kept id], -1 where not filled yet
-            self._relation_id: dict[bytes, int] = {}
-            self._nonempty = np.zeros((0, ba.n_states), dtype=bool)
-            self._step = np.full((n_letters, 0), -1, dtype=np.intp)
-            self._meet = np.full((0, len(self._kept)), -1, dtype=np.intp)
-            self._root = np.array([self._intern(np.diag(row)) for row in self._kept], dtype=np.intp)
-            self._grow()
+        self._delta = delta
+        # a move's class: the letter its source emits and the kept row of its target
+        source = np.repeat(letter_of, np.diff(ts.move_ptr))
+        n_kept = len(self._kept)
+        pairs, self._move_class = np.unique(
+            source * n_kept + self._kept_id[ts.move_dst], return_inverse=True
+        )
+        self._class_letter, self._class_kept = np.divmod(pairs, n_kept)
+        # a relation is an n_ba x n_ba boolean matrix whose row s0 holds the
+        # automaton states that can end a run started in s0; by id, the
+        # relation, its nonempty rows and the lazy table child[id, move
+        # class] (-1 where not filled yet), with room for as many ids as
+        # the tables have rows, doubled when full
+        n_ba, room = self._kept.shape[1], 16
+        self._relation_id: dict[bytes, int] = {}
+        self._relations = np.zeros((room, n_ba, n_ba), dtype=bool)
+        self._nonempty = np.zeros((room, n_ba), dtype=bool)
+        self._child = np.full((room, len(pairs)), -1, dtype=np.intp)
+        # a root's relation is the identity on the states kept with it
+        self._root = self._intern(np.eye(n_ba, dtype=bool) & self._kept[:, None, :])
 
     def sizes(self) -> dict[str, int]:
-        """Fans built, the nodes and segments they hold, fan lookups, and the
-        automaton-state relations interned for admission."""
+        """Fans built, the nodes, run classes and segments they hold, fan
+        lookups, and the automaton-state relations interned for admission."""
         fans = self.fans.values()
-        nodes, segments = sum(len(f.state) for f in fans), sum(len(f.starts) for f in fans)
         return dict(
-            fans=len(fans), nodes=nodes, segments=segments, hits=self.hits, misses=self.misses,
-            relations=len(self._relations),
+            fans=len(fans),
+            nodes=sum(len(f.state) for f in fans),
+            classes=sum(len(f.starts) for f in fans),
+            segments=sum(len(f.segment_starts) for f in fans),
+            hits=self.hits,
+            misses=self.misses,
+            relations=len(self._relation_id),
         )
 
     def fan(self, q_k: int) -> Fan:
@@ -165,7 +211,8 @@ class LocalRunCache:
             paths = nodes
         else:
             raise ContractError("a potential combines a run's positions by np.add or np.maximum")
-        return np.maximum.reduceat(paths[fan.index], fan.starts)
+        best = np.maximum.reduceat(paths[fan.index], fan.starts)
+        return np.maximum.reduceat(best[fan.segments], fan.segment_starts)
 
     def _build_fan(self, q_k: int) -> Fan:
         """The tree of every move out of ``q_k``: one frontier expansion from
@@ -177,12 +224,14 @@ class LocalRunCache:
         seeded = allowed[moves] & (entry <= self.horizon)
         roots, entry = moves[seeded], entry[seeded]
         # one level per run length: the run of the level before that each
-        # run extends, its last state, its weight so far and its root, with
-        # its root's entry weight alongside. A run offers its moves only if
-        # the lightest one fits, added in the order of the horizon test:
-        # rounding is monotone, so no other move fits when that one does not.
+        # run extends, its last state, its weight so far, its root and its
+        # relation, with its root's entry weight alongside. A run offers its
+        # moves only if the lightest one fits, added in the order of the
+        # horizon test: rounding is monotone, so no other move fits when
+        # that one does not.
         states, cums, root = roots, np.zeros(len(roots)), np.arange(len(roots))
-        levels = [(np.full(len(roots), -1), states, cums, root)]
+        rel = self._root[self._kept_id[roots]]
+        levels = [(np.full(len(roots), -1), states, cums, root, rel)]
         while True:
             live = np.flatnonzero((cums + self._lightest[states]) + entry <= self.horizon)
             if not len(live):
@@ -191,16 +240,19 @@ class LocalRunCache:
             nxt = succ[move]
             total = cums[parent] + weight[move]
             fits = allowed[nxt] & (total + entry[parent] <= self.horizon)
-            parent = parent[fits]
+            parent, move = parent[fits], move[fits]
             if not len(parent):
                 break
+            rel = self._children(rel[parent], self._move_class[move])
             states, cums, entry, root = nxt[fits], total[fits], entry[parent], root[parent]
-            levels.append((parent, states, cums, root))
+            levels.append((parent, states, cums, root, rel))
 
         sizes = [len(level[1]) for level in levels]
         bounds = np.cumsum([0] + sizes).tolist()
         parent = np.concatenate([level[0] + at for level, at in zip(levels, [0] + bounds)])
-        state, cumw, root = (np.concatenate([level[i] for level in levels]) for i in (1, 2, 3))
+        state, cumw, root, rel = (
+            np.concatenate([level[i] for level in levels]) for i in (1, 2, 3, 4)
+        )
         # a state is novel unless it is q_k or an ancestor's; up holds the
         # d-th ancestors of the nodes from bounds[d] on
         novel = state != q_k
@@ -209,88 +261,67 @@ class LocalRunCache:
             novel[bounds[d] :] &= state[up] != state[bounds[d] :]
             up = parent[up[sizes[d] :]]
 
-        # every move's runs, then every subset a start automaton state
-        # admits, each in node order: the keys are below n_moves * (1 + n_ba),
-        # so a stable sort of them in the smallest type that holds them is a
-        # radix sort for up to 16 bits
-        n_moves, n_ba = len(roots), 0 if self.product is None else self._kept.shape[1]
-        key, index = root, np.arange(len(state))
-        if n_ba:
-            admitted, s0 = self._admission(parent, state, bounds)
-            key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
-            index = np.concatenate([index, admitted])
-        small = key.astype(np.min_scalar_type(n_moves * (1 + n_ba)))
-        index = index[np.argsort(small, kind="stable")]
-        # each key present is a segment, which starts where the smaller keys end
-        count = np.bincount(key)
-        present = np.flatnonzero(count)
-        starts = (np.cumsum(count) - count)[present]
+        # the classes, by root and then by relation id, each in node order
+        n_moves, width = len(roots), int(rel.max(initial=0)) + 1
+        index, keys, starts = group(root * width + rel, n_moves * width)
+        class_root, class_rel = np.divmod(keys.astype(np.intp), width)
+        # every move's classes, then each (root, s0) subset's in key order:
+        # the classes of the root whose relation has a nonempty row s0
+        n_ba = self._kept.shape[1]
+        admitting, s0 = np.divmod(np.flatnonzero(self._nonempty[class_rel]), n_ba)
+        order, present, at = group(class_root[admitting] * n_ba + s0, n_moves * n_ba)
+        segments = np.concatenate([np.arange(len(starts)), admitting[order]])
+        segment_starts = np.concatenate(
+            [np.searchsorted(class_root, np.arange(n_moves)), len(starts) + at]
+        )
         subsets = np.full(n_moves * n_ba, -1)
-        subsets[present[n_moves:] - n_moves] = np.arange(n_moves, len(present))
+        subsets[present] = np.arange(n_moves, n_moves + len(present))
         subsets = subsets.reshape(n_moves, n_ba)
         moves = dict(zip(roots.tolist(), range(n_moves)))
-        return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts)
+        return Fan(
+            moves, parent, state, cumw, novel, bounds, subsets, index, starts, segments,
+            segment_starts,
+        )
 
-    def _admission(
-        self, parent: np.ndarray, state: np.ndarray, bounds: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (node, start automaton state ``s0``) pairs, node-major, where
-        some trimmed product path from ``(q, s0)``, ``q`` the node's root,
-        projects onto the node's run. Each node carries one interned relation:
-        the automaton states that can end its run from each ``s0``. A root's
-        is the identity on the states kept with it. A child's is its parent's
-        stepped by the label the parent's state emits, then met with the
-        states kept with its own: one gather from each lazy table per level."""
-        rel = np.empty(len(state), dtype=np.intp)
-        rel[: bounds[1]] = self._root[self._kept_id[state[: bounds[1]]]]
-        letter, kept = self._letter_of[state], self._kept_id[state]
-        relations = self._relations
-
-        def step(a, r):
-            return relations[r] @ self._delta[a]
-
-        def meet(r, k):
-            return relations[r] & self._kept[k]
-
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            up = parent[lo:hi]
-            stepped = self._lookup(self._step, letter[up], rel[up], step)
-            rel[lo:hi] = self._lookup(self._meet, stepped, kept[lo:hi], meet)
-        # np.nonzero of the 2-D rows, from the 1-D one, which is faster
-        n_ba = self._nonempty.shape[1]
-        pairs = np.flatnonzero(np.take(self._nonempty, rel, axis=0))
-        nodes = pairs // n_ba
-        return nodes, pairs - nodes * n_ba
-
-    def _lookup(self, table: np.ndarray, rows: np.ndarray, cols: np.ndarray, make) -> np.ndarray:
-        """``table[rows, cols]``, first filling each entry not filled yet with
-        the id of the relation ``make(row, col)``, one call per distinct key."""
-        width = table.shape[1]
-        at = rows * width + cols
-        found = np.take(table, at)
+    def _children(self, rel: np.ndarray, move_class: np.ndarray) -> np.ndarray:
+        """``child[rel, move_class]``: each relation read on through the label
+        of a move of that class, then met with the states kept with its
+        target. Each entry not filled yet is made first, one batch for the
+        distinct missing keys."""
+        width = self._child.shape[1]
+        at = rel * width + move_class
+        found = np.take(self._child, at)
         missing = found < 0
         if missing.any():
             keys, inverse = np.unique(at[missing], return_inverse=True)
-            made = np.array([self._intern(make(*divmod(k, width))) for k in keys.tolist()])
-            table[keys // width, keys % width] = made
+            rows, classes = np.divmod(keys, width)
+            stepped = self._relations[rows] @ self._delta[self._class_letter[classes]]
+            # interned too, so the relations counted include each stepped one
+            self._intern(stepped)
+            made = self._intern(stepped & self._kept[self._class_kept[classes]][:, None, :])
+            self._child.flat[keys] = made
             found[missing] = made[inverse]
-            self._grow()
         return found
 
-    def _intern(self, relation: np.ndarray) -> int:
-        """The id of ``relation``, numbering it if new."""
-        key = relation.tobytes()
-        rel = self._relation_id.get(key)
-        if rel is None:
-            rel = self._relation_id[key] = len(self._relations)
-            self._relations.append(relation)
-        return rel
-
-    def _grow(self) -> None:
-        """Give every relation interned since the last call its nonempty
-        rows and its unfilled entries in both tables."""
-        new = self._relations[len(self._nonempty) :]
-        if new:
-            self._nonempty = np.concatenate([self._nonempty, [r.any(axis=1) for r in new]])
-            self._step = np.pad(self._step, ((0, 0), (0, len(new))), constant_values=-1)
-            self._meet = np.pad(self._meet, ((0, len(new)), (0, 0)), constant_values=-1)
+    def _intern(self, relations: np.ndarray) -> np.ndarray:
+        """The id of each of ``relations``, numbering new ones in order; each
+        is stored with its nonempty rows, the tables doubled until the ids
+        fit."""
+        ids = np.array(
+            [
+                self._relation_id.setdefault(relation.tobytes(), len(self._relation_id))
+                for relation in relations
+            ],
+            dtype=np.intp,
+        )
+        capacity = len(self._child)
+        if len(self._relation_id) > capacity:
+            while capacity < len(self._relation_id):
+                capacity *= 2
+            extra = capacity - len(self._child)
+            self._relations = extended(self._relations, extra, False)
+            self._nonempty = extended(self._nonempty, extra, False)
+            self._child = extended(self._child, extra, -1)
+        self._relations[ids] = relations
+        self._nonempty[ids] = relations.any(axis=2)
+        return ids

@@ -1,21 +1,106 @@
-"""The local-run fan built without pruning and sorted in int64: the oracle for
-``surplan.localruns.LocalRunCache._build_fan`` and its cache set-up.
+"""The local-run fan built without pruning, admitted pair by pair and sorted
+in int64: the oracle for ``surplan.localruns.LocalRunCache._build_fan`` and
+its cache set-up.
 
 ``_build_fan`` expands only the runs whose lightest move still fits the
-horizon, and sorts its segment keys in the smallest integer type that holds
-them. This is the build it replaces: every run offers all of its moves, the
-horizon test drops the children that do not fit, and one stable int64 argsort
-splits the fan into segments. The fans must be equal in every field, dtype
-included. Admission is the library's own (``LocalRunCache._admission``); the
-tests hold it against its first formulation separately.
+horizon, reads each node's relation from a lazy table during the expansion,
+and scores through run classes. This is the build it replaces: every run
+offers all of its moves, the horizon test drops the children that do not
+fit, admission lists every (node, start automaton state) pair by the first
+formulation (``FirstAdmission``), and one stable int64 argsort of one key
+per node and per pair splits the fan into segments, each a list of nodes.
+The tree fields, ``moves`` and ``subsets`` must be equal to the library's,
+dtype included, and every segment must hold the same nodes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from surplan.localruns import Fan, LocalRunCache
+from surplan.localruns import LocalRunCache
 from surplan.ts import visible_distances
+
+
+@dataclass(frozen=True)
+class ReferenceFan:
+    """A fan whose segment ``j`` is the node list ``index[starts[j]:starts[j + 1]]``;
+    the other fields mean what they mean on ``surplan.localruns.Fan``."""
+
+    moves: dict[int, int]
+    parent: np.ndarray
+    state: np.ndarray
+    cumw: np.ndarray
+    novel: np.ndarray
+    bounds: list[int]
+    subsets: np.ndarray
+    index: np.ndarray
+    starts: np.ndarray
+
+
+class FirstAdmission:
+    """Admission as first formulated, the reference for the interned
+    relations: every (node, start state) pair carries a float32 row of the
+    automaton states that can end its run, advanced level by level by one
+    masked 2-D product per letter."""
+
+    def __init__(self, ts, product):
+        ba = product.ba
+        letters = list(dict.fromkeys(ts.labels))
+        letter_id = {letter: i for i, letter in enumerate(letters)}
+        self._letter_of = np.array([letter_id[l] for l in ts.labels], dtype=np.int64)
+        # 0/1 transition matrices, one per letter, for float products
+        self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=np.float32)
+        for i, letter in enumerate(letters):
+            for s in range(ba.n_states):
+                self._delta[i, s, list(ba.successors(s, letter))] = 1.0
+        self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+        self._kept[product.ts_of, product.ba_of] = True
+
+    def _admission(self, levels, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The (node, start automaton state ``s0``) pairs where some trimmed
+        product path from ``(q, s0)``, ``q`` the node's root, projects onto
+        the node's run. Each live pair carries the automaton states that can
+        end its run; it advances by one 2-D product with the transition
+        matrix of the label it leaves, is masked by the kept ``(q, s)`` pairs
+        and is dropped once no state is left."""
+        _, roots, _, _ = levels[0]
+        n_ba = self._kept.shape[1]
+        # the live pairs: their row within the current level, their start
+        # state and the automaton states that can end the row
+        row, s0 = np.nonzero(self._kept[roots])
+        reach = np.zeros((len(row), n_ba), dtype=np.float32)
+        reach[np.arange(len(row)), s0] = 1.0
+        nodes, starts = [row], [s0]
+        last = roots
+        for (parent, states, _, _), offset in zip(levels[1:], bounds[1:]):
+            letter = self._letter_of[last[row]]
+            step = np.empty_like(reach)
+            for a in np.unique(letter).tolist():
+                at = letter == a
+                step[at] = reach[at] @ self._delta[a]
+            # the children of one row are contiguous in the next level
+            counts = np.bincount(parent, minlength=len(last))[row]
+            first = np.searchsorted(parent, row)
+            pair = np.repeat(np.arange(len(row)), counts)
+            child = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+            live = (step > 0)[pair] & self._kept[states[child]]
+            alive = live.any(axis=1)
+            row, s0, reach = child[alive], s0[pair[alive]], live[alive].astype(np.float32)
+            nodes.append(offset + row)
+            starts.append(s0)
+            last = states
+        return np.concatenate(nodes), np.concatenate(starts)
+
+    def admission(self, parent, state, bounds):
+        """The pairs of a fan's tree, its levels rebuilt as the expansion
+        hands them over: parents numbered within the level above."""
+        levels = [
+            (parent[lo:hi] - above, state[lo:hi], None, None)
+            for lo, hi, above in zip(bounds[:-1], bounds[1:], [0] + bounds[:-2])
+        ]
+        return self._admission(levels, bounds)
 
 
 def reference_kept(cache: LocalRunCache) -> tuple[np.ndarray, np.ndarray]:
@@ -28,9 +113,13 @@ def reference_kept(cache: LocalRunCache) -> tuple[np.ndarray, np.ndarray]:
     return rows, ids.reshape(-1)
 
 
-def reference_build_fan(cache: LocalRunCache, q_k: int) -> Fan:
+def reference_build_fan(
+    cache: LocalRunCache, q_k: int, admission: FirstAdmission | None
+) -> ReferenceFan:
     """The tree of every move out of ``q_k``: one frontier expansion from
-    every visible successor whose entry weight fits the horizon."""
+    every visible successor whose entry weight fits the horizon. With a
+    product, ``admission`` is the ``FirstAdmission`` of the cache's system
+    and product."""
     ts, horizon = cache.ts, cache.horizon
     allowed = visible_distances(ts, q_k, cache.visibility) <= cache.visibility
     ptr, succ, weight = ts.move_ptr, ts.move_dst, ts.move_weight
@@ -75,7 +164,7 @@ def reference_build_fan(cache: LocalRunCache, q_k: int) -> Fan:
     n_ba = 0 if cache.product is None else cache.product.ba.n_states
     key, index = root, np.arange(len(state))
     if n_ba:
-        admitted, s0 = cache._admission(parent, state, bounds)
+        admitted, s0 = admission.admission(parent, state, bounds)
         key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
         index = np.concatenate([index, admitted])
     order = np.argsort(key, kind="stable")
@@ -85,4 +174,4 @@ def reference_build_fan(cache: LocalRunCache, q_k: int) -> Fan:
     subsets[key[starts[n_moves:]] - n_moves] = np.arange(n_moves, len(starts))
     subsets = subsets.reshape(n_moves, n_ba)
     moves = dict(zip(roots.tolist(), range(n_moves)))
-    return Fan(moves, parent, state, cumw, novel, bounds, subsets, index, starts)
+    return ReferenceFan(moves, parent, state, cumw, novel, bounds, subsets, index, starts)

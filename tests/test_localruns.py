@@ -13,7 +13,7 @@ import pytest
 from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
 from surplan import localruns
-from surplan.localruns import Fan, LocalRunCache, path_sums
+from surplan.localruns import LocalRunCache, path_sums
 from surplan.planner import CostEvaluator
 from surplan.product import build_product, offline_phase, trim_product
 from surplan.rewards import (
@@ -28,7 +28,7 @@ from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
 from conftest import LocalRunOracle, dijkstra_oracle_from, move_weights, random_product, random_ts
-from fan_reference import reference_build_fan, reference_kept
+from fan_reference import FirstAdmission, reference_build_fan, reference_kept
 from system_runs import literal_potential, local_runs, run_times
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -48,11 +48,16 @@ def assert_same_scores(score, reference, fields):
             assert score(i, potential) == potential.evaluate(reference, values)
 
 
+def piece(values, starts, j):
+    """``values[starts[j]:starts[j + 1]]``, the last piece running to the end."""
+    hi = starts[j + 1] if j + 1 < len(starts) else len(values)
+    return values[starts[j] : hi]
+
+
 def segment_nodes(fan, segment):
-    """The nodes of one segment."""
-    lo = fan.starts[segment]
-    hi = fan.starts[segment + 1] if segment + 1 < len(fan.starts) else len(fan.index)
-    return fan.index[lo:hi]
+    """The nodes of one segment, in node order, read through its classes."""
+    classes = piece(fan.segments, fan.segment_starts, segment).tolist()
+    return np.sort(np.concatenate([piece(fan.index, fan.starts, c) for c in classes]))
 
 
 def node_depths(fan):
@@ -255,96 +260,25 @@ def random_trimmed_product(rng, ts, states=(2, 5), edges=(3, 10)):
     return trim_product(product)
 
 
-class FirstAdmission:
-    """Admission as first formulated, the reference for the interned
-    relations: every (node, start state) pair carries a float32 row of the
-    automaton states that can end its run, advanced level by level by one
-    masked 2-D product per letter."""
-
-    def __init__(self, ts, product):
-        ba = product.ba
-        letters = list(dict.fromkeys(ts.labels))
-        letter_id = {letter: i for i, letter in enumerate(letters)}
-        self._letter_of = np.array([letter_id[l] for l in ts.labels], dtype=np.int64)
-        # 0/1 transition matrices, one per letter, for float products
-        self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=np.float32)
-        for i, letter in enumerate(letters):
-            for s in range(ba.n_states):
-                self._delta[i, s, list(ba.successors(s, letter))] = 1.0
-        self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
-        self._kept[product.ts_of, product.ba_of] = True
-
-    def _admission(self, levels, bounds: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The (node, start automaton state ``s0``) pairs where some trimmed
-        product path from ``(q, s0)``, ``q`` the node's root, projects onto
-        the node's run. Each live pair carries the automaton states that can
-        end its run; it advances by one 2-D product with the transition
-        matrix of the label it leaves, is masked by the kept ``(q, s)`` pairs
-        and is dropped once no state is left."""
-        _, roots, _, _ = levels[0]
-        n_ba = self._kept.shape[1]
-        # the live pairs: their row within the current level, their start
-        # state and the automaton states that can end the row
-        row, s0 = np.nonzero(self._kept[roots])
-        reach = np.zeros((len(row), n_ba), dtype=np.float32)
-        reach[np.arange(len(row)), s0] = 1.0
-        nodes, starts = [row], [s0]
-        last = roots
-        for (parent, states, _, _), offset in zip(levels[1:], bounds[1:]):
-            letter = self._letter_of[last[row]]
-            step = np.empty_like(reach)
-            for a in np.unique(letter).tolist():
-                at = letter == a
-                step[at] = reach[at] @ self._delta[a]
-            # the children of one row are contiguous in the next level
-            counts = np.bincount(parent, minlength=len(last))[row]
-            first = np.searchsorted(parent, row)
-            pair = np.repeat(np.arange(len(row)), counts)
-            child = np.arange(len(pair)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-            live = (step > 0)[pair] & self._kept[states[child]]
-            alive = live.any(axis=1)
-            row, s0, reach = child[alive], s0[pair[alive]], live[alive].astype(np.float32)
-            nodes.append(offset + row)
-            starts.append(s0)
-            last = states
-        return np.concatenate(nodes), np.concatenate(starts)
-
-    def admission(self, parent, state, bounds):
-        """The pairs of a fan's tree, its levels rebuilt as the expansion
-        hands them over: parents numbered within the level above."""
-        levels = [
-            (parent[lo:hi] - above, state[lo:hi], None, None)
-            for lo, hi, above in zip(bounds[:-1], bounds[1:], [0] + bounds[:-2])
-        ]
-        return self._admission(levels, bounds)
-
-
-class FirstAdmissionCache(LocalRunCache):
-    """A cache whose fans admit runs by the first formulation."""
-
-    def __init__(self, ts, product, visibility, horizon):
-        super().__init__(ts, product, visibility, horizon)
-        self.first = FirstAdmission(ts, product)
-
-    def _admission(self, parent, state, bounds):
-        return self.first.admission(parent, state, bounds)
+def admitted_pairs(fan):
+    """The (node, start state) pairs a fan admits, read through the classes
+    of its subset segments."""
+    pairs = set()
+    for root, s in zip(*np.nonzero(fan.subsets >= 0)):
+        nodes = segment_nodes(fan, fan.subsets[root, s]).tolist()
+        pairs.update((node, int(s)) for node in nodes)
+    return pairs
 
 
 def assert_admission_matches_first_formulation(ts, trimmed, visibility, horizon):
-    """Every fan admits the same (node, start state) pairs, node-major, as
-    the first formulation, and its segments are array-equal to the fan
-    built from those; returns the cache."""
+    """Every fan admits the same (node, start state) pairs, read through its
+    classes, as the first formulation; returns the cache."""
     cache = LocalRunCache(ts, trimmed, visibility, horizon)
-    reference = FirstAdmissionCache(ts, trimmed, visibility, horizon)
+    first = FirstAdmission(ts, trimmed)
     for q_k in range(ts.n):
-        fan, expected = cache.fan(q_k), reference.fan(q_k)
-        nodes, s0 = cache._admission(fan.parent, fan.state, fan.bounds)
-        theirs = reference.first.admission(fan.parent, fan.state, fan.bounds)
-        assert set(zip(nodes.tolist(), s0.tolist())) == set(zip(*(a.tolist() for a in theirs)))
-        assert np.array_equal(np.lexsort((s0, nodes)), np.arange(len(nodes)))
-        for name in ("parent", "state", "subsets", "index", "starts"):
-            assert np.array_equal(getattr(fan, name), getattr(expected, name)), name
-        assert fan.bounds == expected.bounds
+        fan = cache.fan(q_k)
+        theirs = first.admission(fan.parent, fan.state, fan.bounds)
+        assert admitted_pairs(fan) == set(zip(*(a.tolist() for a in theirs)))
     return cache
 
 
@@ -579,27 +513,49 @@ def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch)
     assert second.local_runs == cache.sizes()
     assert second.local_runs["fans"] == len(builds)
     assert second.local_runs["misses"] == len(builds)
-    assert second.local_runs["segments"] == sum(len(fan.starts) for fan in cache.fans.values())
+    fans = cache.fans.values()
+    assert second.local_runs["classes"] == sum(len(fan.starts) for fan in fans)
+    assert second.local_runs["segments"] == sum(len(fan.segment_starts) for fan in fans)
+
+
+TREE_FIELDS = ("moves", "parent", "state", "cumw", "novel", "bounds", "subsets")
 
 
 def assert_fans_equal_reference(cache):
-    """Every fan equals the unpruned, int64-sorted build in every field,
-    dtype included, and the kept rows equal a 2-D unique; returns the fans."""
+    """Every fan equals the unpruned build admitted pair by pair: its tree,
+    moves and subsets in every field, dtype included; every segment in its
+    nodes, read through classes; and on fractional rewards every score
+    table equals the maximum over the reference's per-pair segments. The
+    kept rows equal a 2-D unique. Returns the fans."""
+    first = None
     if cache.product is not None:
         rows, ids = reference_kept(cache)
         assert np.array_equal(cache._kept, rows)
         assert cache._kept_id.dtype == ids.dtype and np.array_equal(cache._kept_id, ids)
+        first = FirstAdmission(cache.ts, cache.product)
+    rng = np.random.default_rng(1815)
     fans = []
     for q_k in range(cache.ts.n):
-        fan, expected = cache.fan(q_k), reference_build_fan(cache, q_k)
-        for field in dataclasses.fields(Fan):
-            mine, theirs = getattr(fan, field.name), getattr(expected, field.name)
-            assert type(mine) is type(theirs), field.name
+        fan, expected = cache.fan(q_k), reference_build_fan(cache, q_k, first)
+        for name in TREE_FIELDS:
+            mine, theirs = getattr(fan, name), getattr(expected, name)
+            assert type(mine) is type(theirs), name
             if isinstance(mine, np.ndarray):
-                assert mine.dtype == theirs.dtype, field.name
-                assert np.array_equal(mine, theirs), field.name
+                assert mine.dtype == theirs.dtype, name
+                assert np.array_equal(mine, theirs), name
             else:
-                assert mine == theirs, field.name
+                assert mine == theirs, name
+        assert len(fan.segment_starts) == len(expected.starts)
+        for j in range(len(expected.starts)):
+            reference = np.sort(piece(expected.index, expected.starts, j))
+            assert np.array_equal(segment_nodes(fan, j), reference), j
+        values = rng.uniform(0.0, 60.0, cache.ts.n)
+        for potential in POTENTIALS:
+            nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
+            if potential.combine is np.add:
+                nodes = path_sums(nodes, fan.parent, fan.bounds)
+            reference = np.maximum.reduceat(nodes[expected.index], expected.starts)
+            assert np.array_equal(cache.scores(q_k, potential, values), reference)
         fans.append(fan)
     return fans
 
@@ -707,15 +663,63 @@ def test_fans_equal_the_unpruned_build_on_the_workloads(tmp_path, workloads, nam
     )
 
 
-def test_wide_segment_keys_sort_in_sixteen_bits():
-    """Past 255 segment keys, a fan's keys sort as 16-bit integers, and its
-    segments still equal the int64 sort's."""
+def test_a_fan_holds_one_index_entry_per_node():
+    """A fan lists each node once, by class, although many nodes are
+    admitted from several start states."""
+    scenario = load_scenario(SCENARIOS / "default_grid.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    pairs = 0
+    for q_k in range(offline.ts.n):
+        fan = cache.fan(q_k)
+        assert len(fan.index) == len(fan.state)
+        assert np.array_equal(np.sort(fan.index), np.arange(len(fan.state)))
+        pairs += len(admitted_pairs(fan))
+    assert pairs > cache.sizes()["nodes"]
+
+
+def test_relations_past_the_child_table_capacity_keep_equal_score_tables():
+    """Automata of 65 to 89 states intern more relations than the child
+    table first has rows for; the table grows, and every fan and score table
+    still equals the reference's."""
+    rng = np.random.default_rng(1816)
+    grown = 0
+    for _ in range(4):
+        ts = random_ts(rng, int(rng.integers(5, 8)), extra_edges=12, weights=FRACTIONAL)
+        trimmed = random_trimmed_product(rng, ts, (65, 90), (300, 500))
+        cache = LocalRunCache(ts, trimmed, 1.5, 1.6)
+        capacity = len(cache._child)
+        assert_fans_equal_reference(cache)
+        grown += cache.sizes()["relations"] > capacity
+    assert grown >= 2
+
+
+def test_wide_class_keys_sort_in_sixteen_bits(monkeypatch):
+    """Past 255 class keys, a fan's classes are sorted as 16-bit integers,
+    the narrowest type that holds the keys, and its segments and score tables
+    still equal the reference's."""
+    calls = []
+    original = localruns.group
+
+    def recording(key, bound):
+        order, keys, starts = original(key, bound)
+        calls.append((bound, keys.dtype))
+        return order, keys, starts
+
+    monkeypatch.setattr(localruns, "group", recording)
     rng = np.random.default_rng(1814)
-    widest = 0
+    types = set()
     for _ in range(3):
         ts = random_ts(rng, int(rng.integers(5, 8)), extra_edges=12)
         trimmed = random_trimmed_product(rng, ts, (65, 90), (300, 500))
         cache = LocalRunCache(ts, trimmed, 5.0, 7.0)
-        for fan in assert_fans_equal_reference(cache):
-            widest = max(widest, len(fan.moves) * (1 + trimmed.ba.n_states))
-    assert np.min_scalar_type(widest) == np.uint16
+        for q_k in range(ts.n):
+            calls.clear()
+            cache.fan(q_k)
+            # a build groups its class keys, then its subset keys
+            assert len(calls) == 2
+            bound, dtype = calls[0]
+            assert dtype == np.min_scalar_type(bound - 1)
+            types.add(dtype)
+        assert_fans_equal_reference(cache)
+    assert np.dtype(np.uint16) in types

@@ -113,7 +113,7 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     scenario, result = triangle_result
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
-    assert set(block) == {"fans", "nodes", "segments", "hits", "misses", "relations"}
+    assert set(block) == {"fans", "nodes", "classes", "segments", "hits", "misses", "relations"}
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     # the relations interned for admission, at least the roots' identities
     assert block["relations"] == cache.sizes()["relations"] >= 1
@@ -122,6 +122,8 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     # every fan holds at least one run, and a segment for its move and for
     # the subset the automaton state of the product move admits
     assert block["nodes"] >= block["fans"]
+    # every fan holds at least one class, and every class at least one node
+    assert block["fans"] <= block["classes"] <= block["nodes"]
     assert block["segments"] >= 2 * block["fans"]
     # every miss built one fan; every other lookup hit
     assert block["misses"] == block["fans"]
