@@ -25,8 +25,9 @@ targets, which one stable sort of its targets gives. Debt marks are
 bitmasks and the counter levels come from a lookup table. Pruning reads
 the distinct ``(src, dst)`` pairs of the moves, and letter sets are
 expanded to letters only at the end: after deduplicating moves in the
-quotient, and on the final automaton's moves. Only the final automaton
-becomes a :class:`BuchiAutomaton`.
+quotient, and on the final automaton's moves. The resulting letter edges
+go to :class:`BuchiAutomaton` as they are, as ``(src, letter, dst)`` id
+arrays over ``canonical_letters``.
 
 Every ordering in the construction is derived from canonical formula and
 letter orders and from insertion-ordered dicts, never from set iteration, so
@@ -62,10 +63,16 @@ from .ltl import (
 
 
 class BuchiAutomaton:
-    """Nondeterministic automaton over letters drawn from 2^propositions.
+    """Nondeterministic automaton over a list of letters, each a set of its
+    propositions.
 
-    Transitions carry concrete proposition sets, and their order is
-    unspecified. A run is accepting when it enters accepting states
+    As the moves of a :class:`~surplan.ts.TransitionSystem`, the letter
+    edges are kept only as arrays: edge ``i`` goes from ``src[i]`` to
+    ``dst[i]`` over ``letters[letter[i]]``, in unspecified order, and an edge
+    may be given twice. Over letter ``a`` state ``s`` moves to
+    ``target[ptr[a * n_states + s]:ptr[a * n_states + s + 1]]``, the distinct
+    targets in ascending order. A label is read through its projection onto
+    the propositions. A run is accepting when it enters accepting states
     infinitely often.
     """
 
@@ -74,37 +81,73 @@ class BuchiAutomaton:
         n_states: int,
         initial: int,
         propositions: Iterable[str],
-        transitions: Iterable[tuple[int, Letter, int]],
+        letters: Iterable[Letter],
+        src: Sequence[int],
+        letter: Sequence[int],
+        dst: Sequence[int],
         accepting: Iterable[int],
         descriptions: Sequence[str] = (),
     ):
-        self.n_states = n_states
+        self.n_states = n = n_states
         self.initial = initial
         self.propositions = frozenset(propositions)
-        self.transitions = tuple(
-            (s, frozenset(letter), t) for s, letter, t in transitions
-        )
+        self.letters = [frozenset(word) for word in letters]
         self.accepting = frozenset(accepting)
         self.descriptions = tuple(descriptions)
-        for s, letter, t in self.transitions:
-            if not (0 <= s < n_states and 0 <= t < n_states):
-                raise ValidationError("transition endpoint out of range")
-            if not letter <= self.propositions:
-                raise ValidationError(
-                    f"transition letter {sorted(letter)} uses undeclared propositions"
-                )
-        index: dict[tuple[int, Letter], list[int]] = {}
-        for s, letter, t in self.transitions:
-            index.setdefault((s, letter), []).append(t)
-        self._succ = {
-            key: tuple(sorted(set(ts))) for key, ts in index.items()
-        }
+        if not self.letters:
+            raise ValidationError("an automaton needs at least one letter")
+        if len(self.propositions) > 63:
+            raise ValidationError("an automaton reads at most 63 propositions")
+        for word in self.letters:
+            if not word <= self.propositions:
+                raise ValidationError(f"letter {sorted(word)} uses undeclared propositions")
+        # each letter as a bitmask over the sorted propositions
+        self._bit = {p: 1 << i for i, p in enumerate(sorted(self.propositions))}
+        self._masks = self._masks_of(self.letters)
+        _, first, counts = np.unique(self._masks, return_index=True, return_counts=True)
+        if (counts > 1).any():
+            word = self.letters[first[counts.argmax()]]
+            raise ValidationError(f"letter {sorted(word)} is given twice")
+        src, letter, dst = (np.asarray(a, dtype=np.int64) for a in (src, letter, dst))
+        if not src.shape == letter.shape == dst.shape == (len(src),):
+            raise ValidationError("src, letter and dst must be aligned 1-D sequences")
+        if ((letter < 0) | (letter >= len(self.letters))).any():
+            raise ValidationError("transition letter id out of range")
+        if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+            raise ValidationError("transition endpoint out of range")
+        self.src, self.letter, self.dst = src, letter, dst
+        row, self.target = np.divmod(_distinct((letter * n + src) * n + dst), n)
+        self.ptr = np.searchsorted(row, np.arange(len(self.letters) * n + 1))
 
-    def successors(self, state: int, letter: Letter) -> tuple[int, ...]:
-        return self._succ.get((state, frozenset(letter)), ())
+    def _masks_of(self, letters: Iterable[Letter]) -> np.ndarray:
+        """Each letter's projection onto the propositions, as a bitmask."""
+        masks = [sum(self._bit.get(p, 0) for p in word) for word in letters]
+        return np.array(masks, dtype=np.int64)
 
-    def letters(self) -> list[Letter]:
-        return canonical_letters(self.propositions)
+    def letter_ids(self, letters: Iterable[Letter]) -> np.ndarray:
+        """The id of each letter's projection onto the propositions, -1 where
+        that projection is not one of the automaton's letters."""
+        same = self._masks_of(letters)[:, None] == self._masks
+        return np.where(same.any(axis=1), same.argmax(axis=1), -1)
+
+    def holding(self, prop: str) -> np.ndarray:
+        """Mask of the letters that hold ``prop``."""
+        return (self._masks & self._bit.get(prop, 0)) != 0
+
+    def successors(self, state: int, letter: Letter) -> np.ndarray:
+        """Targets of ``state`` over ``letter``, ascending: a view of ``target``."""
+        a = int(self.letter_ids([letter])[0])
+        if a < 0:
+            return self.target[:0]
+        row = a * self.n_states + state
+        return self.target[self.ptr[row] : self.ptr[row + 1]]
+
+    @property
+    def transitions(self) -> tuple[tuple[int, Letter, int], ...]:
+        """The letter edges as ``(source, letter, target)`` tuples, in
+        array order."""
+        letters = [self.letters[a] for a in self.letter.tolist()]
+        return tuple(zip(self.src.tolist(), letters, self.dst.tolist()))
 
     def to_text(self) -> str:
         """Plain adjacency listing for debugging."""
@@ -278,7 +321,6 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     normalized = nnf(formula)
     untils = until_like_subformulas(normalized)
     n_untils = len(untils)
-    letters = canonical_letters(props)
 
     obligations = _obligation_automaton(normalized, untils, sorted(props))
     pairs, explored_states, src, dst = _counter_levels(
@@ -311,7 +353,7 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
         pairs = pairs[np.unique(blocks, return_index=True)[1]]
         initial = int(blocks[initial])
         accepting = np.isin(np.arange(n_blocks), blocks[accepting])
-        src, letter, dst = _quotient_transitions(letters, sets, blocks, src, lset, dst)
+        src, letter, dst = _quotient_transitions(sets, blocks, src, lset, dst)
     else:
         src, letter, dst = _expand(sets, src, lset, dst)
 
@@ -324,7 +366,10 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
         len(pairs),
         initial,
         props,
-        zip(src.tolist(), [letters[li] for li in letter.tolist()], dst.tolist()),
+        canonical_letters(props),
+        src,
+        letter,
+        dst,
         np.flatnonzero(accepting).tolist(),
         descriptions,
     )
@@ -652,25 +697,21 @@ def _signatures(
 
 
 def _quotient_transitions(
-    letters: list[Letter],
     letter_sets: np.ndarray,
     blocks: np.ndarray,
     src: np.ndarray,
     lset: np.ndarray,
     dst: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct letter edges between blocks, sorted by source, the letter's
-    sorted proposition list, and target."""
-    n_sets, n_letters, n_blocks = len(letter_sets), len(letters), int(blocks.max()) + 1
-    by_name = np.array(sorted(range(n_letters), key=lambda i: sorted(letters[i])))
-    rank = np.empty(n_letters, dtype=np.int64)
-    rank[by_name] = np.arange(n_letters)
+    """Distinct letter edges between blocks, sorted by source, letter and
+    target."""
+    (n_sets, n_letters), n_blocks = letter_sets.shape, int(blocks.max()) + 1
     moves = _distinct((blocks[src] * n_sets + lset) * n_blocks + blocks[dst])
     rest, tail = np.divmod(moves, n_blocks)
     head, rest = np.divmod(rest, n_sets)
     head, letter, tail = _expand(letter_sets, head, rest, tail)
-    keys = _distinct((head * n_letters + rank[letter]) * n_blocks + tail)
+    keys = _distinct((head * n_letters + letter) * n_blocks + tail)
     head, rest = np.divmod(keys, n_letters * n_blocks)
-    letter_rank, tail = np.divmod(rest, n_blocks)
-    return head, by_name[letter_rank], tail
+    letter, tail = np.divmod(rest, n_blocks)
+    return head, letter, tail
 

@@ -49,9 +49,12 @@ def letter_table(ts: TransitionSystem, ba: BuchiAutomaton) -> LetterTable:
     letters = list(dict.fromkeys(ts.labels))
     letter_id = {letter: i for i, letter in enumerate(letters)}
     letter_of = np.array([letter_id[label] for label in ts.labels], dtype=np.int64)
-    rows = [ba.successors(s, letter) for letter in letters for s in range(ba.n_states)]
-    ptr = np.cumsum([0] + [len(row) for row in rows])
-    target = np.array([t for row in rows for t in row], dtype=np.int64)
+    # each letter's rows of the automaton's index, empty where it has no such letter
+    ids = ba.letter_ids(letters)
+    rows = (ids[:, None] * ba.n_states + np.arange(ba.n_states)).ravel()
+    count = np.where(np.repeat(ids >= 0, ba.n_states), np.diff(ba.ptr)[rows], 0)
+    ptr = np.concatenate(([0], np.cumsum(count)))
+    target = ba.target[np.repeat(ba.ptr[rows] - ptr[:-1], count) + np.arange(ptr[-1])]
     return LetterTable(letters, letter_of, ptr, target)
 
 
@@ -122,7 +125,8 @@ def build_product(
     """Reachable part of the product of a system and an automaton.
 
     An edge (q, s) -> (q', s') exists when q -> q' is a system transition and
-    the automaton moves s -> s' over the label of q. States are numbered as
+    the automaton moves s -> s' over the label of q, read through its
+    projection onto the automaton's propositions. States are numbered as
     a breadth-first search from the initial pair numbers them, which lists
     each state's edges by system move, then by automaton target. States
     whose system component carries the surveillance proposition are flagged.
@@ -353,9 +357,9 @@ def trim_product(product: ProductAutomaton) -> ProductAutomaton:
 def check_accepting_label_condition(ba: BuchiAutomaton, sur_prop: str) -> bool:
     """Whether every automaton move into an accepting state reads the
     surveillance proposition."""
-    return all(
-        sur_prop in letter for _, letter, t in ba.transitions if t in ba.accepting
-    )
+    accepting = np.zeros(ba.n_states, dtype=bool)
+    accepting[list(ba.accepting)] = True
+    return bool(ba.holding(sur_prop)[ba.letter[accepting[ba.dst]]].all())
 
 
 @dataclass

@@ -86,7 +86,10 @@ def reference_to_buchi(
         len(pairs),
         initial,
         props,
-        zip(src.tolist(), [letters[li] for li in letter.tolist()], dst.tolist()),
+        letters,
+        src,
+        letter,
+        dst,
         np.flatnonzero(accepting).tolist(),
         descriptions,
     )

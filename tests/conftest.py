@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
 from surplan.ltl import (
     Always,
@@ -30,6 +31,7 @@ from surplan.ltl import (
     Or,
     TrueConst,
     Until,
+    canonical_letters,
 )
 from surplan.product import ProductAutomaton, letter_table
 from surplan.ts import TransitionSystem
@@ -63,6 +65,30 @@ def named_system(
         weight=list(transitions.values()),
         propositions=propositions,
         labels=labels or {},
+    )
+
+
+def listed_automaton(
+    n_states: int,
+    initial: int,
+    propositions,
+    transitions: Sequence[tuple[int, Letter, int]],
+    accepting,
+) -> BuchiAutomaton:
+    """An automaton over ``canonical_letters(propositions)`` whose letter
+    edges are given as ``(source, letter, target)`` tuples, turned into the
+    constructor's id arrays."""
+    letters = canonical_letters(propositions)
+    index = {letter: i for i, letter in enumerate(letters)}
+    return BuchiAutomaton(
+        n_states,
+        initial,
+        propositions,
+        letters,
+        [s for s, _, _ in transitions],
+        [index[frozenset(letter)] for _, letter, _ in transitions],
+        [t for _, _, t in transitions],
+        accepting,
     )
 
 
@@ -367,16 +393,9 @@ def array_product(
     The analysis algorithms only read the graph arrays, so a trivial
     one-state system and automaton stand in for the real components.
     """
-    from surplan.buchi import BuchiAutomaton
-
     dummy_ts = named_system(["d"], "d", {("d", "d"): 1.0}, ["sur"], {"d": {"sur"}})
-    letters = [frozenset(), frozenset({"sur"})]
-    dummy_ba = BuchiAutomaton(
-        n_states=1,
-        initial=0,
-        propositions=frozenset({"sur"}),
-        transitions=tuple((0, letter, 0) for letter in letters),
-        accepting=frozenset({0}),
+    dummy_ba = listed_automaton(
+        1, 0, ["sur"], [(0, frozenset(), 0), (0, frozenset({"sur"}), 0)], [0]
     )
     n_states = len(accepting)
     return ProductAutomaton(

@@ -141,7 +141,7 @@ def lasso_acceptance_table(
     containing such a flagged traversal. Checked against
     :func:`lasso_accepts` on samples in the test suite.
     """
-    letters = ba.letters()
+    letters = ba.letters
     n_letters = len(letters)
     size = ba.n_states
     acc = np.zeros(size, dtype=bool)

@@ -24,7 +24,7 @@ from surplan.buchi import (
     to_buchi,
     until_like_subformulas,
 )
-from surplan.errors import ContractError
+from surplan.errors import ContractError, ValidationError
 from surplan.scenario import load_scenario
 from surplan.ltl import And, Atom, Eventually, Next, atoms, canonical_letters, nnf, parse
 
@@ -169,22 +169,30 @@ def test_propositions_beyond_atoms_widen_alphabet():
 
 
 def test_automaton_validation():
-    with pytest.raises(Exception):
-        BuchiAutomaton(
-            n_states=1,
-            initial=0,
-            propositions=["a"],
-            transitions=[(0, frozenset("a"), 3)],
-            accepting=[0],
-        )
-    with pytest.raises(Exception):
-        BuchiAutomaton(
-            n_states=1,
-            initial=0,
-            propositions=[],
-            transitions=[(0, frozenset("z"), 0)],
-            accepting=[0],
-        )
+    def automaton(letters=(frozenset(), frozenset("a")), src=(0,), letter=(1,), dst=(0,)):
+        return BuchiAutomaton(1, 0, ["a"], letters, src, letter, dst, [0])
+
+    assert automaton().successors(0, frozenset("a")).tolist() == [0]
+    # a label is read through its projection onto the propositions
+    assert automaton().successors(0, frozenset("ab")).tolist() == [0]
+    assert automaton().successors(0, frozenset("b")).tolist() == []
+    with pytest.raises(ValidationError, match="endpoint out of range"):
+        automaton(dst=(3,))
+    with pytest.raises(ValidationError, match="endpoint out of range"):
+        automaton(src=(-1,))
+    with pytest.raises(ValidationError, match=r"letter \['z'\] uses undeclared propositions"):
+        automaton(letters=(frozenset(), frozenset("z")))
+    with pytest.raises(ValidationError, match="must be aligned"):
+        automaton(letter=(1, 0))
+    with pytest.raises(ValidationError, match="letter id out of range"):
+        automaton(letter=(2,))
+    with pytest.raises(ValidationError, match=r"letter \['a'\] is given twice"):
+        automaton(letters=(frozenset("a"), frozenset(), frozenset("a")))
+    with pytest.raises(ValidationError, match="at least one letter"):
+        automaton(letters=(), src=(), letter=(), dst=())
+    wide = [f"p{i}" for i in range(64)]
+    with pytest.raises(ValidationError, match="at most 63 propositions"):
+        BuchiAutomaton(1, 0, wide, [frozenset(wide)], [0], [0], [0], [0])
 
 
 def test_mission_shape_has_surveillance_guarded_acceptance():

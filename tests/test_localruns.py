@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
 from surplan import localruns
 from surplan.localruns import LocalRunCache, path_sums
@@ -27,7 +26,14 @@ from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 from surplan.ts import enumerate_budget_runs
 
-from conftest import LocalRunOracle, dijkstra_oracle_from, move_weights, random_product, random_ts
+from conftest import (
+    LocalRunOracle,
+    dijkstra_oracle_from,
+    listed_automaton,
+    move_weights,
+    random_product,
+    random_ts,
+)
 from fan_reference import FirstAdmission, reference_build_fan, reference_kept
 from system_runs import literal_potential, local_runs, run_times
 
@@ -250,7 +256,7 @@ def random_trimmed_product(rng, ts, states=(2, 5), edges=(3, 10)):
         for letter in letters
         if rng.random() < 0.6
     ]
-    ba = BuchiAutomaton(graph.n, 0, ts.propositions, transitions, {0})
+    ba = listed_automaton(graph.n, 0, ts.propositions, transitions, {0})
     product = build_product(ts, ba)
     finite = rng.random(product.n) < 0.8
     finite[product.initial] = True
@@ -364,7 +370,7 @@ def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
         ts = random_ts(rng, 6, extra_edges=4, weights=(0.1, 0.2))
         letters = list(dict.fromkeys(ts.labels))
         moves = [(s, letter, s + 1) for s in range(depth) for letter in letters]
-        product = build_product(ts, BuchiAutomaton(depth + 1, 0, ts.propositions, moves, {0}))
+        product = build_product(ts, listed_automaton(depth + 1, 0, ts.propositions, moves, {0}))
         product.w_pi = np.where(product.ba_of < depth, 0.0, np.inf)
         product.w_phi_u = np.zeros(product.n)
         product.w_phi_v = np.zeros(product.n)

@@ -16,7 +16,7 @@ import pytest
 
 import surplan.product as product_module
 from surplan import buchi
-from surplan.buchi import to_buchi
+from surplan.buchi import BuchiAutomaton, to_buchi
 from surplan.errors import InternalConsistencyError, ValidationError
 from surplan.ltl import parse
 from surplan.product import (
@@ -32,6 +32,7 @@ from surplan.product import (
     verify_descent,
 )
 from surplan.scenario import load_scenario
+from surplan.ts import TransitionSystem
 
 from conftest import (
     chain_product,
@@ -146,13 +147,26 @@ def analyzed(product):
 
 
 def test_build_product_matches_definition():
+    """Over the system's propositions and over narrower alphabets, where a
+    label is read through its projection onto the automaton's propositions.
+    The first system is the smallest where an unprojected label loses edges:
+    over ``G F a`` with the alphabet ``{a}`` it has 3 states and 4 edges."""
     rng = np.random.default_rng(71)
+    labelled = TransitionSystem(
+        ["x", "y"], "x", [0, 1], [1, 0], [1, 1], ["a", "b", "sur"], {"x": ["a", "b"], "y": ["sur"]}
+    )
+    cases = [(labelled, "G F a", ["a"]), (labelled, "G F a", ["a", "b", "sur"])]
     for _ in range(20):
         ts = random_ts(rng, int(rng.integers(2, 7)), extra_edges=6, n_props=2)
-        formula = parse("G F sur")
-        ba = to_buchi(formula, sorted(ts.propositions))
+        cases += [(ts, "G F sur", sorted(ts.propositions)), (ts, "G F sur & G F a", ["a"])]
+    sizes = []
+    for ts, text, props in cases:
+        ba = to_buchi(parse(text), props)
         product = build_product(ts, ba, "sur")
         weights = move_weights(ts)
+        delta = {}
+        for s, letter, t in ba.transitions:
+            delta.setdefault((s, letter), set()).add(t)
 
         # reachable closure of the definitional edge relation
         start = (ts.initial, ba.initial)
@@ -162,7 +176,7 @@ def test_build_product_matches_definition():
         while frontier:
             q, s = frontier.pop()
             for q2 in ts.successors(q).tolist():
-                for s2 in ba.successors(s, ts.label(q)):
+                for s2 in delta.get((s, ts.label(q) & ba.propositions), ()):
                     edges.add(((q, s), (q2, s2), weights[q, q2]))
                     if (q2, s2) not in seen:
                         seen.add((q2, s2))
@@ -185,6 +199,8 @@ def test_build_product_matches_definition():
             q, s = int(product.ts_of[p]), int(product.ba_of[p])
             assert bool(product.accepting[p]) == (s in ba.accepting)
             assert bool(product.surveillance[p]) == ("sur" in ts.label(q))
+        sizes.append((product.n, len(product.edge_src)))
+    assert sizes[:2] == [(3, 4), (3, 4)]
 
 
 def assert_product_matches_fifo_search(ts, ba, surveillance_prop="sur"):
@@ -220,6 +236,47 @@ def test_level_by_level_product_matches_the_fifo_search(workloads, tmp_path):
         scenario = load_scenario(path)
         ba = to_buchi(scenario.formula, scenario.ts.propositions)
         assert_product_matches_fifo_search(scenario.ts, ba, scenario.surveillance_prop)
+
+
+def test_an_automaton_over_the_emitted_letters_gives_the_same_product(workloads, tmp_path):
+    """``to_buchi``'s letter edges restricted to the letters the system
+    emits, listed in reverse order of first emission, give the full
+    alphabet's product and letter table array for array."""
+    scenarios = [load_scenario(SCENARIOS / name) for name in ("default_grid.ini", "triangle.ini")]
+    for name, workload in workloads.SHRUNK.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.scenario_text(workload, 1))
+        scenarios.append(load_scenario(path))
+    for scenario in scenarios:
+        ts, sur = scenario.ts, scenario.surveillance_prop
+        full = to_buchi(scenario.formula, ts.propositions)
+        emitted = list(dict.fromkeys(ts.labels))[::-1]
+        narrow_id = np.full(len(full.letters), -1)
+        narrow_id[[full.letters.index(letter) for letter in emitted]] = np.arange(len(emitted))
+        keep = narrow_id[full.letter] >= 0
+        assert not keep.all(), scenario.name
+        narrow = BuchiAutomaton(
+            full.n_states,
+            full.initial,
+            full.propositions,
+            emitted,
+            full.src[keep],
+            narrow_id[full.letter[keep]],
+            full.dst[keep],
+            full.accepting,
+        )
+        got, expected = build_product(ts, narrow, sur), build_product(ts, full, sur)
+        for name in (
+            "ts_of", "ba_of", "edge_src", "edge_dst", "edge_weight", "accepting", "surveillance", "edge_ptr"
+        ):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), (scenario.name, name)
+        assert (got.reverse != expected.reverse).nnz == 0, scenario.name
+        for name in ("letter_of", "ptr", "target"):
+            values, oracle = getattr(got.letters, name), getattr(expected.letters, name)
+            assert np.array_equal(values, oracle), (scenario.name, name)
+        assert check_accepting_label_condition(narrow, sur) == check_accepting_label_condition(
+            full, sur
+        )
 
 
 def test_surveillance_distance_matches_heap_dijkstra():
