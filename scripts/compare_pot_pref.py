@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from surplan import default_case_study, load_scenario, offline_phase, run_experiment
+from surplan import ScenarioError, default_case_study, load_scenario, offline_phase, run_experiment
 
 POTENTIALS = ("max-sum", "max-single")
 PREFERENCES = ("threshold", "cubic", "cube-root")
@@ -25,19 +25,22 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=None)
     args = parser.parse_args()
 
-    if args.scenario is None:
-        scenario = default_case_study()
-    else:
-        scenario = load_scenario(args.scenario)
-    replacements = {
+    # the loader validates the overrides as it validates a scenario file's settings
+    overrides = {
         key: value
         for key, value in (
             ("seed", args.seed), ("runs", args.runs), ("iterations", args.iterations)
         )
         if value is not None
     }
-    if replacements:
-        scenario = dataclasses.replace(scenario, **replacements)
+    try:
+        if args.scenario is None:
+            scenario = default_case_study(**overrides)
+        else:
+            scenario = load_scenario(args.scenario, overrides)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     print(

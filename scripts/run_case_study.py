@@ -6,7 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from surplan import default_case_study, format_stats, offline_phase, run_experiment
+from surplan import ScenarioError, default_case_study, format_stats, offline_phase, run_experiment
 
 
 def main() -> int:
@@ -18,13 +18,17 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=100)
     args = parser.parse_args()
 
-    scenario = default_case_study(
-        potential_name=args.pot,
-        preference_name=args.pref,
-        seed=args.seed,
-        runs=args.runs,
-        iterations=args.iterations,
-    )
+    try:
+        scenario = default_case_study(
+            potential_name=args.pot,
+            preference_name=args.pref,
+            seed=args.seed,
+            runs=args.runs,
+            iterations=args.iterations,
+        )
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     print(f"mission:          {scenario.formula_text}")
     print(f"automaton states: {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")

@@ -24,10 +24,11 @@ over every letter edge would, walking only each explored state's distinct
 targets, which one stable sort of its targets gives. Debt marks are
 bitmasks and the counter levels come from a lookup table. Pruning reads
 the distinct ``(src, dst)`` pairs of the moves, and letter sets are
-expanded to letters only at the end: after deduplicating moves in the
-quotient, and on the final automaton's moves. The resulting letter edges
-go to :class:`BuchiAutomaton` as they are, as ``(src, letter, dst)`` id
-arrays over ``canonical_letters``.
+expanded to letters only at the end, once the moves between blocks of the
+quotient are deduplicated (each state its own block when the quotient
+merges nothing). The resulting letter edges go to :class:`BuchiAutomaton`
+as ``(src, letter, dst)`` id arrays over ``canonical_letters``, and it
+keeps each distinct edge once.
 
 Every ordering in the construction is derived from canonical formula and
 letter orders and from insertion-ordered dicts, never from set iteration, so
@@ -66,10 +67,10 @@ class BuchiAutomaton:
     """Nondeterministic automaton over a list of letters, each a set of its
     propositions.
 
-    As the moves of a :class:`~surplan.ts.TransitionSystem`, the letter
-    edges are kept only as arrays: edge ``i`` goes from ``src[i]`` to
-    ``dst[i]`` over ``letters[letter[i]]``, in unspecified order, and an edge
-    may be given twice. Over letter ``a`` state ``s`` moves to
+    The letter edges are given as aligned arrays: edge ``i`` goes from
+    ``src[i]`` to ``dst[i]`` over ``letters[letter[i]]``, in any order, and an
+    edge may be given twice. They are kept once, as CSR rows: over letter
+    ``a`` state ``s`` moves to
     ``target[ptr[a * n_states + s]:ptr[a * n_states + s + 1]]``, the distinct
     targets in ascending order. A label is read through its projection onto
     the propositions. A run is accepting when it enters accepting states
@@ -115,7 +116,6 @@ class BuchiAutomaton:
             raise ValidationError("transition letter id out of range")
         if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
             raise ValidationError("transition endpoint out of range")
-        self.src, self.letter, self.dst = src, letter, dst
         row, self.target = np.divmod(_distinct((letter * n + src) * n + dst), n)
         self.ptr = np.searchsorted(row, np.arange(len(self.letters) * n + 1))
 
@@ -144,10 +144,12 @@ class BuchiAutomaton:
 
     @property
     def transitions(self) -> tuple[tuple[int, Letter, int], ...]:
-        """The letter edges as ``(source, letter, target)`` tuples, in
-        array order."""
-        letters = [self.letters[a] for a in self.letter.tolist()]
-        return tuple(zip(self.src.tolist(), letters, self.dst.tolist()))
+        """The distinct letter edges as ``(source, letter, target)`` tuples,
+        by letter, then source, then target."""
+        row = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+        letter, src = np.divmod(row, self.n_states)
+        letters = [self.letters[a] for a in letter.tolist()]
+        return tuple(zip(src.tolist(), letters, self.target.tolist()))
 
     def to_text(self) -> str:
         """Plain adjacency listing for debugging."""
@@ -348,14 +350,19 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     sets = obligations.letter_sets
     blocks = _quotient_bisimulation(sets, accepting, src, lset, dst)
     n_blocks = int(blocks.max()) + 1
-    if n_blocks < len(pairs):
-        # one representative description per block: its first member's
-        pairs = pairs[np.unique(blocks, return_index=True)[1]]
-        initial = int(blocks[initial])
-        accepting = np.isin(np.arange(n_blocks), blocks[accepting])
-        src, letter, dst = _quotient_transitions(sets, blocks, src, lset, dst)
-    else:
-        src, letter, dst = _expand(sets, src, lset, dst)
+    if n_blocks == len(pairs):
+        # nothing merged: keep the exploration order's numbering
+        blocks = np.arange(n_blocks)
+    # one representative description per block: its first member's
+    pairs = pairs[np.unique(blocks, return_index=True)[1]]
+    initial = int(blocks[initial])
+    accepting = np.isin(np.arange(n_blocks), blocks[accepting])
+    # distinct moves between blocks, expanded to letters
+    n_sets = len(sets)
+    moves = _distinct((blocks[src] * n_sets + lset) * n_blocks + blocks[dst])
+    rest, dst = np.divmod(moves, n_blocks)
+    src, lset = np.divmod(rest, n_sets)
+    src, letter, dst = _expand(sets, src, lset, dst)
 
     descriptions = []
     for pair in pairs.tolist():
@@ -694,24 +701,4 @@ def _signatures(
     for s, rep in same_as.items():
         sigs[s] = sigs[rep]
     return sigs
-
-
-def _quotient_transitions(
-    letter_sets: np.ndarray,
-    blocks: np.ndarray,
-    src: np.ndarray,
-    lset: np.ndarray,
-    dst: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct letter edges between blocks, sorted by source, letter and
-    target."""
-    (n_sets, n_letters), n_blocks = letter_sets.shape, int(blocks.max()) + 1
-    moves = _distinct((blocks[src] * n_sets + lset) * n_blocks + blocks[dst])
-    rest, tail = np.divmod(moves, n_blocks)
-    head, rest = np.divmod(rest, n_sets)
-    head, letter, tail = _expand(letter_sets, head, rest, tail)
-    keys = _distinct((head * n_letters + letter) * n_blocks + tail)
-    head, rest = np.divmod(keys, n_letters * n_blocks)
-    letter, tail = np.divmod(rest, n_blocks)
-    return head, letter, tail
 

@@ -62,7 +62,7 @@ def command_check(args: argparse.Namespace) -> int:
     _say(f"mission:             {scenario.formula_text}")
     ba, product, trimmed = offline.ba, offline.product, offline.trimmed
     _say(f"automaton states:    {ba.n_states} ({len(ba.accepting)} accepting)")
-    _say(f"automaton transitions: {len(ba.src)} over {len(ba.letters)} letters")
+    _say(f"automaton transitions: {len(ba.target)} over {len(ba.letters)} letters")
     _say(f"product states:      {product.n} ({trimmed.n} after trimming)")
     _say(f"product edges:       {len(product.edge_src)} ({len(trimmed.edge_src)} after trimming)")
     _say(f"surveillance states: {int(trimmed.s_pi_inf.sum())} recurrent in product")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -100,11 +101,6 @@ class ProductAutomaton:
         # CSR row pointer over the edge arrays: the edges leaving p are the
         # ids edge_ptr[p] up to edge_ptr[p + 1]
         self.edge_ptr = np.searchsorted(self.edge_src, np.arange(self.n + 1))
-        # edges turned around (dst -> src): every offline analysis searches
-        # backwards from a target set over this one sparse graph
-        self.reverse = csr_array(
-            (self.edge_weight, (self.edge_dst, self.edge_src)), shape=(self.n, self.n)
-        )
         # offline analysis results
         self.f_inf: np.ndarray | None = None
         self.s_pi_inf: np.ndarray | None = None
@@ -113,6 +109,16 @@ class ProductAutomaton:
         self.w_phi_v: np.ndarray | None = None
         self.ind_pi: np.ndarray | None = None
         self.ind_phi: np.ndarray | None = None
+
+    @cached_property
+    def reverse(self) -> csr_array:
+        """The edges turned around (dst -> src), built on first read: every
+        offline analysis searches backwards from a target set over this one
+        sparse graph, and the trimmed product, which none searches, holds
+        none."""
+        return csr_array(
+            (self.edge_weight, (self.edge_dst, self.edge_src)), shape=(self.n, self.n)
+        )
 
     def edges_from(self, state: int) -> range:
         """Ids of the edges leaving ``state``."""
@@ -359,7 +365,9 @@ def check_accepting_label_condition(ba: BuchiAutomaton, sur_prop: str) -> bool:
     surveillance proposition."""
     accepting = np.zeros(ba.n_states, dtype=bool)
     accepting[list(ba.accepting)] = True
-    return bool(ba.holding(sur_prop)[ba.letter[accepting[ba.dst]]].all())
+    # the letter of each edge: letter a's rows start at ptr[a * n_states]
+    letter = np.repeat(np.arange(len(ba.letters)), np.diff(ba.ptr[:: ba.n_states]))
+    return bool(ba.holding(sur_prop)[letter[accepting[ba.target]]].all())
 
 
 @dataclass

@@ -250,3 +250,29 @@ def test_shipped_scenario_outputs_are_pinned(tmp_path, capsys):
                 name,
             )
     capsys.readouterr()
+
+
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("compare_pot_pref.py", ["--runs", "0"]),
+        ("compare_pot_pref.py", ["--iterations", "0"]),
+        ("compare_pot_pref.py", ["--seed", "-1"]),
+        ("compare_pot_pref.py", [TRIANGLE, "--runs", "0"]),
+        ("run_case_study.py", ["--runs", "0"]),
+    ],
+)
+def test_scripts_refuse_bad_settings_as_the_cli_does(script, args):
+    """The scripts pass their settings through the loader's checks, and a
+    refused setting ends in one `error:` line and exit code 2."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT_DIR / script), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""

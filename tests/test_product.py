@@ -253,16 +253,19 @@ def test_an_automaton_over_the_emitted_letters_gives_the_same_product(workloads,
         emitted = list(dict.fromkeys(ts.labels))[::-1]
         narrow_id = np.full(len(full.letters), -1)
         narrow_id[[full.letters.index(letter) for letter in emitted]] = np.arange(len(emitted))
-        keep = narrow_id[full.letter] >= 0
+        # the full automaton's letter edges, read off its index
+        rows = np.repeat(np.arange(len(full.ptr) - 1), np.diff(full.ptr))
+        letter, src = np.divmod(rows, full.n_states)
+        keep = narrow_id[letter] >= 0
         assert not keep.all(), scenario.name
         narrow = BuchiAutomaton(
             full.n_states,
             full.initial,
             full.propositions,
             emitted,
-            full.src[keep],
-            narrow_id[full.letter[keep]],
-            full.dst[keep],
+            src[keep],
+            narrow_id[letter[keep]],
+            full.target[keep],
             full.accepting,
         )
         got, expected = build_product(ts, narrow, sur), build_product(ts, full, sur)
@@ -577,6 +580,15 @@ def test_offline_phase_on_triangle(triangle_ts):
     assert np.all(product.w_phi_v < INF)
     verify_descent(product)
     assert set(result.timings) == {"automaton", "product", "distances", "trim"}
+
+
+def test_only_the_searched_product_builds_a_reversed_graph():
+    """The analyses search the untrimmed product backwards; nothing searches
+    the trimmed one, which therefore never builds its reversed graph."""
+    scenario = load_scenario(SCENARIOS / "default_grid.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    assert "reverse" in vars(offline.product)
+    assert "reverse" not in vars(offline.trimmed)
 
 
 def test_offline_phase_infeasible_mission(triangle_ts):
