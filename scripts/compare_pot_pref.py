@@ -9,6 +9,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surplan import ScenarioError, default_case_study, load_scenario, offline_phase, run_experiment
+from surplan.cli import _say
 
 POTENTIALS = ("max-sum", "max-single")
 PREFERENCES = ("threshold", "cubic", "cube-root")
@@ -43,11 +44,11 @@ def main() -> int:
         return 2
 
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    print(
+    _say(
         f"{scenario.name}: {scenario.runs} runs x {scenario.iterations} iterations, "
         f"seed {scenario.seed}"
     )
-    print(f"{'potential':<12} {'preference':<12} {'inter-survey':>14} {'reward/step':>14}")
+    _say(f"{'potential':<12} {'preference':<12} {'inter-survey':>14} {'reward/step':>14}")
     for pot in POTENTIALS:
         for pref in PREFERENCES:
             result = run_experiment(
@@ -58,7 +59,7 @@ def main() -> int:
             )
             survey = result.stats.inter_survey_time.avg
             reward = result.stats.reward_per_transition.avg
-            print(f"{pot:<12} {pref:<12} {survey:>14.2f} {reward:>14.2f}")
+            _say(f"{pot:<12} {pref:<12} {survey:>14.2f} {reward:>14.2f}")
     return 0
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from surplan import ScenarioError, default_case_study, format_stats, offline_phase, run_experiment
+from surplan.cli import _say
 
 
 def main() -> int:
@@ -30,14 +31,14 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    print(f"mission:          {scenario.formula_text}")
-    print(f"automaton states: {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")
-    print(f"product states:   {offline.product.n} ({offline.trimmed.n} after trimming)")
-    print(f"offline time:     {sum(offline.timings.values()):.2f}s")
-    print()
+    _say(f"mission:          {scenario.formula_text}")
+    _say(f"automaton states: {offline.ba.n_states} ({len(offline.ba.accepting)} accepting)")
+    _say(f"product states:   {offline.product.n} ({offline.trimmed.n} after trimming)")
+    _say(f"offline time:     {sum(offline.timings.values()):.2f}s")
+    _say()
 
     result = run_experiment(scenario, offline=offline)
-    print(format_stats(result.stats))
+    _say(format_stats(result.stats))
     return 0
 
 

@@ -23,6 +23,7 @@ product every node carries relation 0 and no subset is scored.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,14 @@ def out_moves(
     """Every move out of the states of ``nodes``, node-major, as its node
     and its index in the CSR move arrays whose row pointers are ``ptr``."""
     at = states[nodes]
-    starts = ptr[at]
-    counts = ptr[at + 1] - starts
-    node = np.repeat(nodes, counts)
-    # each node's moves, numbered from where its moves start in the result
-    first = np.cumsum(counts) - counts
-    return node, np.arange(len(node)) + np.repeat(starts - first, counts)
+    ends = ptr[1:][at]
+    counts = ends - ptr[at]
+    node = nodes.repeat(counts)
+    # each node's moves run up to its row end, as its places in the result
+    # run up to the count so far
+    move = (ends - counts.cumsum()).repeat(counts)
+    move += np.arange(len(node))
+    return node, move
 
 
 def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -61,11 +64,12 @@ def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     sorted, and returned, in the narrowest unsigned type that holds them; for
     up to 16 bits numpy's stable sort is a radix sort."""
     small = key.astype(np.min_scalar_type(max(bound - 1, 0)))
-    order = np.argsort(small, kind="stable")
+    order = small.argsort(kind="stable")
     ordered = small[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(first)
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = first.nonzero()[0]
     return order, ordered[starts], starts
 
 
@@ -107,7 +111,8 @@ class Fan:
 class LocalRunCache:
     """Local-run fans of one system, visibility range and horizon, built on
     first use; ``product`` is None when only system moves are scored.
-    ``hits`` and ``misses`` count fan lookups that found the fan built or not.
+    ``hits`` and ``misses`` count fan lookups that found the fan built or not,
+    and ``build_seconds`` is the time spent building fans.
     """
 
     def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
@@ -118,6 +123,7 @@ class LocalRunCache:
         self.fans: dict[int, Fan] = {}
         self.hits = 0
         self.misses = 0
+        self.build_seconds = 0.0
         self._edge_segments: dict[int, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
@@ -162,9 +168,10 @@ class LocalRunCache:
         # a root's relation is the identity on the states kept with it
         self._root = self._intern(np.eye(n_ba, dtype=bool) & self._kept[:, None, :])
 
-    def sizes(self) -> dict[str, int]:
+    def sizes(self) -> dict[str, float]:
         """Fans built, the nodes, run classes and segments they hold, fan
-        lookups, and the automaton-state relations interned for admission."""
+        lookups, the automaton-state relations interned for admission, and
+        the seconds spent building the fans."""
         fans = self.fans.values()
         return dict(
             fans=len(fans),
@@ -174,6 +181,7 @@ class LocalRunCache:
             hits=self.hits,
             misses=self.misses,
             relations=len(self._relation_id),
+            build_seconds=self.build_seconds,
         )
 
     def fan(self, q_k: int) -> Fan:
@@ -181,7 +189,9 @@ class LocalRunCache:
         fan = self.fans.get(q_k)
         if fan is None:
             self.misses += 1
+            started = time.perf_counter()
             fan = self.fans[q_k] = self._build_fan(q_k)
+            self.build_seconds += time.perf_counter() - started
         else:
             self.hits += 1
         return fan
@@ -217,62 +227,63 @@ class LocalRunCache:
     def _build_fan(self, q_k: int) -> Fan:
         """The tree of every move out of ``q_k``: one frontier expansion from
         every visible successor whose entry weight fits the horizon."""
-        ts = self.ts
+        ts, horizon = self.ts, self.horizon
         allowed = visible_distances(ts, q_k, self.visibility) <= self.visibility
         ptr, succ, weight = ts.move_ptr, ts.move_dst, ts.move_weight
-        moves, entry = succ[ptr[q_k] : ptr[q_k + 1]], weight[ptr[q_k] : ptr[q_k + 1]]
-        seeded = allowed[moves] & (entry <= self.horizon)
+        lightest, move_class = self._lightest, self._move_class
+        span = slice(ptr[q_k], ptr[q_k + 1])
+        moves, entry = succ[span], weight[span]
+        seeded = (allowed[moves] & (entry <= horizon)).nonzero()[0]
         roots, entry = moves[seeded], entry[seeded]
-        # one level per run length: the run of the level before that each
-        # run extends, its last state, its weight so far, its root and its
+        # one level per run length: the node each run extends, numbered in
+        # the fan, its last state, its weight so far, its root and its
         # relation, with its root's entry weight alongside. A run offers its
         # moves only if the lightest one fits, added in the order of the
         # horizon test: rounding is monotone, so no other move fits when
         # that one does not.
-        states, cums, root = roots, np.zeros(len(roots)), np.arange(len(roots))
+        n_moves = len(roots)
+        states, cums, root = roots, np.zeros(n_moves), np.arange(n_moves)
         rel = self._root[self._kept_id[roots]]
-        levels = [(np.full(len(roots), -1), states, cums, root, rel)]
+        levels = [(np.full(n_moves, -1), states, cums, root, rel)]
+        bounds = [0, n_moves]
         while True:
-            live = np.flatnonzero((cums + self._lightest[states]) + entry <= self.horizon)
+            live = ((cums + lightest[states]) + entry <= horizon).nonzero()[0]
             if not len(live):
                 break
             parent, move = out_moves(ptr, states, live)
-            nxt = succ[move]
-            total = cums[parent] + weight[move]
-            fits = allowed[nxt] & (total + entry[parent] <= self.horizon)
-            parent, move = parent[fits], move[fits]
-            if not len(parent):
+            nxt, total, reach = succ[move], cums[parent] + weight[move], entry[parent]
+            kept = (allowed[nxt] & (total + reach <= horizon)).nonzero()[0]
+            if not len(kept):
                 break
-            rel = self._children(rel[parent], self._move_class[move])
-            states, cums, entry, root = nxt[fits], total[fits], entry[parent], root[parent]
-            levels.append((parent, states, cums, root, rel))
+            parent, move = parent[kept], move[kept]
+            states, cums, entry, root = nxt[kept], total[kept], reach[kept], root[parent]
+            rel = self._children(rel[parent], move_class[move])
+            levels.append((parent + bounds[-2], states, cums, root, rel))
+            bounds.append(bounds[-1] + len(kept))
+        parent, state, cumw, root, rel = (np.concatenate(field) for field in zip(*levels))
 
-        sizes = [len(level[1]) for level in levels]
-        bounds = np.cumsum([0] + sizes).tolist()
-        parent = np.concatenate([level[0] + at for level, at in zip(levels, [0] + bounds)])
-        state, cumw, root, rel = (
-            np.concatenate([level[i] for level in levels]) for i in (1, 2, 3, 4)
-        )
         # a state is novel unless it is q_k or an ancestor's; up holds the
         # d-th ancestors of the nodes from bounds[d] on
         novel = state != q_k
         up = parent[bounds[1] :]
-        for d in range(1, len(levels)):
-            novel[bounds[d] :] &= state[up] != state[bounds[d] :]
-            up = parent[up[sizes[d] :]]
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            novel[lo:] &= state[up] != state[lo:]
+            up = parent[up[hi - lo :]]
 
         # the classes, by root and then by relation id, each in node order
-        n_moves, width = len(roots), int(rel.max(initial=0)) + 1
+        width = int(rel.max(initial=0)) + 1
         index, keys, starts = group(root * width + rel, n_moves * width)
-        class_root, class_rel = np.divmod(keys.astype(np.intp), width)
+        # each class's root and relation, read at its first node
+        first = index[starts]
+        class_root, class_rel = root[first], rel[first]
         # every move's classes, then each (root, s0) subset's in key order:
         # the classes of the root whose relation has a nonempty row s0
         n_ba = self._kept.shape[1]
-        admitting, s0 = np.divmod(np.flatnonzero(self._nonempty[class_rel]), n_ba)
+        admitting, s0 = self._nonempty[class_rel].nonzero()
         order, present, at = group(class_root[admitting] * n_ba + s0, n_moves * n_ba)
-        segments = np.concatenate([np.arange(len(starts)), admitting[order]])
+        segments = np.concatenate((np.arange(len(starts)), admitting[order]))
         segment_starts = np.concatenate(
-            [np.searchsorted(class_root, np.arange(n_moves)), len(starts) + at]
+            (class_root.searchsorted(np.arange(n_moves)), at + len(starts))
         )
         subsets = np.full(n_moves * n_ba, -1)
         subsets[present] = np.arange(n_moves, n_moves + len(present))
@@ -288,19 +299,17 @@ class LocalRunCache:
         of a move of that class, then met with the states kept with its
         target. Each entry not filled yet is made first, one batch for the
         distinct missing keys."""
-        width = self._child.shape[1]
-        at = rel * width + move_class
-        found = np.take(self._child, at)
-        missing = found < 0
-        if missing.any():
-            keys, inverse = np.unique(at[missing], return_inverse=True)
-            rows, classes = np.divmod(keys, width)
+        found = self._child[rel, move_class]
+        if found.min() < 0:
+            width = self._child.shape[1]
+            keys = np.unique((rel * width + move_class)[found < 0])
+            rows, classes = keys // width, keys % width
             stepped = self._relations[rows] @ self._delta[self._class_letter[classes]]
-            # interned too, so the relations counted include each stepped one
-            self._intern(stepped)
-            made = self._intern(stepped & self._kept[self._class_kept[classes]][:, None, :])
-            self._child.flat[keys] = made
-            found[missing] = made[inverse]
+            made = stepped & self._kept[self._class_kept[classes]][:, None, :]
+            # the stepped relations are interned first, so the relations
+            # counted include each of them
+            self._child[rows, classes] = self._intern(np.concatenate((stepped, made)))[len(keys) :]
+            found = self._child[rel, move_class]
         return found
 
     def _intern(self, relations: np.ndarray) -> np.ndarray:

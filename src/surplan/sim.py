@@ -160,7 +160,7 @@ class ExperimentResult:
     stats: ExperimentStats
     offline_seconds: float
     # LocalRunCache.sizes() of the offline result's cache after the runs
-    local_runs: dict[str, int]
+    local_runs: dict[str, float]
 
     @property
     def planner(self) -> dict[str, int]:

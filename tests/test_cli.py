@@ -276,3 +276,26 @@ def test_scripts_refuse_bad_settings_as_the_cli_does(script, args):
     assert done.stderr.startswith("error: "), done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_case_study.py", ["--runs", "1", "--iterations", "20"]),
+        ("compare_pot_pref.py", [TRIANGLE, "--runs", "1", "--iterations", "20"]),
+    ],
+)
+def test_script_output_into_a_closed_pipe_ends_quietly(script, args):
+    """A reader that stops early, as in `run_case_study.py | head -1`, leaves
+    no traceback, and the script exits 0."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(SCRIPT_DIR / script), *args],
+            stdout=write, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.stderr.decode() == ""
+    assert done.returncode == 0

@@ -527,12 +527,13 @@ def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch)
 TREE_FIELDS = ("moves", "parent", "state", "cumw", "novel", "bounds", "subsets")
 
 
-def assert_fans_equal_reference(cache):
-    """Every fan equals the unpruned build admitted pair by pair: its tree,
-    moves and subsets in every field, dtype included; every segment in its
-    nodes, read through classes; and on fractional rewards every score
-    table equals the maximum over the reference's per-pair segments. The
-    kept rows equal a 2-D unique. Returns the fans."""
+def assert_fans_equal_reference(cache, order=None):
+    """Every fan, built in ``order`` (ascending state order by default),
+    equals the unpruned build admitted pair by pair: its tree, moves and
+    subsets in every field, dtype included; every segment in its nodes, read
+    through classes; and on fractional rewards every score table equals the
+    maximum over the reference's per-pair segments. The kept rows equal a 2-D
+    unique. Returns the fans in state order."""
     first = None
     if cache.product is not None:
         rows, ids = reference_kept(cache)
@@ -540,8 +541,8 @@ def assert_fans_equal_reference(cache):
         assert cache._kept_id.dtype == ids.dtype and np.array_equal(cache._kept_id, ids)
         first = FirstAdmission(cache.ts, cache.product)
     rng = np.random.default_rng(1815)
-    fans = []
-    for q_k in range(cache.ts.n):
+    fans = {}
+    for q_k in range(cache.ts.n) if order is None else order:
         fan, expected = cache.fan(q_k), reference_build_fan(cache, q_k, first)
         for name in TREE_FIELDS:
             mine, theirs = getattr(fan, name), getattr(expected, name)
@@ -562,8 +563,8 @@ def assert_fans_equal_reference(cache):
                 nodes = path_sums(nodes, fan.parent, fan.bounds)
             reference = np.maximum.reduceat(nodes[expected.index], expected.starts)
             assert np.array_equal(cache.scores(q_k, potential, values), reference)
-        fans.append(fan)
-    return fans
+        fans[q_k] = fan
+    return [fans[q_k] for q_k in sorted(fans)]
 
 
 def lightest_moves(ts):
@@ -667,6 +668,22 @@ def test_fans_equal_the_unpruned_build_on_the_workloads(tmp_path, workloads, nam
     assert_fans_equal_reference(
         LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
     )
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_fans_built_in_another_state_order_equal_the_unpruned_build(tmp_path, workloads, order):
+    """The child table fills in the order the fans meet its misses, and the
+    relations are numbered in that order; fans built in reversed or shuffled
+    state order, each scenario on a fresh cache, still equal the reference."""
+    rng = np.random.default_rng(1817)
+    path = tmp_path / "case_study.ini"
+    path.write_text(workloads.scenario_text(workloads.WORKLOADS["case_study"], 1000))
+    for scenario in (load_scenario(SCENARIOS / "default_grid.ini"), load_scenario(path)):
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        n = offline.ts.n
+        states = range(n - 1, -1, -1) if order == "reversed" else rng.permutation(n).tolist()
+        assert_fans_equal_reference(cache, states)
 
 
 def test_a_fan_holds_one_index_entry_per_node():

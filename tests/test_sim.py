@@ -113,7 +113,9 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     scenario, result = triangle_result
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
-    assert set(block) == {"fans", "nodes", "classes", "segments", "hits", "misses", "relations"}
+    assert set(block) == {
+        "fans", "nodes", "classes", "segments", "hits", "misses", "relations", "build_seconds",
+    }
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     # the relations interned for admission, at least the roots' identities
     assert block["relations"] == cache.sizes()["relations"] >= 1
@@ -128,6 +130,8 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     # every miss built one fan; every other lookup hit
     assert block["misses"] == block["fans"]
     assert block["hits"] > block["misses"]
+    # the time spent building the fans, a part of the run's decisions
+    assert 0 < block["build_seconds"] <= cache.sizes()["build_seconds"]
 
 
 @pytest.mark.parametrize(
