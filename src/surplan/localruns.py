@@ -17,12 +17,14 @@ construction built on the fly. The nodes of one root and one relation form
 a run class. A fan lists its nodes by class, and each segment it scores
 (each move's runs, then each subset of them that a start automaton state
 admits) is a list of classes. One pass over a fan and two
-``np.maximum.reduceat`` score every class, then every segment. Without a
-product every node carries relation 0 and no subset is scored.
+``np.maximum.reduceat`` score every class, then every segment. Which runs a
+fan holds, and so every move's segment, depends on the system alone; the
+product only decides which subsets each run belongs to.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -89,7 +91,7 @@ class Fan:
     ordered by root: class ``c`` is ``index[starts[c]:starts[c + 1]]``.
     ``moves`` maps each successor with runs to its root, also its segment;
     ``subsets[root, s]`` is the segment automaton state ``s`` admits (-1:
-    none; no columns without a product). Segment ``j`` is the classes
+    none). Segment ``j`` is the classes
     ``segments[segment_starts[j]:segment_starts[j + 1]]``: a move's are all
     classes of its root, a subset's those of its root whose relation admits
     its start state.
@@ -110,16 +112,26 @@ class Fan:
 
 class LocalRunCache:
     """Local-run fans of one system, visibility range and horizon, built on
-    first use; ``product`` is None when only system moves are scored.
-    ``hits`` and ``misses`` count fan lookups that found the fan built or not,
-    and ``build_seconds`` is the time spent building fans.
+    first use, with the subsets of their runs that the trimmed ``product``
+    admits from each automaton state. ``hits`` and ``misses`` count fan
+    lookups that found the fan built or not, and ``build_seconds`` is the
+    time spent building fans.
     """
 
     def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
+        visibility, horizon = float(visibility), float(horizon)
+        if not (math.isfinite(visibility) and math.isfinite(horizon)):
+            raise ContractError("visibility range and planning horizon must be finite")
+        if horizon < ts.max_weight:
+            raise ContractError(
+                "planning horizon must be at least the largest transition weight"
+            )
+        if visibility <= 0:
+            raise ContractError("visibility range must be positive")
         self.ts = ts
         self.product = product
-        self.visibility = float(visibility)
-        self.horizon = float(horizon)
+        self.visibility = visibility
+        self.horizon = horizon
         self.fans: dict[int, Fan] = {}
         self.hits = 0
         self.misses = 0
@@ -127,27 +139,20 @@ class LocalRunCache:
         self._edge_segments: dict[int, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
-        if product is None:
-            # one letter and one kept row, both over no automaton state: every
-            # node carries the one relation, which admits no start state
-            letter_of, delta = np.zeros(ts.n, dtype=np.intp), np.zeros((1, 0, 0), dtype=bool)
-            self._kept, self._kept_id = np.zeros((1, 0), dtype=bool), np.zeros(ts.n, dtype=np.intp)
-        else:
-            ba, table = product.ba, product.letters
-            n_letters, letter_of = len(table.letters), table.letter_of
-            # boolean transition matrices, one per letter, read on table misses
-            delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
-            rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
-            delta.reshape(-1, ba.n_states)[rows, table.target] = True
-            kept = np.zeros((ts.n, ba.n_states), dtype=bool)
-            kept[product.ts_of, product.ba_of] = True
-            # the distinct rows of automaton states kept with a system state,
-            # in row order, found by a 1-D unique of the rows packed to bytes
-            packed = np.packbits(kept, axis=1)
-            packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, self._kept_id = np.unique(packed, return_index=True, return_inverse=True)
-            self._kept = kept[first]
-        self._delta = delta
+        ba, table = product.ba, product.letters
+        n_letters, letter_of = len(table.letters), table.letter_of
+        # boolean transition matrices, one per letter, read on table misses
+        self._delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
+        rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
+        self._delta.reshape(-1, ba.n_states)[rows, table.target] = True
+        kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+        kept[product.ts_of, product.ba_of] = True
+        # the distinct rows of automaton states kept with a system state,
+        # in row order, found by a 1-D unique of the rows packed to bytes
+        packed = np.packbits(kept, axis=1)
+        packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, self._kept_id = np.unique(packed, return_index=True, return_inverse=True)
+        self._kept = kept[first]
         # a move's class: the letter its source emits and the kept row of its target
         source = np.repeat(letter_of, np.diff(ts.move_ptr))
         n_kept = len(self._kept)

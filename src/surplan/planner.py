@@ -49,9 +49,6 @@ class StepInfo:
     subgoal_before: str
     subgoal_after: str
     attraction: float
-    potential: float
-    max_potential: float
-    preference: float
     elapsed_used: float
     indicator: bool
     survey: bool
@@ -82,38 +79,28 @@ class Planner:
             raise MissionInfeasible(INFEASIBLE_MESSAGE)
         if product.ind_pi is None or product.ind_phi is None:
             raise ContractError("product must carry shortening indicators")
-        if horizon < product.ts.max_weight:
-            raise ContractError(
-                "planning horizon must be at least the largest transition weight"
-            )
-        if visibility <= 0:
-            raise ContractError("visibility range must be positive")
+        self.local_runs = offline.local_run_cache(visibility, horizon)
         self.product = product
-        self.ts = product.ts
         self.potential = potential
         self.preference = preference
         self.rng = rng
 
         self.prefix: list[int] = [product.initial]
-        self.times: list[float] = [0.0]
         self.subgoal = SURVEILLANCE
-        self.survey_flags: list[bool] = [bool(product.surveillance[product.initial])]
-        self.unmasked_flags: list[bool] = [False]
         self.accepting_positions: list[int] = (
             [0] if product.f_inf[product.initial] else []
         )
-
-        self.local_runs = offline.local_run_cache(visibility, horizon)
 
         # decisions with more than one candidate within the tie tolerance of
         # the best, and decisions whose best attraction was exactly zero
         self.tied_steps = 0
         self.zero_attraction_steps = 0
 
+        self._time = 0.0
         self._elapsed_raw = 0.0
         self._elapsed_masked = 0.0
-        self._last_accepting: int | None = 0 if product.f_inf[product.initial] else None
-        self._survey_since_accepting = self.survey_flags[0]
+        self._accepting_visited = bool(product.f_inf[product.initial])
+        self._survey_since_accepting = bool(product.surveillance[product.initial])
 
     # -- public views ------------------------------------------------------
 
@@ -186,24 +173,18 @@ class Planner:
 
         position = len(self.prefix)
         raw_survey = bool(product.surveillance[p_next])
-        unmasked = (
-            raw_survey
-            and self._last_accepting is not None
-            and not self._survey_since_accepting
-        )
+        unmasked = raw_survey and self._accepting_visited and not self._survey_since_accepting
+        self._time += weight
         self._elapsed_raw = 0.0 if raw_survey else self._elapsed_raw + weight
         self._elapsed_masked = 0.0 if unmasked else self._elapsed_masked + weight
         if product.f_inf[p_next]:
-            self._last_accepting = position
+            self._accepting_visited = True
             self._survey_since_accepting = raw_survey
             self.accepting_positions.append(position)
         elif raw_survey:
             self._survey_since_accepting = True
 
         self.prefix.append(p_next)
-        self.times.append(self.times[-1] + weight)
-        self.survey_flags.append(raw_survey)
-        self.unmasked_flags.append(unmasked)
 
         subgoal_before = self.subgoal
         if self.subgoal == SURVEILLANCE and product.s_pi_inf[p_next]:
@@ -217,13 +198,10 @@ class Planner:
             ts_state=int(product.ts_of[p_next]),
             ba_state=int(product.ba_of[p_next]),
             weight=weight,
-            time=self.times[-1],
+            time=self._time,
             subgoal_before=subgoal_before,
             subgoal_after=self.subgoal,
             attraction=float(attractions[pick]),
-            potential=float(pots[pick]),
-            max_potential=float(max_pot),
-            preference=pref_value,
             elapsed_used=float(elapsed),
             indicator=bool(indicator[chosen_edge]),
             survey=raw_survey,

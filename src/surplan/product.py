@@ -375,8 +375,6 @@ class OfflineResult:
     """Everything the online planner needs, plus diagnostics."""
 
     ts: TransitionSystem
-    formula: Formula
-    surveillance_prop: str
     ba: BuchiAutomaton
     product: ProductAutomaton
     trimmed: ProductAutomaton
@@ -437,8 +435,6 @@ def offline_phase(
     label_ok = check_accepting_label_condition(ba, surveillance_prop)
     return OfflineResult(
         ts=ts,
-        formula=formula,
-        surveillance_prop=surveillance_prop,
         ba=ba,
         product=product,
         trimmed=trimmed,

@@ -21,7 +21,7 @@ from .errors import ContractError, ValidationError
 
 
 class RewardField:
-    """Current reward per system state plus the simulation clock."""
+    """Current reward per system state."""
 
     def __init__(self, n_states: int, values: Iterable[float] | None = None):
         if values is None:
@@ -32,7 +32,6 @@ class RewardField:
                 raise ValidationError("initial reward vector has wrong length")
             if (self.values < 0).any():
                 raise ValidationError("rewards must be non-negative")
-        self.clock = 0.0
 
 
 class DecaySpawnDynamics:
@@ -59,7 +58,6 @@ class DecaySpawnDynamics:
     def evolve(self, field: RewardField, dt: float) -> None:
         if dt < 0:
             raise ValidationError("time cannot run backwards")
-        field.clock += dt
         self._fraction += dt
         # tolerance absorbs float accumulation when weights are not integral
         units = int(math.floor(self._fraction + 1e-9))
@@ -87,8 +85,9 @@ class DecaySpawnDynamics:
         return reward
 
     def burn_in(self, field: RewardField, units: int) -> None:
-        """Evolve the field before the run starts, without advancing the
-        clock, so the initial field is not identically zero."""
+        """Run ``units`` whole time units on the field before the run starts,
+        so the initial field is not identically zero; the fractional time
+        that ``evolve`` carries is left as it is."""
         for _ in range(units):
             self._unit_step(field.values)
 

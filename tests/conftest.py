@@ -33,7 +33,7 @@ from surplan.ltl import (
     Until,
     canonical_letters,
 )
-from surplan.product import ProductAutomaton, letter_table
+from surplan.product import ProductAutomaton, build_product, letter_table, trim_product
 from surplan.ts import TransitionSystem
 
 INF = math.inf
@@ -150,6 +150,15 @@ def elapsed_walkback(ts: TransitionSystem, prefix: Sequence[int], surveyed) -> f
     return total
 
 
+def run_history(product: ProductAutomaton, infos) -> tuple[list[float], list[bool]]:
+    """The time and the raw survey flag of every position of a run over
+    ``product``, rebuilt from its ``StepInfo`` records: position 0 is the
+    initial state at time 0, position ``i`` the state step ``i`` entered."""
+    times = [0.0] + [info.time for info in infos]
+    surveys = [bool(product.surveillance[product.initial])] + [info.survey for info in infos]
+    return times, surveys
+
+
 def alpha_bar(planner) -> list[tuple[int, frozenset]]:
     """The planner's executed prefix with surveillance labels masked.
 
@@ -165,7 +174,7 @@ def alpha_bar(planner) -> list[tuple[int, frozenset]]:
     out: list[tuple[int, frozenset]] = []
     for i, p in enumerate(planner.prefix):
         q = int(product.ts_of[p])
-        labels = planner.ts.label(q)
+        labels = product.ts.label(q)
         if sur[i]:
             kept = any(
                 accepting[j] and not any(sur[j:i]) for j in range(i)
@@ -429,6 +438,33 @@ def random_product(
     accepting = rng.random(n_states) < 0.3
     surveillance = rng.random(n_states) < 0.3
     return array_product(edge_src, edge_dst, edge_weight, accepting, surveillance)
+
+
+def random_trimmed_product(rng, ts, states=(2, 5), edges=(3, 10)):
+    """The product of ``ts`` with a random nondeterministic automaton, cut
+    down to a random subset of its states.
+
+    The automaton's moves are the edges of a ``random_product`` graph, each
+    readable under a random set of the system's letters, so one state often
+    has several targets under one letter. Its state and edge counts are
+    drawn from the half-open ranges ``states`` and ``edges``.
+    """
+    graph = random_product(rng, int(rng.integers(*states)), int(rng.integers(*edges)))
+    letters = list(dict.fromkeys(ts.labels))
+    transitions = [
+        (int(s), letter, int(t))
+        for s, t in zip(graph.edge_src, graph.edge_dst)
+        for letter in letters
+        if rng.random() < 0.6
+    ]
+    ba = listed_automaton(graph.n, 0, ts.propositions, transitions, {0})
+    product = build_product(ts, ba)
+    finite = rng.random(product.n) < 0.8
+    finite[product.initial] = True
+    product.w_pi = np.where(finite, 0.0, np.inf)
+    product.w_phi_u = np.zeros(product.n)
+    product.w_phi_v = np.zeros(product.n)
+    return trim_product(product)
 
 
 def chain_product(n_states: int, loop: int) -> ProductAutomaton:

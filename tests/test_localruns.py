@@ -31,7 +31,7 @@ from conftest import (
     dijkstra_oracle_from,
     listed_automaton,
     move_weights,
-    random_product,
+    random_trimmed_product,
     random_ts,
 )
 from fan_reference import FirstAdmission, reference_build_fan, reference_kept
@@ -81,8 +81,8 @@ def node_roots(fan):
 
 def fan_as_padded(fan, i, n_ba):
     """The runs of the fan's move ``i`` as the recurrence packs them:
-    ``(ts_states, valid, cumw, novel, admits)``, ``admits`` None without
-    subsets. Each row is one node, its path read up the parent pointers."""
+    ``(ts_states, valid, cumw, novel, admits)`` over ``n_ba`` automaton
+    states. Each row is one node, its path read up the parent pointers."""
     nodes = np.flatnonzero(node_roots(fan) == i)
     depth = node_depths(fan)
     width = int(depth[nodes].max())
@@ -100,8 +100,6 @@ def fan_as_padded(fan, i, n_ba):
         valid[r, : len(path)] = True
         cumw[r, : len(path)] = fan.cumw[path]
         novel[r, : len(path)] = fan.novel[path]
-    if n_ba is None:
-        return ts_states, valid, cumw, novel, None
     admits = np.zeros((len(nodes), n_ba), dtype=bool)
     for s in range(n_ba):
         if fan.subsets[i, s] >= 0:
@@ -124,11 +122,11 @@ def assert_segments_are_well_formed(fan):
 
 
 def assert_fans_match_oracle(cache, oracle):
-    """Every move's runs, and with a product which start states admit
-    each, are array-equal to the per-move recurrence; a move without runs
-    has no segment."""
+    """Every move's runs, and which start states admit each, are
+    array-equal to the per-move recurrence; a move without runs has no
+    segment."""
     ts = cache.ts
-    n_ba = None if cache.product is None else cache.product.ba.n_states
+    n_ba = cache.product.ba.n_states
     for q_k in range(ts.n):
         fan = cache.fan(q_k)
         assert_segments_are_well_formed(fan)
@@ -139,9 +137,7 @@ def assert_fans_match_oracle(cache, oracle):
                 assert q not in fan.moves
                 continue
             arrays = fan_as_padded(fan, fan.moves[q], n_ba)
-            if cache.product is None:
-                arrays = arrays[:4]
-            assert len(arrays) == len([a for a in expected if a is not None])
+            assert len(arrays) == len(expected)
             for mine, reference in zip(arrays, expected):
                 assert mine.dtype == reference.dtype
                 assert mine.shape == reference.shape
@@ -237,33 +233,6 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
             )
             compared += 1
     return compared, cache
-
-
-def random_trimmed_product(rng, ts, states=(2, 5), edges=(3, 10)):
-    """The product of ``ts`` with a random nondeterministic automaton, cut
-    down to a random subset of its states.
-
-    The automaton's moves are the edges of a ``random_product`` graph, each
-    readable under a random set of the system's letters, so one state often
-    has several targets under one letter. Its state and edge counts are
-    drawn from the half-open ranges ``states`` and ``edges``.
-    """
-    graph = random_product(rng, int(rng.integers(*states)), int(rng.integers(*edges)))
-    letters = list(dict.fromkeys(ts.labels))
-    transitions = [
-        (int(s), letter, int(t))
-        for s, t in zip(graph.edge_src, graph.edge_dst)
-        for letter in letters
-        if rng.random() < 0.6
-    ]
-    ba = listed_automaton(graph.n, 0, ts.propositions, transitions, {0})
-    product = build_product(ts, ba)
-    finite = rng.random(product.n) < 0.8
-    finite[product.initial] = True
-    product.w_pi = np.where(finite, 0.0, np.inf)
-    product.w_phi_u = np.zeros(product.n)
-    product.w_phi_v = np.zeros(product.n)
-    return trim_product(product)
 
 
 def admitted_pairs(fan):
@@ -406,13 +375,14 @@ def test_path_sums_add_in_travel_order_at_every_width():
 def test_move_scores_equal_the_literal_left_to_right_oracle():
     """Every move's score equals the literal potential, whose sums run left
     to right, with ``==``, on non-dyadic weights and rewards and runs of 8
-    and more positions."""
-    rng = np.random.default_rng(13)
+    and more positions. A move's segment holds all of its runs whatever the
+    product, so the products come from a generator of their own."""
+    rng, products = np.random.default_rng(13), np.random.default_rng(14)
     visibility, horizon = 3.0, 1.5
     compared = longest = 0
     for _ in range(6):
         ts = random_ts(rng, 5, extra_edges=6, weights=(0.1, 0.2, 0.3, 0.7))
-        cache = LocalRunCache(ts, None, visibility, horizon)
+        cache = LocalRunCache(ts, random_trimmed_product(products, ts), visibility, horizon)
         for q_k in range(ts.n):
             fan = cache.fan(q_k)
             longest = max(longest, len(fan.bounds) - 1)
@@ -438,8 +408,7 @@ def test_move_scores_equal_the_literal_left_to_right_oracle():
 
 def test_a_move_out_of_sight_raises_only_when_asked_for():
     """A fan leaves out a successor beyond the visibility range; its siblings
-    still build, on a planner cache and on a product-less one, and only the
-    callers that need that move raise."""
+    still build, and only the callers that need that move raise."""
     rng = np.random.default_rng(31)
     visibility, horizon = 2.0, 7.0
 
@@ -459,36 +428,31 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
     else:
         pytest.fail("no system with a hidden sibling was drawn")
     q_k, q_hidden, siblings = split
-    trimmed = random_trimmed_product(rng, ts)
-    for cache in (
-        LocalRunCache(ts, trimmed, visibility, horizon),
-        LocalRunCache(ts, None, visibility, horizon),
-    ):
-        oracle = LocalRunOracle(ts, cache.product, visibility, horizon)
-        n_ba = None if cache.product is None else cache.product.ba.n_states
-        fan = cache.fan(q_k)
-        assert sorted(fan.moves) == sorted(siblings)
-        for q in siblings:
-            assert np.array_equal(fan_as_padded(fan, fan.moves[q], n_ba)[2], oracle.bundle(q_k, q)[2])
-        # the cost of any move out of q_k compares it with every sibling
-        evaluator = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
-        values = RewardField(ts.n).values
-        scores = cache.scores(q_k, MaxSumPotential(15.0), values)
-        with pytest.raises(ContractError):
-            evaluator.cost(q_k, siblings[0], scores, 0.0)
-        if cache.product is not None:
-            product = cache.product
-            for p in np.flatnonzero(product.ts_of == q_k).tolist():
-                edges = product.edges_from(p)
-                into = product.ts_of[product.edge_dst[edges.start : edges.stop]]
-                if q_hidden in into:
-                    with pytest.raises(ContractError):
-                        cache.edge_segments(p)
-                else:
-                    assert len(cache.edge_segments(p)) == len(edges)
-        assert cache.sizes()["fans"] == 1
-        assert cache.misses == 1 and cache.hits >= 1
-        assert_fans_match_oracle(cache, oracle)
+    product = random_trimmed_product(rng, ts)
+    cache = LocalRunCache(ts, product, visibility, horizon)
+    oracle = LocalRunOracle(ts, product, visibility, horizon)
+    fan = cache.fan(q_k)
+    assert sorted(fan.moves) == sorted(siblings)
+    for q in siblings:
+        padded = fan_as_padded(fan, fan.moves[q], product.ba.n_states)
+        assert np.array_equal(padded[2], oracle.bundle(q_k, q)[2])
+    # the cost of any move out of q_k compares it with every sibling
+    evaluator = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
+    values = RewardField(ts.n).values
+    scores = cache.scores(q_k, MaxSumPotential(15.0), values)
+    with pytest.raises(ContractError):
+        evaluator.cost(q_k, siblings[0], scores, 0.0)
+    for p in np.flatnonzero(product.ts_of == q_k).tolist():
+        edges = product.edges_from(p)
+        into = product.ts_of[product.edge_dst[edges.start : edges.stop]]
+        if q_hidden in into:
+            with pytest.raises(ContractError):
+                cache.edge_segments(p)
+        else:
+            assert len(cache.edge_segments(p)) == len(edges)
+    assert cache.sizes()["fans"] == 1
+    assert cache.misses == 1 and cache.hits >= 1
+    assert_fans_match_oracle(cache, oracle)
 
 
 def test_bundles_are_built_once_across_runs_experiments_and_callers(monkeypatch):
@@ -534,12 +498,10 @@ def assert_fans_equal_reference(cache, order=None):
     through classes; and on fractional rewards every score table equals the
     maximum over the reference's per-pair segments. The kept rows equal a 2-D
     unique. Returns the fans in state order."""
-    first = None
-    if cache.product is not None:
-        rows, ids = reference_kept(cache)
-        assert np.array_equal(cache._kept, rows)
-        assert cache._kept_id.dtype == ids.dtype and np.array_equal(cache._kept_id, ids)
-        first = FirstAdmission(cache.ts, cache.product)
+    rows, ids = reference_kept(cache)
+    assert np.array_equal(cache._kept, rows)
+    assert cache._kept_id.dtype == ids.dtype and np.array_equal(cache._kept_id, ids)
+    first = FirstAdmission(cache.ts, cache.product)
     rng = np.random.default_rng(1815)
     fans = {}
     for q_k in range(cache.ts.n) if order is None else order:
@@ -583,8 +545,14 @@ def exact_horizon_cases(rng, count):
     """``(ts, trimmed, visibility, horizon, q_k)`` on non-dyadic weights,
     each horizon the weight of a run after a move out of ``q_k``, added as
     the fan adds it, whose last move is the lightest out of its state: the
-    run fits the horizon exactly, and so does its parent with that move."""
-    for trial in range(count):
+    run fits the horizon exactly, and so does its parent with that move.
+    A cache refuses a horizon below the heaviest move, which would leave that
+    move without runs, so such draws are skipped. The products of even
+    trials come from a generator of their own, which leaves ``rng``'s draws
+    as they were when those trials had none."""
+    products = np.random.default_rng(1811)
+    trial = 0
+    while count:
         ts = random_ts(rng, int(rng.integers(3, 7)), extra_edges=5, weights=(0.1, 0.2, 0.3, 0.7))
         weights = move_weights(ts)
         q_k = int(rng.integers(ts.n))
@@ -598,14 +566,18 @@ def exact_horizon_cases(rng, count):
             else:
                 nxt = int(rng.choice(out))
             total, q = total + weights[q, nxt], nxt
-        trimmed = random_trimmed_product(rng, ts) if trial % 2 else None
-        yield ts, trimmed, float(rng.choice([1.0, 5.0])), total + entry, q_k
+        trimmed = random_trimmed_product(rng if trial % 2 else products, ts)
+        visibility = float(rng.choice([1.0, 5.0]))
+        trial += 1
+        if total + entry >= ts.max_weight:
+            count -= 1
+            yield ts, trimmed, visibility, total + entry, q_k
 
 
 def test_fans_equal_the_unpruned_build_on_exact_horizons():
     """On non-dyadic weights whose horizons some run's float sum hits
-    exactly, every fan equals the unpruned build, with and without a
-    product, and runs on both edges of the horizon and of the prune occur."""
+    exactly, every fan equals the unpruned build, and runs on both edges of
+    the horizon and of the prune occur."""
     rng = np.random.default_rng(1812)
     exact = boundary = 0
     for ts, trimmed, visibility, horizon, _ in exact_horizon_cases(rng, 60):

@@ -1,5 +1,6 @@
 """Online planner: stepping invariants, bookkeeping, subgoal switching."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from conftest import (
     alpha_bar,
     elapsed_walkback,
     move_weights,
+    random_trimmed_product,
     random_ts,
+    run_history,
     ts_shortening_indicator,
 )
 
@@ -66,18 +69,37 @@ def make_planner(offline, seed=5, pot=None, pref=None, visibility=6.0, horizon=9
     )
 
 
-def drive(planner, rng, steps, spawn=0.25):
-    """Run the planner against live dynamics, returning the step infos."""
+def steps(planner, rng, count, spawn=0.25):
+    """Step the planner ``count`` times against live dynamics, yielding each
+    step's info once the field has moved on."""
     dynamics = DecaySpawnDynamics(rng, spawn_probability=spawn)
-    field = RewardField(planner.ts.n)
+    field = RewardField(planner.product.ts.n)
     dynamics.burn_in(field, 60)
-    infos = []
-    for _ in range(steps):
+    for _ in range(count):
         info = planner.step(field)
         dynamics.on_collect(field, info.ts_state)
         dynamics.evolve(field, info.weight)
-        infos.append(info)
-    return infos
+        yield info
+
+
+def drive(planner, rng, count, spawn=0.25):
+    """Run the planner against live dynamics, returning the step infos."""
+    return list(steps(planner, rng, count, spawn))
+
+
+def counted_surveys(planner, rng, count):
+    """Whether each position's survey counts for the planner's masked
+    elapsed weight, read from the weight after each of ``count`` steps; the
+    initial position's never does. Weights are positive, so the weight reads
+    0 exactly where it restarts."""
+    return [False] + [planner.elapsed_masked == 0.0 for _ in steps(planner, rng, count)]
+
+
+def since_latest(times, flags):
+    """Weight from the latest flagged position to the last one, from the
+    start when none is flagged."""
+    latest = max((i for i, flag in enumerate(flags) if flag), default=0)
+    return times[-1] - times[latest]
 
 
 def test_infeasible_mission_is_refused(triangle_ts):
@@ -94,16 +116,35 @@ def test_parameter_validation(triangle_offline):
         make_planner(triangle_offline, visibility=0.0)
 
 
+@pytest.mark.parametrize(
+    "visibility, horizon", [(6.0, math.inf), (6.0, math.nan), (math.inf, 9.0), (math.nan, 9.0)]
+)
+def test_non_finite_parameters_are_refused_on_construction(
+    triangle_ts, triangle_offline, visibility, horizon
+):
+    """The planner and a local-run cache refuse a horizon or visibility range
+    that is not finite when they are made: an infinite horizon made the first
+    step allocate without bound, and a NaN made it claim a move had no local
+    run. Nothing steps here."""
+    with pytest.raises(ContractError):
+        make_planner(triangle_offline, visibility=visibility, horizon=horizon)
+    with pytest.raises(ContractError):
+        LocalRunCache(triangle_ts, triangle_offline.trimmed, visibility, horizon)
+    assert (visibility, horizon) not in triangle_offline.local_run_caches
+
+
 def test_prefix_is_a_valid_product_run(grid_offline):
     planner, rng = make_planner(grid_offline)
-    drive(planner, rng, 60)
+    infos = drive(planner, rng, 60)
     product = planner.product
     assert planner.prefix[0] == product.initial
+    assert planner.prefix[1:] == [info.product_state for info in infos]
     for a, b in zip(planner.prefix, planner.prefix[1:]):
         assert b in [int(product.edge_dst[e]) for e in product.edges_from(a)]
     # times accumulate the traversed edge weights
+    times, _ = run_history(product, infos)
     for i, (a, b) in enumerate(zip(planner.prefix, planner.prefix[1:])):
-        w = planner.times[i + 1] - planner.times[i]
+        w = times[i + 1] - times[i]
         assert w == pytest.approx(
             float(
                 product.edge_weight[
@@ -140,9 +181,14 @@ def test_subgoal_switching_follows_the_recurrent_sets(grid_offline):
 
 
 def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
-    """The raw elapsed weight, which the trace's cost column reads, equals the
-    travel-order sum over the executed system prefix since its latest survey
-    exactly, on integer, dyadic and fractional weights."""
+    """After every step, the raw elapsed weight, which the trace's cost
+    column reads, equals the travel-order sum over the executed system prefix
+    since its latest survey exactly, on integer, dyadic and fractional
+    weights; the raw and the masked elapsed weight equal the weight since the
+    latest survey, and since the latest survey kept on the masked prefix, of
+    the times and surveys the step records report. A position's masked label
+    depends only on the positions before it, so the masked prefix is
+    computed once, after the run."""
     systems = []
     rng = np.random.default_rng(29)
     for weights in ((0.5, 0.75, 1.25, 2.0), (0.3, 0.7, 1.1)):
@@ -155,32 +201,24 @@ def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
                 drawn += 1
     for offline in (grid_offline, *systems):
         planner, rng = make_planner(offline)
-        surveyed = [q for q in range(planner.ts.n) if "sur" in planner.ts.label(q)]
-        dynamics = DecaySpawnDynamics(rng, spawn_probability=0.25)
-        field = RewardField(planner.ts.n)
-        dynamics.burn_in(field, 60)
-        for _ in range(70):
-            info = planner.step(field)
-            dynamics.on_collect(field, info.ts_state)
-            dynamics.evolve(field, info.weight)
-            times = planner.times
-
-            def since_latest(flags):
-                for i in range(len(flags) - 1, -1, -1):
-                    if flags[i]:
-                        return times[-1] - times[i]
-                return times[-1]
-
-            assert planner.elapsed_raw == pytest.approx(since_latest(planner.survey_flags))
-            assert planner.elapsed_masked == pytest.approx(
-                since_latest(planner.unmasked_flags)
-            )
-            assert planner.elapsed_raw == elapsed_walkback(planner.ts, planner.alpha(), surveyed)
+        product = planner.product
+        ts = product.ts
+        surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
+        infos, elapsed = [], []
+        for info in steps(planner, rng, 70):
+            infos.append(info)
+            elapsed.append((planner.elapsed_raw, planner.elapsed_masked))
+            assert planner.elapsed_raw == elapsed_walkback(ts, planner.alpha(), surveyed)
+        times, surveys = run_history(product, infos)
+        kept = [product.surveillance_prop in labels for _, labels in alpha_bar(planner)]
+        for k, (raw, masked) in enumerate(elapsed, start=2):
+            assert raw == pytest.approx(since_latest(times[:k], surveys[:k]))
+            assert masked == pytest.approx(since_latest(times[:k], kept[:k]))
 
 
 def test_masked_prefix_agrees_with_incremental_flags(grid_offline):
     planner, rng = make_planner(grid_offline)
-    drive(planner, rng, 80)
+    counted = counted_surveys(planner, rng, 80)
     masked = alpha_bar(planner)
     product = planner.product
     prop = product.surveillance_prop
@@ -188,21 +226,20 @@ def test_masked_prefix_agrees_with_incremental_flags(grid_offline):
         assert q == int(product.ts_of[planner.prefix[i]])
         raw = bool(product.surveillance[planner.prefix[i]])
         if raw:
-            assert (prop in labels) == planner.unmasked_flags[i]
+            assert (prop in labels) == counted[i]
         else:
             assert prop not in labels
-            assert not planner.unmasked_flags[i]
+            assert not counted[i]
 
 
 def test_at_most_one_masked_survey_between_accepting_visits(grid_offline):
     planner, rng = make_planner(grid_offline)
-    drive(planner, rng, 120)
+    flags = counted_surveys(planner, rng, 120)
     accepting = [
         i
         for i, p in enumerate(planner.prefix)
         if planner.product.f_inf[p]
     ]
-    flags = planner.unmasked_flags
     for lo, hi in zip(accepting, accepting[1:]):
         assert sum(flags[lo + 1 : hi + 1]) <= 1
     # a masked survey only ever follows some accepting visit
@@ -235,8 +272,8 @@ def test_zero_rewards_still_accomplish_the_mission(grid_offline):
     planner, rng = make_planner(
         grid_offline, pot=MaxSinglePotential(), pref=CubicRampPreference(50.0)
     )
-    field = RewardField(planner.ts.n)
     product = planner.product
+    field = RewardField(product.ts.n)
     surveys = 0
     for _ in range(200):
         info = planner.step(field)
@@ -263,9 +300,10 @@ def test_ts_shortening_indicator(triangle_ts):
     assert ts_shortening_indicator(ts, q1, q0, []) == 0
 
 
-def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts):
+def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts, triangle_offline):
     ts = triangle_ts
-    ev = CostEvaluator(LocalRunCache(ts, None, 3.0, 6.0), ThresholdPreference(50.0), "sur")
+    cache = LocalRunCache(ts, triangle_offline.trimmed, 3.0, 6.0)
+    ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
     q0, q1, q2 = (ts.state_id(q) for q in ("q0", "q1", "q2"))
     cases = [
         ([q0], 0.0),
@@ -281,8 +319,8 @@ def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts):
         assert elapsed_walkback(ts, prefix, ev.surveyed) == expected
 
 
-def test_cost_evaluator_rejects_non_successor(triangle_ts):
-    cache = LocalRunCache(triangle_ts, None, 3.0, 6.0)
+def test_cost_evaluator_rejects_non_successor(triangle_ts, triangle_offline):
+    cache = LocalRunCache(triangle_ts, triangle_offline.trimmed, 3.0, 6.0)
     ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
     q0, q1, q2 = (triangle_ts.state_id(q) for q in ("q0", "q1", "q2"))
     values = RewardField(triangle_ts.n).values
@@ -298,14 +336,17 @@ def test_cost_evaluator_rejects_non_successor(triangle_ts):
 
 def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     grid = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini")
-    rng = np.random.default_rng(31)
+    # the indicator reads the system alone; the products, which the cache
+    # needs, come from a generator of their own
+    rng, products = np.random.default_rng(31), np.random.default_rng(32)
     # integer and dyadic weights: forward and backward sums agree exactly
     dyadic = [
         random_ts(rng, int(rng.integers(3, 12)), extra_edges=12, weights=(0.5, 0.75, 1.25, 2.0))
         for _ in range(8)
     ]
     for ts in (grid.ts, triangle_ts, *dyadic):
-        ev = CostEvaluator(LocalRunCache(ts, None, 6.0, 9.0), ThresholdPreference(50.0), "sur")
+        cache = LocalRunCache(ts, random_trimmed_product(products, ts), 6.0, 9.0)
+        ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
         assert ev.surveyed
         for q, q_next in move_weights(ts):
             assert ev.indicator(q, q_next) == ts_shortening_indicator(

@@ -42,10 +42,8 @@ def test_decay_by_whole_units():
     field = RewardField(3, [5.0, 1.0, 0.0])
     dyn.evolve(field, 2.0)
     assert list(field.values) == [3.0, 0.0, 0.0]
-    assert field.clock == 2.0
     dyn.evolve(field, 3.0)
     assert list(field.values) == [0.0, 0.0, 0.0]
-    assert field.clock == 5.0
 
 
 def reference_unit_step(rng, values, spawn_probability):
@@ -112,7 +110,6 @@ def test_fractional_weights_do_not_drift_over_long_runs():
         dyn.evolve(field, dt)
         exact += exact_dt
         assert units == math.floor(exact)
-    assert field.clock == pytest.approx(float(exact))
 
 
 def test_spawn_only_on_empty_states():
@@ -151,12 +148,18 @@ def test_spawn_probability_respected():
     assert abs((field.values > 0).mean() - expected_nonzero) < 0.005
 
 
-def test_burn_in_leaves_clock_untouched():
+def test_burn_in_fills_the_field():
+    """Burn-in runs whole units on the field and leaves the fractional
+    time that ``evolve`` carries as it is."""
     dyn = DecaySpawnDynamics(np.random.default_rng(3), spawn_probability=0.05)
     field = RewardField(100)
+    dyn.evolve(field, 0.5)
     dyn.burn_in(field, 100)
-    assert field.clock == 0.0
     assert (field.values > 0).any()
+    before = field.values.copy()
+    dyn.evolve(field, 0.5)
+    # the carried half makes a whole unit, which decays every value above 1
+    assert np.array_equal(field.values[before > 1], before[before > 1] - 1)
 
 
 def test_evolution_is_reproducible_under_seed():
