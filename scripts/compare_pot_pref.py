@@ -8,18 +8,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from surplan import ScenarioError, default_case_study, load_scenario, offline_phase, run_experiment
+from surplan import ScenarioError, load_scenario, offline_phase, rewards, run_experiment
 from surplan.cli import _say
 
-POTENTIALS = ("max-sum", "max-single")
-PREFERENCES = ("threshold", "cubic", "cube-root")
+POTENTIALS = tuple(rewards.POTENTIALS)
+PREFERENCES = tuple(rewards.PREFERENCES)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "scenario", nargs="?", type=Path, default=None,
-        help="scenario file (default: the built-in 10x10 case study)",
+        "scenario", nargs="?", type=Path,
+        default=Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini",
+        help="scenario file (default: the shipped 10x10 case study, default_grid.ini)",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--runs", type=int, default=None)
@@ -35,10 +36,7 @@ def main() -> int:
         if value is not None
     }
     try:
-        if args.scenario is None:
-            scenario = default_case_study(**overrides)
-        else:
-            scenario = load_scenario(args.scenario, overrides)
+        scenario = load_scenario(args.scenario, overrides)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

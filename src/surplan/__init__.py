@@ -33,7 +33,7 @@ from .rewards import (
     register_preference,
 )
 from .planner import CostEvaluator, Planner, StepInfo
-from .scenario import Scenario, build_grid, default_case_study, load_scenario
+from .scenario import Scenario, build_grid, load_scenario
 from .sim import (
     ExperimentResult,
     ExperimentStats,
@@ -71,7 +71,6 @@ __all__ = [
     "build_product",
     "check_accepting_label_condition",
     "compute_stats",
-    "default_case_study",
     "emit_outputs",
     "format_stats",
     "load_scenario",

@@ -140,38 +140,40 @@ class LocalRunCache:
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
         ba, table = product.ba, product.letters
-        n_letters, letter_of = len(table.letters), table.letter_of
-        # boolean transition matrices, one per letter, read on table misses
-        self._delta = np.zeros((n_letters, ba.n_states, ba.n_states), dtype=bool)
-        rows = np.repeat(np.arange(n_letters * ba.n_states), np.diff(table.ptr))
-        self._delta.reshape(-1, ba.n_states)[rows, table.target] = True
-        kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+        n_letters, n_ba = len(table.letters), ba.n_states
+        # boolean transition matrices, one per letter
+        delta = np.zeros((n_letters, n_ba, n_ba), dtype=bool)
+        rows = np.repeat(np.arange(n_letters * n_ba), np.diff(table.ptr))
+        delta.reshape(-1, n_ba)[rows, table.target] = True
+        kept = np.zeros((ts.n, n_ba), dtype=bool)
         kept[product.ts_of, product.ba_of] = True
         # the distinct rows of automaton states kept with a system state,
         # in row order, found by a 1-D unique of the rows packed to bytes
         packed = np.packbits(kept, axis=1)
         packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, self._kept_id = np.unique(packed, return_index=True, return_inverse=True)
-        self._kept = kept[first]
+        self._kept = kept = kept[first]
         # a move's class: the letter its source emits and the kept row of its target
-        source = np.repeat(letter_of, np.diff(ts.move_ptr))
-        n_kept = len(self._kept)
+        source = np.repeat(table.letter_of, np.diff(ts.move_ptr))
         pairs, self._move_class = np.unique(
-            source * n_kept + self._kept_id[ts.move_dst], return_inverse=True
+            source * len(kept) + self._kept_id[ts.move_dst], return_inverse=True
         )
-        self._class_letter, self._class_kept = np.divmod(pairs, n_kept)
+        class_letter, class_kept = np.divmod(pairs, len(kept))
+        # each class's step, read on table misses: its letter's transitions
+        # into the states kept with its target
+        self._step = delta[class_letter] & kept[class_kept][:, None, :]
         # a relation is an n_ba x n_ba boolean matrix whose row s0 holds the
         # automaton states that can end a run started in s0; by id, the
         # relation, its nonempty rows and the lazy table child[id, move
         # class] (-1 where not filled yet), with room for as many ids as
         # the tables have rows, doubled when full
-        n_ba, room = self._kept.shape[1], 16
+        room = 16
         self._relation_id: dict[bytes, int] = {}
         self._relations = np.zeros((room, n_ba, n_ba), dtype=bool)
         self._nonempty = np.zeros((room, n_ba), dtype=bool)
         self._child = np.full((room, len(pairs)), -1, dtype=np.intp)
         # a root's relation is the identity on the states kept with it
-        self._root = self._intern(np.eye(n_ba, dtype=bool) & self._kept[:, None, :])
+        self._root = self._intern(np.eye(n_ba, dtype=bool) & kept[:, None, :])
 
     def sizes(self) -> dict[str, float]:
         """Fans built, the nodes, run classes and segments they hold, fan
@@ -300,20 +302,15 @@ class LocalRunCache:
         )
 
     def _children(self, rel: np.ndarray, move_class: np.ndarray) -> np.ndarray:
-        """``child[rel, move_class]``: each relation read on through the label
-        of a move of that class, then met with the states kept with its
-        target. Each entry not filled yet is made first, one batch for the
-        distinct missing keys."""
+        """``child[rel, move_class]``: each relation read on through the
+        class's step. Each entry not filled yet is made first, one batch for
+        the distinct missing keys."""
         found = self._child[rel, move_class]
         if found.min() < 0:
             width = self._child.shape[1]
             keys = np.unique((rel * width + move_class)[found < 0])
             rows, classes = keys // width, keys % width
-            stepped = self._relations[rows] @ self._delta[self._class_letter[classes]]
-            made = stepped & self._kept[self._class_kept[classes]][:, None, :]
-            # the stepped relations are interned first, so the relations
-            # counted include each of them
-            self._child[rows, classes] = self._intern(np.concatenate((stepped, made)))[len(keys) :]
+            self._child[rows, classes] = self._intern(self._relations[rows] @ self._step[classes])
             found = self._child[rel, move_class]
         return found
 

@@ -197,13 +197,6 @@ def build_product(
     )
 
 
-def _distance_to_set(product: ProductAutomaton, mask: np.ndarray) -> np.ndarray:
-    """Least path weight from each state into the marked set (0 inside it)."""
-    if not mask.any():
-        return np.full(product.n, INF)
-    return dijkstra(product.reverse, indices=np.flatnonzero(mask), min_only=True)
-
-
 def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """Restrict accepting and surveillance sets to their recurrent cores.
 
@@ -219,8 +212,11 @@ def compute_inf_sets(product: ProductAutomaton) -> tuple[np.ndarray, np.ndarray]
 
 
 def surveillance_distance(product: ProductAutomaton, s_inf: np.ndarray) -> np.ndarray:
-    """Minimum weight from each state to the recurrent surveillance set."""
-    return _distance_to_set(product, s_inf)
+    """Minimum weight from each state to the recurrent surveillance set (0
+    inside it)."""
+    if not s_inf.any():
+        return np.full(product.n, INF)
+    return dijkstra(product.reverse, indices=np.flatnonzero(s_inf), min_only=True)
 
 
 def mission_distance(

@@ -453,42 +453,3 @@ def _validated_scenario(**kwargs) -> Scenario:
 
     return Scenario(formula=formula, **kwargs)
 
-
-def default_case_study(
-    potential_name: str = "max-sum",
-    preference_name: str = "threshold",
-    seed: int = 7,
-    runs: int = 5,
-    iterations: int = 100,
-) -> Scenario:
-    """The built-in 10x10 benchmark scenario.
-
-    Two transmitter corners must be visited in strict alternation, a band of
-    unsafe cells separates them leaving two corridors, and both transmitters
-    double as surveillance states.
-    """
-    labels = {
-        "a": {(0, 0)},
-        "b": {(9, 9)},
-        "sur": {(0, 0), (9, 9)},
-        "u": {(4, c) for c in range(1, 9)},
-    }
-    ts = build_grid(10, 10, labels, initial=(9, 0))
-    return _validated_scenario(
-        name="case-study",
-        ts=ts,
-        formula_text="G (a -> X (!a U b)) & G (b -> X (!b U a)) & G !u",
-        surveillance_prop="sur",
-        visibility=6.0,
-        horizon=9.0,
-        potential_name=potential_name,
-        preference_name=preference_name,
-        refresh_value=15.0,
-        preference_threshold=50.0,
-        spawn_probability=0.05,
-        burn_in=100,
-        seed=seed,
-        iterations=iterations,
-        runs=runs,
-        run_seeds=None,
-    )

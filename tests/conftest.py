@@ -517,35 +517,33 @@ class LocalRunOracle:
 
     ``bundle(q_k, q)`` expands the runs after the move ``q_k -> q`` alone,
     one array step per run length, and packs them padded, ordered by length
-    and, within a length, by parent row and then successor order. With a
-    product it also pushes sets of automaton states along every row (one
-    boolean matrix product per run length) to find which start states admit
-    each row. Visibility comes from :func:`dijkstra_oracle`.
+    and, within a length, by parent row and then successor order. It also
+    pushes sets of automaton states along every row (one boolean matrix
+    product per run length) to find which start states admit each row.
+    Visibility comes from :func:`dijkstra_oracle`.
     """
 
     def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
         self.ts = ts
-        self.product = product
         self.visibility = float(visibility)
         self.horizon = float(horizon)
         self.weights = move_weights(ts)
         self.distance = np.array(dijkstra_oracle(ts.n, self.weights))
         self.indptr, self.succ, self.weight = ts.move_ptr, ts.move_dst, ts.move_weight
-        if product is not None:
-            ba = product.ba
-            self.delta = {
-                letter: np.zeros((ba.n_states, ba.n_states), dtype=bool)
-                for letter in set(ts.labels)
-            }
-            for letter, matrix in self.delta.items():
-                for s in range(ba.n_states):
-                    matrix[s, list(ba.successors(s, letter))] = True
-            self.kept = np.zeros((ts.n, ba.n_states), dtype=bool)
-            self.kept[product.ts_of, product.ba_of] = True
+        ba = product.ba
+        self.delta = {
+            letter: np.zeros((ba.n_states, ba.n_states), dtype=bool)
+            for letter in set(ts.labels)
+        }
+        for letter, matrix in self.delta.items():
+            for s in range(ba.n_states):
+                matrix[s, list(ba.successors(s, letter))] = True
+        self.kept = np.zeros((ts.n, ba.n_states), dtype=bool)
+        self.kept[product.ts_of, product.ba_of] = True
 
     def bundle(self, q_k: int, q: int):
-        """``(ts_states, valid, cumw, novel, admits)``; ``admits`` is None
-        without a product. Raises ContractError when the move has no run."""
+        """``(ts_states, valid, cumw, novel, admits)``. Raises ContractError
+        when the move has no run."""
         entry = self.weights[q_k, q]
         allowed = self.distance[q_k] <= self.visibility
         if not allowed[q] or entry > self.horizon:
@@ -590,19 +588,17 @@ class LocalRunOracle:
             novel[row:end, :length] = path_novel
             row = end
 
-        admits = None
-        if self.product is not None:
-            # reach[r, s0, s]: automaton state s can sit at the end of row r
-            # on some trimmed product path that starts in (q, s0)
-            reach = np.diag(self.kept[q])[None]
-            last = np.array([q])
-            admitted = [reach.any(axis=2)]
-            for parent, states, _ in levels[1:]:
-                step = np.stack([self.delta[self.ts.labels[p]] for p in last[parent]])
-                reach = np.matmul(reach[parent], step) & self.kept[states][:, None, :]
-                last = states
-                admitted.append(reach.any(axis=2))
-            admits = np.concatenate(admitted)
+        # reach[r, s0, s]: automaton state s can sit at the end of row r on
+        # some trimmed product path that starts in (q, s0)
+        reach = np.diag(self.kept[q])[None]
+        last = np.array([q])
+        admitted = [reach.any(axis=2)]
+        for parent, states, _ in levels[1:]:
+            step = np.stack([self.delta[self.ts.labels[p]] for p in last[parent]])
+            reach = np.matmul(reach[parent], step) & self.kept[states][:, None, :]
+            last = states
+            admitted.append(reach.any(axis=2))
+        admits = np.concatenate(admitted)
         return ts_states, valid, cumw, novel, admits
 
 

@@ -114,12 +114,12 @@ def reference_kept(cache: LocalRunCache) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_build_fan(
-    cache: LocalRunCache, q_k: int, admission: FirstAdmission | None
+    cache: LocalRunCache, q_k: int, admission: FirstAdmission
 ) -> ReferenceFan:
     """The tree of every move out of ``q_k``: one frontier expansion from
-    every visible successor whose entry weight fits the horizon. With a
-    product, ``admission`` is the ``FirstAdmission`` of the cache's system
-    and product."""
+    every visible successor whose entry weight fits the horizon;
+    ``admission`` is the ``FirstAdmission`` of the cache's system and
+    product."""
     ts, horizon = cache.ts, cache.horizon
     allowed = visible_distances(ts, q_k, cache.visibility) <= cache.visibility
     ptr, succ, weight = ts.move_ptr, ts.move_dst, ts.move_weight
@@ -161,12 +161,10 @@ def reference_build_fan(
     # every move's runs, then every subset a start automaton state admits,
     # each in node order, from one stable sort
     n_moves = len(roots)
-    n_ba = 0 if cache.product is None else cache.product.ba.n_states
-    key, index = root, np.arange(len(state))
-    if n_ba:
-        admitted, s0 = admission.admission(parent, state, bounds)
-        key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
-        index = np.concatenate([index, admitted])
+    n_ba = cache.product.ba.n_states
+    admitted, s0 = admission.admission(parent, state, bounds)
+    key = np.concatenate([root, n_moves + root[admitted] * n_ba + s0])
+    index = np.concatenate([np.arange(len(state)), admitted])
     order = np.argsort(key, kind="stable")
     key, index = key[order], index[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))

@@ -38,7 +38,7 @@ from surplan.rewards import (
     make_potential,
     make_preference,
 )
-from surplan.scenario import default_case_study, load_scenario
+from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
 
 from conftest import (
@@ -230,7 +230,9 @@ def _core_visits_bounded(positions, iterations, bound):
 
 
 def test_criterion_4_long_runs_satisfy_the_mission():
-    base = default_case_study(seed=11, runs=5, iterations=1000)
+    base = load_scenario(
+        SCENARIO_DIR / "default_grid.ini", {"seed": 11, "runs": 5, "iterations": 1000}
+    )
     offline = offline_phase(base.ts, base.formula, base.surveillance_prop)
     trimmed = offline.trimmed
     min_w = np.array(product_min_w_oracle(trimmed))
@@ -290,7 +292,7 @@ def test_criterion_4_long_runs_satisfy_the_mission():
 
 
 def test_criterion_5_preference_orderings_across_seeds():
-    base = default_case_study(runs=5, iterations=100)
+    base = load_scenario(SCENARIO_DIR / "default_grid.ini", {"runs": 5, "iterations": 100})
     offline = offline_phase(base.ts, base.formula, base.surveillance_prop)
     seeds = (101, 202, 303, 404, 505)
     verdicts = []
@@ -503,7 +505,7 @@ def _drive_checking_surveillance_optimality(offline, scenario, run_seed, cache):
 
 
 def test_criterion_7_surveillance_steps_maximize_the_trade_off():
-    base = default_case_study()
+    base = load_scenario(SCENARIO_DIR / "default_grid.ini")
     offline = offline_phase(base.ts, base.formula, base.surveillance_prop)
     assert offline.accepting_label_condition
     cache = {}
@@ -534,7 +536,7 @@ def test_criterion_7_surveillance_steps_maximize_the_trade_off():
 
 
 def test_criterion_8_offline_and_online_budgets():
-    base = default_case_study()
+    base = load_scenario(SCENARIO_DIR / "default_grid.ini")
     started = time.perf_counter()
     offline = offline_phase(base.ts, base.formula, base.surveillance_prop)
     offline_seconds = time.perf_counter() - started

@@ -262,7 +262,6 @@ SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
         ("compare_pot_pref.py", ["--iterations", "0"]),
         ("compare_pot_pref.py", ["--seed", "-1"]),
         ("compare_pot_pref.py", [TRIANGLE, "--runs", "0"]),
-        ("run_case_study.py", ["--runs", "0"]),
     ],
 )
 def test_scripts_refuse_bad_settings_as_the_cli_does(script, args):
@@ -281,12 +280,12 @@ def test_scripts_refuse_bad_settings_as_the_cli_does(script, args):
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("run_case_study.py", ["--runs", "1", "--iterations", "20"]),
+        ("compare_pot_pref.py", ["--runs", "1", "--iterations", "20"]),
         ("compare_pot_pref.py", [TRIANGLE, "--runs", "1", "--iterations", "20"]),
     ],
 )
 def test_script_output_into_a_closed_pipe_ends_quietly(script, args):
-    """A reader that stops early, as in `run_case_study.py | head -1`, leaves
+    """A reader that stops early, as in `compare_pot_pref.py | head -1`, leaves
     no traceback, and the script exits 0."""
     read, write = os.pipe()
     os.close(read)
@@ -299,3 +298,15 @@ def test_script_output_into_a_closed_pipe_ends_quietly(script, args):
         os.close(write)
     assert done.stderr.decode() == ""
     assert done.returncode == 0
+
+
+def test_sweep_runs_the_shipped_case_study_from_any_directory(tmp_path):
+    """With no scenario argument, the sweep reads the shipped
+    `default_grid.ini` next to the script, whatever the working directory."""
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT_DIR / "compare_pot_pref.py"), "--runs", "1",
+         "--iterations", "5"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[0].startswith("default_grid:"), done.stdout

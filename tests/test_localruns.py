@@ -28,6 +28,7 @@ from surplan.ts import enumerate_budget_runs
 
 from conftest import (
     LocalRunOracle,
+    dijkstra_oracle,
     dijkstra_oracle_from,
     listed_automaton,
     move_weights,
@@ -422,7 +423,7 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
 
     for _ in range(200):
         ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=6, weights=(1.0, 4.0))
-        split = split_fan(ts, LocalRunOracle(ts, None, visibility, horizon).distance)
+        split = split_fan(ts, np.array(dijkstra_oracle(ts.n, move_weights(ts))))
         if split is not None:
             break
     else:
@@ -671,6 +672,21 @@ def test_a_fan_holds_one_index_entry_per_node():
         assert np.array_equal(np.sort(fan.index), np.arange(len(fan.state)))
         pairs += len(admitted_pairs(fan))
     assert pairs > cache.sizes()["nodes"]
+
+
+def test_every_interned_relation_is_carried_by_a_node():
+    """A relation is interned only as a root's or as a filled child-table
+    entry: after every fan of a shipped scenario is built, no id is left
+    that no node can carry."""
+    for name in ("default_grid.ini", "triangle.ini"):
+        scenario = load_scenario(SCENARIOS / name)
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        for q_k in range(offline.ts.n):
+            cache.fan(q_k)
+        in_use = set(cache._root.tolist()) | set(cache._child[cache._child >= 0].tolist())
+        assert set(cache._relation_id.values()) == in_use, name
+        assert cache.sizes()["relations"] == len(in_use), name
 
 
 def test_relations_past_the_child_table_capacity_keep_equal_score_tables():

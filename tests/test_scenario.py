@@ -17,7 +17,6 @@ from surplan.ltl import Always, And, Atom, Eventually, parse
 from surplan.scenario import (
     Scenario,
     build_grid,
-    default_case_study,
     grid_state_name,
     load_scenario,
 )
@@ -192,16 +191,6 @@ def test_shipped_scenarios_load():
     ] == 2.0
     infeasible = load_scenario(SCENARIOS / "infeasible.ini")
     assert infeasible.ts.n == 9
-
-
-def test_default_case_study_matches_shipped_file():
-    sc = default_case_study()
-    shipped = load_scenario(SCENARIOS / "default_grid.ini")
-    assert sc.ts.names == shipped.ts.names
-    assert move_weights(sc.ts) == move_weights(shipped.ts)
-    assert sc.ts.labels == shipped.ts.labels
-    assert sc.formula == shipped.formula
-    assert (sc.visibility, sc.horizon) == (shipped.visibility, shipped.horizon)
 
 
 def test_overrides(tmp_path):
