@@ -20,6 +20,11 @@ admits) is a list of classes. One pass over a fan and two
 ``np.maximum.reduceat`` score every class, then every segment. Which runs a
 fan holds, and so every move's segment, depends on the system alone; the
 product only decides which subsets each run belongs to.
+
+A node's value depends only on its cell: its state, weight so far and
+novelty. The first time a best-position (``np.maximum``) potential scores a
+fan, the cache indexes each class's few distinct cells, which that potential
+then values instead of every node; a summing one still reads every node.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError
 from .ts import TransitionSystem, visible_distances
@@ -73,6 +79,38 @@ def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     starts = first.nonzero()[0]
     return order, ordered[starts], starts
+
+
+def class_cells(fan: "Fan", scale: float | None) -> tuple[np.ndarray, ...]:
+    """Each class's distinct cells, class after class: states, weights so
+    far, novelty, and where each class starts, marked in a table of every
+    node key. A weight's rank is the weight times ``scale`` when that makes
+    every weight whole, else its rank among the fan's distinct weights."""
+    cumw, state = fan.cumw, fan.state
+    if scale:
+        key = (cumw * scale).astype(np.intp)
+        weights = np.arange(int(key.max(initial=0)) + 1) / scale
+    else:
+        ordered = np.sort(cumw)
+        weights = ordered[np.diff(ordered, prepend=-1.0) > 0]
+        # non-negative, so they order like their bits, which search faster as integers
+        key = weights.view(np.int64).searchsorted(cumw.view(np.int64))
+    lo = int(state.min(initial=0))
+    dims = (len(fan.starts), len(weights), int(state.max(initial=0)) + 1 - lo, 2)
+    # ((class * ranks + rank) * span + state - lo) * 2 + novel: rank, state
+    # and novelty in node order, then the class and lo in class order
+    key *= 2 * dims[2]
+    key += state
+    key += state
+    key += fan.novel
+    key = key[fan.index]
+    class_keys = np.arange(dims[0]) * (dims[1] * dims[2] * 2)
+    key += (class_keys - 2 * lo).repeat(np.diff(fan.starts, append=len(key)))
+    seen = np.zeros(math.prod(dims), dtype=bool)
+    seen[key] = True
+    keys = seen.nonzero()[0]
+    _, rank, at, novel = np.unravel_index(keys, dims)
+    return at + lo, weights[rank], novel == 1, keys.searchsorted(class_keys)
 
 
 def extended(table: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -137,8 +175,14 @@ class LocalRunCache:
         self.misses = 0
         self.build_seconds = 0.0
         self._edge_segments: dict[int, np.ndarray] = {}
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._distances_to: dict[str, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
+        # a power of two, up to 8, that makes every move weight, and so every
+        # run's weight exactly, a whole number
+        scales = [s for s in (1.0, 2.0, 4.0, 8.0) if not np.mod(ts.move_weight * s, 1.0).any()]
+        self._scale = scales[0] if scales else None
         ba, table = product.ba, product.letters
         n_letters, n_ba = len(table.letters), ba.n_states
         # boolean transition matrices, one per letter
@@ -176,14 +220,15 @@ class LocalRunCache:
         self._root = self._intern(np.eye(n_ba, dtype=bool) & kept[:, None, :])
 
     def sizes(self) -> dict[str, float]:
-        """Fans built, the nodes, run classes and segments they hold, fan
-        lookups, the automaton-state relations interned for admission, and
-        the seconds spent building the fans."""
+        """Fans built, the nodes, run classes, class cells and segments they
+        hold, fan lookups, the automaton-state relations interned for
+        admission, and the seconds spent building the fans."""
         fans = self.fans.values()
         return dict(
             fans=len(fans),
             nodes=sum(len(f.state) for f in fans),
             classes=sum(len(f.starts) for f in fans),
+            cells=sum(len(cells[0]) for cells in self._cells.values()),
             segments=sum(len(f.segment_starts) for f in fans),
             hits=self.hits,
             misses=self.misses,
@@ -203,6 +248,16 @@ class LocalRunCache:
             self.hits += 1
         return fan
 
+    def distance_to(self, prop: str) -> np.ndarray:
+        """The least weight from each system state to one labelled ``prop``
+        (infinite if none is reachable), searched once per ``prop``."""
+        distances = self._distances_to.get(prop)
+        if distances is None:
+            labelled = [q for q, label in enumerate(self.ts.labels) if prop in label]
+            distances = dijkstra(self.ts.graph.T.tocsr(), indices=labelled, min_only=True)
+            self._distances_to[prop] = distances
+        return distances
+
     def edge_segments(self, p_k: int) -> np.ndarray:
         """The segment of each trimmed product edge out of ``p_k``, in order."""
         segments = self._edge_segments.get(p_k)
@@ -220,15 +275,20 @@ class LocalRunCache:
         """Every segment's potential under the rewards ``values``: the best
         of its runs, each combining its positions' ``node_values``."""
         fan = self.fan(q_k)
-        nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
-        if potential.combine is np.add:
+        if potential.combine is np.maximum:
+            # a segment holds every prefix of its runs: its best node is its
+            # best position, and a node is worth what its cell is
+            cells = self._cells.get(q_k)
+            if cells is None:
+                cells = self._cells[q_k] = class_cells(fan, self._scale)
+            state, cumw, novel, starts = cells
+            best = np.maximum.reduceat(potential.node_values(state, cumw, novel, values), starts)
+        elif potential.combine is np.add:
+            nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
             paths = path_sums(nodes, fan.parent, fan.bounds)
-        elif potential.combine is np.maximum:
-            # a segment holds every prefix of its runs: its best node is its best position
-            paths = nodes
+            best = np.maximum.reduceat(paths[fan.index], fan.starts)
         else:
             raise ContractError("a potential combines a run's positions by np.add or np.maximum")
-        best = np.maximum.reduceat(paths[fan.index], fan.starts)
         return np.maximum.reduceat(best[fan.segments], fan.segment_starts)
 
     def _build_fan(self, q_k: int) -> Fan:

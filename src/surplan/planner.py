@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError, MissionInfeasible
 from .localruns import LocalRunCache
@@ -130,9 +129,9 @@ class Planner:
         returned weight."""
         product = self.product
         p_k = self.current
-        edges = product.edges_from(p_k)
-        dsts = product.edge_dst[edges.start : edges.stop].tolist()
-        scores = self.local_runs.scores(int(product.ts_of[p_k]), self.potential, field.values)
+        first, stop = product.edge_ptr[p_k : p_k + 2].tolist()
+        dsts = product.edge_dst[first:stop].tolist()
+        scores = self.local_runs.scores(product.ts_of[p_k].item(), self.potential, field.values)
         pots = scores[self.local_runs.edge_segments(p_k)].tolist()
         max_pot = max(pots)
         # the active subgoal's elapsed weight, shortening indicator and target set
@@ -140,10 +139,9 @@ class Planner:
             elapsed, indicator, subgoal_set = self._elapsed_raw, product.ind_pi, product.s_pi_inf
         else:
             elapsed, indicator, subgoal_set = self._elapsed_masked, product.ind_phi, product.f_inf
+        flags = indicator[first:stop].tolist()
         pref_value = float(self.preference(elapsed, max_pot))
-        attractions = [
-            pot + (pref_value if indicator[e] else 0.0) for pot, e in zip(pots, edges)
-        ]
+        attractions = [pot + (pref_value if flag else 0.0) for pot, flag in zip(pots, flags)]
 
         best = max(attractions)
         ties = [
@@ -160,19 +158,18 @@ class Planner:
             # Restricting the tie to shortening edges preserves progress
             # toward the pending subgoal without affecting any other case.
             if not subgoal_set[p_k]:
-                marked = [i for i in ties if indicator[edges[i]]]
+                marked = [i for i in ties if flags[i]]
                 if marked:
                     ties = marked
         if len(ties) == 1:
             pick = ties[0]
         else:
             pick = ties[int(self.rng.integers(len(ties)))]
-        chosen_edge = edges[pick]
         p_next = dsts[pick]
-        weight = float(product.edge_weight[chosen_edge])
+        weight = product.edge_weight[first + pick].item()
 
         position = len(self.prefix)
-        raw_survey = bool(product.surveillance[p_next])
+        raw_survey = product.surveillance[p_next].item()
         unmasked = raw_survey and self._accepting_visited and not self._survey_since_accepting
         self._time += weight
         self._elapsed_raw = 0.0 if raw_survey else self._elapsed_raw + weight
@@ -195,18 +192,18 @@ class Planner:
         return StepInfo(
             step=position,
             product_state=p_next,
-            ts_state=int(product.ts_of[p_next]),
-            ba_state=int(product.ba_of[p_next]),
+            ts_state=product.ts_of[p_next].item(),
+            ba_state=product.ba_of[p_next].item(),
             weight=weight,
             time=self._time,
             subgoal_before=subgoal_before,
             subgoal_after=self.subgoal,
-            attraction=float(attractions[pick]),
-            elapsed_used=float(elapsed),
-            indicator=bool(indicator[chosen_edge]),
+            attraction=attractions[pick],
+            elapsed_used=elapsed,
+            indicator=flags[pick],
             survey=raw_survey,
             candidates=tuple(dsts),
-            attractions=tuple(float(a) for a in attractions),
+            attractions=tuple(attractions),
             scores=scores,
         )
 
@@ -225,20 +222,17 @@ class CostEvaluator:
     """
 
     def __init__(self, local_runs: LocalRunCache, preference, surveillance_prop: str):
-        self.ts = ts = local_runs.ts
+        self.ts = local_runs.ts
         self.preference = preference
         self.local_runs = local_runs
-        self.surveyed = [
-            q for q in range(ts.n) if surveillance_prop in ts.label(q)
-        ]
         # least weight from each state to some surveyed state, infinite
-        # everywhere when there is none: one search backwards from all of them
-        self._to_surveyed = dijkstra(ts.graph.T.tocsr(), indices=self.surveyed, min_only=True)
+        # everywhere when there is none, shared by every evaluator of the cache
+        self.to_surveyed = local_runs.distance_to(surveillance_prop)
 
     def indicator(self, q: int, q_next: int) -> int:
         """1 when the move ``q -> q_next`` strictly shortens the least weight
         to some surveyed state, else 0."""
-        return int(self._to_surveyed[q_next] < self._to_surveyed[q])
+        return int(self.to_surveyed[q_next] < self.to_surveyed[q])
 
     def cost(self, q_k: int, chosen: int, scores: np.ndarray, elapsed: float) -> float:
         """The trade-off value of moving from ``q_k`` to ``chosen``, from the

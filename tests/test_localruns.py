@@ -12,12 +12,13 @@ import pytest
 
 from surplan.errors import ContractError
 from surplan import localruns
-from surplan.localruns import LocalRunCache, path_sums
+from surplan.localruns import LocalRunCache, class_cells, path_sums
 from surplan.planner import CostEvaluator
 from surplan.product import build_product, offline_phase, trim_product
 from surplan.rewards import (
     MaxSinglePotential,
     MaxSumPotential,
+    Potential,
     RewardField,
     ThresholdPreference,
     build_run_bundle,
@@ -734,3 +735,128 @@ def test_wide_class_keys_sort_in_sixteen_bits(monkeypatch):
             types.add(dtype)
         assert_fans_equal_reference(cache)
     assert np.dtype(np.uint16) in types
+
+
+def node_level_scores(fan, potential, values):
+    """A best-position potential's score table by its definition: every
+    node valued, each class's best node, then each segment's best class."""
+    nodes = potential.node_values(fan.state, fan.cumw, fan.novel, values)
+    best = np.maximum.reduceat(nodes[fan.index], fan.starts)
+    return np.maximum.reduceat(best[fan.segments], fan.segment_starts)
+
+
+def assert_cell_scores_equal_node_scores(cache, potential, fields):
+    """Every fan's score table, read from its class cells, equals the
+    node-level one under every field; returns the nodes and cells seen."""
+    nodes = 0
+    for q_k in range(cache.ts.n):
+        fan = cache.fan(q_k)
+        nodes += len(fan.state)
+        for values in fields:
+            mine = cache.scores(q_k, potential, values)
+            assert np.array_equal(mine, node_level_scores(fan, potential, values)), q_k
+    return nodes, cache.sizes()["cells"]
+
+
+def assert_cells_are_the_distinct_node_cells(cache):
+    """Each class's cells are exactly the distinct (state, weight so far,
+    novelty) triples of its nodes, compared as Python floats, each once."""
+    for q_k, fan in cache.fans.items():
+        state, cumw, novel, starts = class_cells(fan, cache._scale)
+        for c in range(len(fan.starts)):
+            nodes = piece(fan.index, fan.starts, c)
+            expected = set(zip(fan.state[nodes].tolist(), fan.cumw[nodes].tolist(), fan.novel[nodes].tolist()))
+            cells = list(zip(*(piece(field, starts, c).tolist() for field in (state, cumw, novel))))
+            assert len(cells) == len(set(cells)) and set(cells) == expected, (q_k, c)
+
+
+def sparse_fields(rng, n, count=3):
+    """Fields like the dynamics make them: mostly empty, a few whole rewards."""
+    return [np.where(rng.random(n) < 0.1, rng.integers(1, 61, n), 0).astype(float) for _ in range(count)]
+
+
+def cell_score_cases(workloads, tmp_path):
+    """The shipped scenarios and the benchmark's shrunk workloads, each as a
+    fresh cache."""
+    scenarios = [load_scenario(SCENARIOS / name) for name in ("default_grid.ini", "triangle.ini")]
+    for name, workload in workloads.SHRUNK.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.scenario_text(workload, 7))
+        scenarios.append(load_scenario(path))
+    for scenario in scenarios:
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        yield LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+
+
+def test_cell_scores_equal_node_scores_on_the_scenarios_and_workloads(tmp_path, workloads):
+    """A best-position potential reads each class's distinct cells; every
+    score table of every fan equals the node-level definition, and the
+    cells are far fewer than the nodes."""
+    rng = np.random.default_rng(1818)
+    nodes = cells = 0
+    for cache in cell_score_cases(workloads, tmp_path):
+        fields = reward_fields(rng, cache.ts.n) + sparse_fields(rng, cache.ts.n)
+        fields.append(np.zeros(cache.ts.n))
+        counts = assert_cell_scores_equal_node_scores(cache, MaxSinglePotential(), fields)
+        assert_cells_are_the_distinct_node_cells(cache)
+        assert 0 < counts[1] <= counts[0]
+        nodes, cells = nodes + counts[0], cells + counts[1]
+    assert 2 * cells < nodes
+
+
+class WeightedEverywhere(Potential):
+    """A best-position potential that pays every position: a novel one its
+    reward, discounted by the weight spent, and any other one more, by its
+    weight so far and its state."""
+
+    name = "weighted-everywhere"
+    combine = np.maximum
+
+    def node_values(self, states, cumw, novel, rewards):
+        return np.where(novel, rewards[states] / (1.0 + cumw), 100.0 + cumw + 0.01 * states)
+
+
+@pytest.mark.parametrize("weights, scale", [((0.3, 0.7, 1.5), None), ((0.5, 0.75, 1.25), 4.0)])
+def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weights(
+    weights, scale
+):
+    """A custom potential that pays every position by its weight so far,
+    its state and its novelty scores every table as the node-level
+    definition does. Weights that some power of two up to 8 makes whole are
+    keyed by their multiple of its inverse; others, whose sums in two orders
+    can differ in the last bits, by their rank among the fan's weights, and
+    weights that close are cells of their own."""
+    rng = np.random.default_rng(1819)
+    potential = WeightedEverywhere()
+    close = nodes = 0
+    for trial in range(10):
+        ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=10, weights=weights)
+        cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 3.0, 3.4)
+        assert cache._scale == scale
+        nodes += assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 3))[0]
+        assert_cells_are_the_distinct_node_cells(cache)
+        for fan in cache.fans.values():
+            close += int(np.sum(np.diff(np.unique(fan.cumw)) < 1e-9))
+    assert nodes > 1000 and (close > 0) == (scale is None)
+    # a visibility range below every weight leaves every fan without runs
+    ts = random_ts(rng, 5, extra_edges=4, weights=weights)
+    cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 0.2, 3.4)
+    assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 1))
+    assert cache.sizes()["nodes"] == cache.sizes()["cells"] == 0
+
+
+def test_cells_are_indexed_only_for_best_position_potentials():
+    """A summing potential reads every node and indexes no cell; the first
+    best-position score of a fan indexes its cells, once."""
+    scenario = load_scenario(SCENARIOS / "triangle.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    values = np.arange(offline.ts.n, dtype=float)
+    for q_k in range(offline.ts.n):
+        cache.scores(q_k, MaxSumPotential(15.0), values)
+    assert cache.sizes()["cells"] == 0
+    cache.scores(0, MaxSinglePotential(), values)
+    cells = cache.sizes()["cells"]
+    assert 0 < cells <= len(cache.fan(0).state)
+    cache.scores(0, MaxSinglePotential(), values + 1.0)
+    assert cache.sizes()["cells"] == cells

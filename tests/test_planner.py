@@ -29,6 +29,7 @@ from surplan.scenario import build_grid, load_scenario
 
 from conftest import (
     alpha_bar,
+    dijkstra_oracle,
     elapsed_walkback,
     move_weights,
     random_trimmed_product,
@@ -315,8 +316,9 @@ def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts, triangl
         # a surveyed final position resets the count
         ([q1, q0], 0.0),
     ]
+    surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
     for prefix, expected in cases:
-        assert elapsed_walkback(ts, prefix, ev.surveyed) == expected
+        assert elapsed_walkback(ts, prefix, surveyed) == expected
 
 
 def test_cost_evaluator_rejects_non_successor(triangle_ts, triangle_offline):
@@ -347,9 +349,28 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     for ts in (grid.ts, triangle_ts, *dyadic):
         cache = LocalRunCache(ts, random_trimmed_product(products, ts), 6.0, 9.0)
         ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
-        assert ev.surveyed
+        surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
+        assert surveyed
         for q, q_next in move_weights(ts):
-            assert ev.indicator(q, q_next) == ts_shortening_indicator(
-                ts, q, q_next, ev.surveyed
-            )
+            assert ev.indicator(q, q_next) == ts_shortening_indicator(ts, q, q_next, surveyed)
+
+
+@pytest.mark.parametrize("name", ["default_grid.ini", "triangle.ini"])
+def test_cost_evaluators_of_one_cache_share_the_distances_to_surveyed_states(name):
+    """The least weight to a surveyed state is searched once per cache and
+    proposition: two evaluators over one cache hold the same array, and each
+    entry is the least double-loop distance to a surveyed state."""
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / name)
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    ts, prop = offline.ts, scenario.surveillance_prop
+    cache = offline.local_run_cache(scenario.visibility, scenario.horizon)
+    first = CostEvaluator(cache, ThresholdPreference(50.0), prop)
+    second = CostEvaluator(cache, CubicRampPreference(50.0), prop)
+    assert first.to_surveyed is second.to_surveyed
+    surveyed = [q for q in range(ts.n) if prop in ts.label(q)]
+    distances = dijkstra_oracle(ts.n, move_weights(ts))
+    expected = [min(distances[q][s] for s in surveyed) for q in range(ts.n)]
+    # integer weights: the backward search and the forward oracle sum alike
+    assert first.to_surveyed.tolist() == expected
+    assert math.inf not in expected
 

@@ -162,6 +162,40 @@ def test_burn_in_fills_the_field():
     assert np.array_equal(field.values[before > 1], before[before > 1] - 1)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -1.0, -0.25])
+def test_evolve_refuses_a_duration_before_it_changes_anything(dt):
+    """A NaN, infinite or negative duration is refused before the
+    fractional carry takes it: afterwards the instance draws exactly what an
+    untouched one does."""
+    refused, untouched = (
+        DecaySpawnDynamics(np.random.default_rng(21), spawn_probability=0.3) for _ in range(2)
+    )
+    fields = RewardField(40), RewardField(40)
+    for dyn, field in zip((refused, untouched), fields):
+        dyn.evolve(field, 0.5)
+    with pytest.raises(ValidationError):
+        refused.evolve(fields[0], dt)
+    for dyn, field in zip((refused, untouched), fields):
+        dyn.evolve(field, 2.0)
+    assert np.array_equal(fields[0].values, fields[1].values)
+    assert (fields[0].values > 0).any()
+
+
+@pytest.mark.parametrize("units", [-5, -1, 2.5, math.nan, math.inf])
+def test_burn_in_refuses_what_is_not_a_whole_non_negative_count(units):
+    refused, untouched = (
+        DecaySpawnDynamics(np.random.default_rng(22), spawn_probability=0.3) for _ in range(2)
+    )
+    fields = RewardField(40), RewardField(40)
+    with pytest.raises(ValidationError):
+        refused.burn_in(fields[0], units)
+    for dyn, field in zip((refused, untouched), fields):
+        dyn.burn_in(field, 3)
+    assert np.array_equal(fields[0].values, fields[1].values)
+    # a whole count of numpy's integer type is taken
+    refused.burn_in(fields[0], np.int64(0))
+
+
 def test_evolution_is_reproducible_under_seed():
     results = []
     for _ in range(2):

@@ -114,7 +114,8 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
     assert set(block) == {
-        "fans", "nodes", "classes", "segments", "hits", "misses", "relations", "build_seconds",
+        "fans", "nodes", "classes", "cells", "segments", "hits", "misses", "relations",
+        "build_seconds",
     }
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     # the relations interned for admission, at least the roots' identities
@@ -126,6 +127,8 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     assert block["nodes"] >= block["fans"]
     # every fan holds at least one class, and every class at least one node
     assert block["fans"] <= block["classes"] <= block["nodes"]
+    # the shipped triangle scores by max-sum, which indexes no cell
+    assert scenario.potential_name == "max-sum" and block["cells"] == 0
     assert block["segments"] >= 2 * block["fans"]
     # every miss built one fan; every other lookup hit
     assert block["misses"] == block["fans"]
@@ -162,6 +165,8 @@ def test_stats_json_reports_planner_ties_and_zero_attraction_steps(
     assert payload["planner"] == {"ties": ties, "zero_attraction_steps": zero}
     assert ties > 0
     assert (zero > 0) == bool(overrides)
+    # only max-single, which takes a run's best position, indexes class cells
+    assert (payload["local_runs"]["cells"] > 0) == bool(overrides)
 
 
 def test_stats_json_reports_the_longest_accepting_core_gap(tmp_path):
