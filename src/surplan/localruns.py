@@ -81,36 +81,38 @@ def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return order, ordered[starts], starts
 
 
-def class_cells(fan: "Fan", scale: float | None) -> tuple[np.ndarray, ...]:
+def class_cells(fan: "Fan") -> tuple[np.ndarray, ...]:
     """Each class's distinct cells, class after class: states, weights so
-    far, novelty, and where each class starts, marked in a table of every
-    node key. A weight's rank is the weight times ``scale`` when that makes
-    every weight whole, else its rank among the fan's distinct weights."""
+    far, novelty, and where each class starts. A node's cell is keyed by its
+    rank among the fan's distinct weights and among its distinct states and
+    by its novelty, so the table that marks every node's key, class by
+    class, has one entry per class, weight, state and novelty of the fan."""
     cumw, state = fan.cumw, fan.state
-    if scale:
-        key = (cumw * scale).astype(np.intp)
-        weights = np.arange(int(key.max(initial=0)) + 1) / scale
-    else:
-        ordered = np.sort(cumw)
-        weights = ordered[np.diff(ordered, prepend=-1.0) > 0]
-        # non-negative, so they order like their bits, which search faster as integers
-        key = weights.view(np.int64).searchsorted(cumw.view(np.int64))
-    lo = int(state.min(initial=0))
-    dims = (len(fan.starts), len(weights), int(state.max(initial=0)) + 1 - lo, 2)
-    # ((class * ranks + rank) * span + state - lo) * 2 + novel: rank, state
-    # and novelty in node order, then the class and lo in class order
+    weights = np.unique(cumw)
+    # non-negative, so they order like their bits, which search faster as integers
+    key = weights.view(np.int64).searchsorted(cumw.view(np.int64))
+    # the fan's states in first-seen order, through a scratch table whose
+    # entries are read only where written: first one node of each state,
+    # then twice the state's rank
+    nodes = np.arange(len(state))
+    slot = np.empty(int(state.max(initial=0)) + 1, dtype=np.intp)
+    slot[state] = nodes
+    states = state[slot[state] == nodes]
+    slot[states] = 2 * nodes[: len(states)]
+    dims = (len(fan.starts), len(weights), len(states), 2)
+    # ((class * weights + rank) * states + state rank) * 2 + novel: the
+    # node's part in node order, then the class's in class order
     key *= 2 * dims[2]
-    key += state
-    key += state
+    key += slot[state]
     key += fan.novel
     key = key[fan.index]
     class_keys = np.arange(dims[0]) * (dims[1] * dims[2] * 2)
-    key += (class_keys - 2 * lo).repeat(np.diff(fan.starts, append=len(key)))
+    key += class_keys.repeat(np.diff(fan.starts, append=len(key)))
     seen = np.zeros(math.prod(dims), dtype=bool)
     seen[key] = True
     keys = seen.nonzero()[0]
     _, rank, at, novel = np.unravel_index(keys, dims)
-    return at + lo, weights[rank], novel == 1, keys.searchsorted(class_keys)
+    return states[at], weights[rank], novel == 1, keys.searchsorted(class_keys)
 
 
 def extended(table: np.ndarray, rows: int, fill) -> np.ndarray:
@@ -179,10 +181,6 @@ class LocalRunCache:
         self._distances_to: dict[str, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
-        # a power of two, up to 8, that makes every move weight, and so every
-        # run's weight exactly, a whole number
-        scales = [s for s in (1.0, 2.0, 4.0, 8.0) if not np.mod(ts.move_weight * s, 1.0).any()]
-        self._scale = scales[0] if scales else None
         ba, table = product.ba, product.letters
         n_letters, n_ba = len(table.letters), ba.n_states
         # boolean transition matrices, one per letter
@@ -280,7 +278,7 @@ class LocalRunCache:
             # best position, and a node is worth what its cell is
             cells = self._cells.get(q_k)
             if cells is None:
-                cells = self._cells[q_k] = class_cells(fan, self._scale)
+                cells = self._cells[q_k] = class_cells(fan)
             state, cumw, novel, starts = cells
             best = np.maximum.reduceat(potential.node_values(state, cumw, novel, values), starts)
         elif potential.combine is np.add:

@@ -227,12 +227,12 @@ class CostEvaluator:
         self.local_runs = local_runs
         # least weight from each state to some surveyed state, infinite
         # everywhere when there is none, shared by every evaluator of the cache
-        self.to_surveyed = local_runs.distance_to(surveillance_prop)
+        self._to_surveyed = local_runs.distance_to(surveillance_prop)
 
     def indicator(self, q: int, q_next: int) -> int:
         """1 when the move ``q -> q_next`` strictly shortens the least weight
         to some surveyed state, else 0."""
-        return int(self.to_surveyed[q_next] < self.to_surveyed[q])
+        return int(self._to_surveyed[q_next] < self._to_surveyed[q])
 
     def cost(self, q_k: int, chosen: int, scores: np.ndarray, elapsed: float) -> float:
         """The trade-off value of moving from ``q_k`` to ``chosen``, from the

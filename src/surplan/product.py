@@ -120,10 +120,6 @@ class ProductAutomaton:
             (self.edge_weight, (self.edge_dst, self.edge_src)), shape=(self.n, self.n)
         )
 
-    def edges_from(self, state: int) -> range:
-        """Ids of the edges leaving ``state``."""
-        return range(self.edge_ptr[state], self.edge_ptr[state + 1])
-
 
 def build_product(
     ts: TransitionSystem, ba: BuchiAutomaton, surveillance_prop: str = "sur"

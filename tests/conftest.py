@@ -150,6 +150,11 @@ def elapsed_walkback(ts: TransitionSystem, prefix: Sequence[int], surveyed) -> f
     return total
 
 
+def edges_from(product: ProductAutomaton, state: int) -> range:
+    """Ids of the edges leaving ``state``: its row of the CSR edge arrays."""
+    return range(product.edge_ptr[state], product.edge_ptr[state + 1])
+
+
 def run_history(product: ProductAutomaton, infos) -> tuple[list[float], list[bool]]:
     """The time and the raw survey flag of every position of a run over
     ``product``, rebuilt from its ``StepInfo`` records: position 0 is the

@@ -43,6 +43,7 @@ from surplan.sim import run_experiment
 
 from conftest import (
     dijkstra_oracle_from,
+    edges_from,
     move_weights,
     random_formula,
     random_product,
@@ -169,7 +170,7 @@ def test_criterion_2_recurrent_sets_and_descent_guarantees():
             set_mismatches += 1
             continue
         for p in range(trimmed.n):
-            successors = [int(dst[e]) for e in trimmed.edges_from(p)]
+            successors = [int(dst[e]) for e in edges_from(trimmed, p)]
             if 0.0 < w_pi_t[p] < INF:
                 descent_checks += 1
                 if not any(w_pi_t[q] < w_pi_t[p] for q in successors):
@@ -405,7 +406,7 @@ def _literal_runs_from(trimmed, allowed, origin, entry, horizon):
 
     def extend(states, cums):
         runs.append(([int(ts_of[p]) for p in states], list(cums)))
-        for e in trimmed.edges_from(states[-1]):
+        for e in edges_from(trimmed, states[-1]):
             nxt = int(trimmed.edge_dst[e])
             if not allowed[nxt]:
                 continue
@@ -467,7 +468,7 @@ def _drive_checking_surveillance_optimality(offline, scenario, run_seed, cache):
             pots = []
             flags = []
             targets = []
-            for e in trimmed.edges_from(p_k):
+            for e in edges_from(trimmed, p_k):
                 runs = cache.get(e)
                 if runs is None:
                     visible = (

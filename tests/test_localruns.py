@@ -4,6 +4,7 @@ unpruned fan build, tree scores summed in travel order at every width, and
 one build per fan across runs, experiments and callers."""
 
 import dataclasses
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from conftest import (
     LocalRunOracle,
     dijkstra_oracle,
     dijkstra_oracle_from,
+    edges_from,
     listed_automaton,
     move_weights,
     random_trimmed_product,
@@ -184,7 +186,7 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
             compared += 1
 
     out = [
-        [int(trimmed.edge_dst[e]) for e in trimmed.edges_from(p)]
+        [int(trimmed.edge_dst[e]) for e in edges_from(trimmed, p)]
         for p in range(trimmed.n)
     ]
     weight = {
@@ -195,7 +197,7 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
     for p in range(trimmed.n):
         q_k = int(trimmed.ts_of[p])
         fan = cache.fan(q_k)
-        edges = trimmed.edges_from(p)
+        edges = edges_from(trimmed, p)
         for e in edges:
             dst = int(trimmed.edge_dst[e])
             # the enumeration depends on the edge only through (q_k, dst): the
@@ -445,7 +447,7 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
     with pytest.raises(ContractError):
         evaluator.cost(q_k, siblings[0], scores, 0.0)
     for p in np.flatnonzero(product.ts_of == q_k).tolist():
-        edges = product.edges_from(p)
+        edges = edges_from(product, p)
         into = product.ts_of[product.edge_dst[edges.start : edges.stop]]
         if q_hidden in into:
             with pytest.raises(ContractError):
@@ -762,7 +764,7 @@ def assert_cells_are_the_distinct_node_cells(cache):
     """Each class's cells are exactly the distinct (state, weight so far,
     novelty) triples of its nodes, compared as Python floats, each once."""
     for q_k, fan in cache.fans.items():
-        state, cumw, novel, starts = class_cells(fan, cache._scale)
+        state, cumw, novel, starts = class_cells(fan)
         for c in range(len(fan.starts)):
             nodes = piece(fan.index, fan.starts, c)
             expected = set(zip(fan.state[nodes].tolist(), fan.cumw[nodes].tolist(), fan.novel[nodes].tolist()))
@@ -816,33 +818,63 @@ class WeightedEverywhere(Potential):
         return np.where(novel, rewards[states] / (1.0 + cumw), 100.0 + cumw + 0.01 * states)
 
 
-@pytest.mark.parametrize("weights, scale", [((0.3, 0.7, 1.5), None), ((0.5, 0.75, 1.25), 4.0)])
-def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weights(
-    weights, scale
-):
+def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weights():
     """A custom potential that pays every position by its weight so far,
     its state and its novelty scores every table as the node-level
-    definition does. Weights that some power of two up to 8 makes whole are
-    keyed by their multiple of its inverse; others, whose sums in two orders
-    can differ in the last bits, by their rank among the fan's weights, and
-    weights that close are cells of their own."""
+    definition does, on weights whose sums in two orders can differ in the
+    last bits: weights that close are cells of their own."""
     rng = np.random.default_rng(1819)
     potential = WeightedEverywhere()
     close = nodes = 0
     for trial in range(10):
-        ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=10, weights=weights)
+        ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=10, weights=(0.3, 0.7, 1.5))
         cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 3.0, 3.4)
-        assert cache._scale == scale
         nodes += assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 3))[0]
         assert_cells_are_the_distinct_node_cells(cache)
         for fan in cache.fans.values():
             close += int(np.sum(np.diff(np.unique(fan.cumw)) < 1e-9))
-    assert nodes > 1000 and (close > 0) == (scale is None)
+    assert nodes > 1000 and close > 0
     # a visibility range below every weight leaves every fan without runs
-    ts = random_ts(rng, 5, extra_edges=4, weights=weights)
+    ts = random_ts(rng, 5, extra_edges=4, weights=(0.3, 0.7, 1.5))
     cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 0.2, 3.4)
     assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 1))
     assert cache.sizes()["nodes"] == cache.sizes()["cells"] == 0
+
+
+def test_cells_of_large_whole_weights_take_no_more_room_than_the_fan(tmp_path):
+    """The cell table is sized by the fan's distinct weights and states, not
+    by the weights' size or the span of state ids: with every weight, the
+    visibility range and the horizon of ``default_grid`` times a million,
+    each fan's cells take a few bytes per node to find, and its score
+    tables equal the node-level ones."""
+    text = (SCENARIOS / "default_grid.ini").read_text()
+    for line, scaled in [
+        ("horizontal-weight = 2", "horizontal-weight = 2000000"),
+        ("vertical-weight = 2", "vertical-weight = 2000000"),
+        ("diagonal-weight = 3", "diagonal-weight = 3000000"),
+        ("visibility = 6", "visibility = 6000000"),
+        ("horizon = 9", "horizon = 9000000"),
+    ]:
+        assert line in text
+        text = text.replace(line, scaled)
+    path = tmp_path / "scaled.ini"
+    path.write_text(text)
+    scenario = load_scenario(path)
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    rng = np.random.default_rng(1820)
+    fields = [1e6 * values for values in reward_fields(rng, cache.ts.n, 3)]
+    for potential in (MaxSinglePotential(), WeightedEverywhere()):
+        assert_cell_scores_equal_node_scores(cache, potential, fields)
+    assert_cells_are_the_distinct_node_cells(cache)
+    for fan in cache.fans.values():
+        tracemalloc.start()
+        try:
+            class_cells(fan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * len(fan.state) + 65536, (len(fan.state), peak)
 
 
 def test_cells_are_indexed_only_for_best_position_potentials():

@@ -30,6 +30,7 @@ from surplan.scenario import build_grid, load_scenario
 from conftest import (
     alpha_bar,
     dijkstra_oracle,
+    edges_from,
     elapsed_walkback,
     move_weights,
     random_trimmed_product,
@@ -141,7 +142,7 @@ def test_prefix_is_a_valid_product_run(grid_offline):
     assert planner.prefix[0] == product.initial
     assert planner.prefix[1:] == [info.product_state for info in infos]
     for a, b in zip(planner.prefix, planner.prefix[1:]):
-        assert b in [int(product.edge_dst[e]) for e in product.edges_from(a)]
+        assert b in [int(product.edge_dst[e]) for e in edges_from(product, a)]
     # times accumulate the traversed edge weights
     times, _ = run_history(product, infos)
     for i, (a, b) in enumerate(zip(planner.prefix, planner.prefix[1:])):
@@ -151,7 +152,7 @@ def test_prefix_is_a_valid_product_run(grid_offline):
                 product.edge_weight[
                     [
                         e
-                        for e in product.edges_from(a)
+                        for e in edges_from(product, a)
                         if int(product.edge_dst[e]) == b
                     ][0]
                 ]
@@ -358,19 +359,22 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
 @pytest.mark.parametrize("name", ["default_grid.ini", "triangle.ini"])
 def test_cost_evaluators_of_one_cache_share_the_distances_to_surveyed_states(name):
     """The least weight to a surveyed state is searched once per cache and
-    proposition: two evaluators over one cache hold the same array, and each
-    entry is the least double-loop distance to a surveyed state."""
+    proposition: the cache hands every evaluator the same array, each entry
+    the least double-loop distance to a surveyed state, and an evaluator's
+    indicator reads it."""
     scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / name)
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     ts, prop = offline.ts, scenario.surveillance_prop
     cache = offline.local_run_cache(scenario.visibility, scenario.horizon)
-    first = CostEvaluator(cache, ThresholdPreference(50.0), prop)
-    second = CostEvaluator(cache, CubicRampPreference(50.0), prop)
-    assert first.to_surveyed is second.to_surveyed
+    evaluator = CostEvaluator(cache, ThresholdPreference(50.0), prop)
+    to_surveyed = cache.distance_to(prop)
+    assert cache.distance_to(prop) is to_surveyed
     surveyed = [q for q in range(ts.n) if prop in ts.label(q)]
     distances = dijkstra_oracle(ts.n, move_weights(ts))
     expected = [min(distances[q][s] for s in surveyed) for q in range(ts.n)]
     # integer weights: the backward search and the forward oracle sum alike
-    assert first.to_surveyed.tolist() == expected
+    assert to_surveyed.tolist() == expected
     assert math.inf not in expected
+    for q, q_next in move_weights(ts):
+        assert evaluator.indicator(q, q_next) == int(expected[q_next] < expected[q])
 

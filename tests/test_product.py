@@ -37,6 +37,7 @@ from surplan.ts import TransitionSystem
 from conftest import (
     chain_product,
     dijkstra_oracle,
+    edges_from,
     lexicographic_mission_distance,
     move_weights,
     named_system,
@@ -449,9 +450,9 @@ def test_descent_guarantees_hold_exhaustively_on_trimmed_products():
         verify_descent(trimmed)
         for p in range(trimmed.n):
             if 0.0 < trimmed.w_pi[p] < INF:
-                assert any(trimmed.ind_pi[e] for e in trimmed.edges_from(p))
+                assert any(trimmed.ind_pi[e] for e in edges_from(trimmed, p))
             if trimmed.w_phi_v[p] < INF and not trimmed.f_inf[p]:
-                assert any(trimmed.ind_phi[e] for e in trimmed.edges_from(p))
+                assert any(trimmed.ind_phi[e] for e in edges_from(trimmed, p))
 
 
 def test_tampered_indicators_are_caught():
@@ -520,7 +521,7 @@ def test_edges_are_held_in_csr_form(triangle_ts):
     products += [result.product, result.trimmed]
     for product in products:
         assert product.edge_ptr[-1] == len(product.edge_src)
-        assert [list(product.edges_from(p)) for p in range(product.n)] == successors_edges(product)
+        assert [list(edges_from(product, p)) for p in range(product.n)] == successors_edges(product)
 
 
 def test_edges_not_sorted_by_source_are_refused():
@@ -565,7 +566,7 @@ def test_fractional_weights_keep_mission_descent():
         for p in range(trimmed.n):
             if trimmed.f_inf[p] or trimmed.w_phi_v[p] == INF:
                 continue
-            assert any(trimmed.ind_phi[e] for e in trimmed.edges_from(p)), (seed, p)
+            assert any(trimmed.ind_phi[e] for e in edges_from(trimmed, p)), (seed, p)
 
 
 def test_offline_phase_on_triangle(triangle_ts):
