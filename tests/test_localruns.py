@@ -843,10 +843,10 @@ def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weig
 
 def test_cells_of_large_whole_weights_take_no_more_room_than_the_fan(tmp_path):
     """The cell table is sized by the fan's distinct weights and states, not
-    by the weights' size or the span of state ids: with every weight, the
-    visibility range and the horizon of ``default_grid`` times a million,
-    each fan's cells take a few bytes per node to find, and its score
-    tables equal the node-level ones."""
+    by the weights' magnitude: with every weight, the visibility range and
+    the horizon of ``default_grid`` times a million, each fan's cells take a
+    few bytes per node to find, and its score tables equal the node-level
+    ones."""
     text = (SCENARIOS / "default_grid.ini").read_text()
     for line, scaled in [
         ("horizontal-weight = 2", "horizontal-weight = 2000000"),
