@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -150,12 +151,40 @@ class Fan:
     segment_starts: np.ndarray
 
 
+class DecisionView(NamedTuple):
+    """What a decision at one trimmed product state reads, as Python values.
+
+    Candidate ``i`` is the target of the state's ``i``-th out-edge, in edge
+    order: its product state, the edge's weight and shortening indicators,
+    the edge's segment of the fan of ``ts_state``, and the target's system
+    state, automaton state and flags. ``s_pi_inf`` and ``f_inf`` are the
+    flags of the state itself. Every field but ``segments`` is a Python
+    value; ``segments`` stays an index array, as a score table is read
+    through it faster than through a list.
+    """
+
+    ts_state: int
+    candidates: tuple[int, ...]
+    weights: list[float]
+    ind_pi: list[bool]
+    ind_phi: list[bool]
+    segments: np.ndarray
+    next_ts: list[int]
+    next_ba: list[int]
+    next_survey: list[bool]
+    next_s_pi_inf: list[bool]
+    next_f_inf: list[bool]
+    s_pi_inf: bool
+    f_inf: bool
+
+
 class LocalRunCache:
     """Local-run fans of one system, visibility range and horizon, built on
     first use, with the subsets of their runs that the trimmed ``product``
-    admits from each automaton state. ``hits`` and ``misses`` count fan
-    lookups that found the fan built or not, and ``build_seconds`` is the
-    time spent building fans.
+    admits from each automaton state, and a decision view of each product
+    state a decision leaves. ``hits`` and ``misses`` count fan lookups that
+    found the fan built or not, and ``build_seconds`` is the time spent
+    building fans.
     """
 
     def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
@@ -176,7 +205,7 @@ class LocalRunCache:
         self.hits = 0
         self.misses = 0
         self.build_seconds = 0.0
-        self._edge_segments: dict[int, np.ndarray] = {}
+        self.views: dict[int, DecisionView] = {}
         self._cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._distances_to: dict[str, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
@@ -220,7 +249,8 @@ class LocalRunCache:
     def sizes(self) -> dict[str, float]:
         """Fans built, the nodes, run classes, class cells and segments they
         hold, fan lookups, the automaton-state relations interned for
-        admission, and the seconds spent building the fans."""
+        admission, the seconds spent building the fans and the decision
+        views built."""
         fans = self.fans.values()
         return dict(
             fans=len(fans),
@@ -232,6 +262,7 @@ class LocalRunCache:
             misses=self.misses,
             relations=len(self._relation_id),
             build_seconds=self.build_seconds,
+            views=len(self.views),
         )
 
     def fan(self, q_k: int) -> Fan:
@@ -256,18 +287,14 @@ class LocalRunCache:
             self._distances_to[prop] = distances
         return distances
 
-    def edge_segments(self, p_k: int) -> np.ndarray:
-        """The segment of each trimmed product edge out of ``p_k``, in order."""
-        segments = self._edge_segments.get(p_k)
-        if segments is None:
-            product = self.product
-            fan = self.fan(int(product.ts_of[p_k]))
-            dst = product.edge_dst[product.edge_ptr[p_k] : product.edge_ptr[p_k + 1]]
-            roots = [fan.moves.get(q, -1) for q in product.ts_of[dst].tolist()]
-            if -1 in roots:
-                raise ContractError("a local run set must contain at least one run")
-            segments = self._edge_segments[p_k] = fan.subsets[roots, product.ba_of[dst]]
-        return segments
+    def view(self, p_k: int) -> DecisionView:
+        """The decision view of trimmed product state ``p_k``, built the
+        first time it is asked for; the product must carry its recurrent
+        sets and indicators."""
+        view = self.views.get(p_k)
+        if view is None:
+            view = self.views[p_k] = self._build_view(p_k)
+        return view
 
     def scores(self, q_k: int, potential, values: np.ndarray) -> np.ndarray:
         """Every segment's potential under the rewards ``values``: the best
@@ -288,6 +315,34 @@ class LocalRunCache:
         else:
             raise ContractError("a potential combines a run's positions by np.add or np.maximum")
         return np.maximum.reduceat(best[fan.segments], fan.segment_starts)
+
+    def _build_view(self, p_k: int) -> DecisionView:
+        """The view of ``p_k``: one slice or gather per field, each but the
+        segments handed over with one ``tolist``."""
+        product = self.product
+        q_k = product.ts_of[p_k].item()
+        fan = self.fan(q_k)
+        edges = slice(*product.edge_ptr[p_k : p_k + 2].tolist())
+        dst = product.edge_dst[edges]
+        next_ts = product.ts_of[dst].tolist()
+        roots = [fan.moves.get(q, -1) for q in next_ts]
+        if -1 in roots:
+            raise ContractError("a local run set must contain at least one run")
+        return DecisionView(
+            ts_state=q_k,
+            candidates=tuple(dst.tolist()),
+            weights=product.edge_weight[edges].tolist(),
+            ind_pi=product.ind_pi[edges].tolist(),
+            ind_phi=product.ind_phi[edges].tolist(),
+            segments=fan.subsets[roots, product.ba_of[dst]],
+            next_ts=next_ts,
+            next_ba=product.ba_of[dst].tolist(),
+            next_survey=product.surveillance[dst].tolist(),
+            next_s_pi_inf=product.s_pi_inf[dst].tolist(),
+            next_f_inf=product.f_inf[dst].tolist(),
+            s_pi_inf=product.s_pi_inf[p_k].item(),
+            f_inf=product.f_inf[p_k].item(),
+        )
 
     def _build_fan(self, q_k: int) -> Fan:
         """The tree of every move out of ``q_k``: one frontier expansion from

@@ -13,7 +13,7 @@ term growing even when surveyed states are crossed incidentally.
 
 from __future__ import annotations
 
-import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +33,10 @@ INFEASIBLE_MESSAGE = "Mission cannot be accomplished."
 ATTRACTION_TIE_TOLERANCE = 1e-9
 
 
-@dataclasses.dataclass(frozen=True)
-class StepInfo:
+class StepInfo(NamedTuple):
     """Everything observable about one planning step. ``scores`` is the
     decision's score table: the potential of every segment of the fan of the
-    system state left."""
+    system state left. An array, so equality and hashing leave it out."""
 
     step: int
     product_state: int
@@ -53,8 +52,20 @@ class StepInfo:
     survey: bool
     candidates: tuple[int, ...]
     attractions: tuple[float, ...]
-    # an array, so left out of equality and hashing
-    scores: np.ndarray = dataclasses.field(compare=False)
+    scores: np.ndarray
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    # a tuple's own != would compare the score tables too
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:-1])
 
 
 class Planner:
@@ -127,19 +138,16 @@ class Planner:
         """Choose and commit the next product state; the caller then collects
         the reward at the returned state and evolves the field by the
         returned weight."""
-        product = self.product
-        p_k = self.current
-        first, stop = product.edge_ptr[p_k : p_k + 2].tolist()
-        dsts = product.edge_dst[first:stop].tolist()
-        scores = self.local_runs.scores(product.ts_of[p_k].item(), self.potential, field.values)
-        pots = scores[self.local_runs.edge_segments(p_k)].tolist()
+        view = self.local_runs.view(self.prefix[-1])
+        scores = self.local_runs.scores(view.ts_state, self.potential, field.values)
+        pots = scores[view.segments].tolist()
         max_pot = max(pots)
-        # the active subgoal's elapsed weight, shortening indicator and target set
+        # the active subgoal's elapsed weight, shortening indicator and
+        # whether the state left is in its target set
         if self.subgoal == SURVEILLANCE:
-            elapsed, indicator, subgoal_set = self._elapsed_raw, product.ind_pi, product.s_pi_inf
+            elapsed, flags, at_target = self._elapsed_raw, view.ind_pi, view.s_pi_inf
         else:
-            elapsed, indicator, subgoal_set = self._elapsed_masked, product.ind_phi, product.f_inf
-        flags = indicator[first:stop].tolist()
+            elapsed, flags, at_target = self._elapsed_masked, view.ind_phi, view.f_inf
         pref_value = float(self.preference(elapsed, max_pot))
         attractions = [pot + (pref_value if flag else 0.0) for pot, flag in zip(pots, flags)]
 
@@ -157,7 +165,7 @@ class Planner:
             # everywhere scores every move 0, including the shortening ones.
             # Restricting the tie to shortening edges preserves progress
             # toward the pending subgoal without affecting any other case.
-            if not subgoal_set[p_k]:
+            if not at_target:
                 marked = [i for i in ties if flags[i]]
                 if marked:
                     ties = marked
@@ -165,16 +173,16 @@ class Planner:
             pick = ties[0]
         else:
             pick = ties[int(self.rng.integers(len(ties)))]
-        p_next = dsts[pick]
-        weight = product.edge_weight[first + pick].item()
+        p_next = view.candidates[pick]
+        weight = view.weights[pick]
 
         position = len(self.prefix)
-        raw_survey = product.surveillance[p_next].item()
+        raw_survey = view.next_survey[pick]
         unmasked = raw_survey and self._accepting_visited and not self._survey_since_accepting
         self._time += weight
         self._elapsed_raw = 0.0 if raw_survey else self._elapsed_raw + weight
         self._elapsed_masked = 0.0 if unmasked else self._elapsed_masked + weight
-        if product.f_inf[p_next]:
+        if view.next_f_inf[pick]:
             self._accepting_visited = True
             self._survey_since_accepting = raw_survey
             self.accepting_positions.append(position)
@@ -184,27 +192,27 @@ class Planner:
         self.prefix.append(p_next)
 
         subgoal_before = self.subgoal
-        if self.subgoal == SURVEILLANCE and product.s_pi_inf[p_next]:
+        if self.subgoal == SURVEILLANCE and view.next_s_pi_inf[pick]:
             self.subgoal = MISSION
-        if self.subgoal == MISSION and product.f_inf[p_next]:
+        if self.subgoal == MISSION and view.next_f_inf[pick]:
             self.subgoal = SURVEILLANCE
 
         return StepInfo(
-            step=position,
-            product_state=p_next,
-            ts_state=product.ts_of[p_next].item(),
-            ba_state=product.ba_of[p_next].item(),
-            weight=weight,
-            time=self._time,
-            subgoal_before=subgoal_before,
-            subgoal_after=self.subgoal,
-            attraction=attractions[pick],
-            elapsed_used=elapsed,
-            indicator=flags[pick],
-            survey=raw_survey,
-            candidates=tuple(dsts),
-            attractions=tuple(attractions),
-            scores=scores,
+            position,
+            p_next,
+            view.next_ts[pick],
+            view.next_ba[pick],
+            weight,
+            self._time,
+            subgoal_before,
+            self.subgoal,
+            attractions[pick],
+            elapsed,
+            flags[pick],
+            raw_survey,
+            view.candidates,
+            tuple(attractions),
+            scores,
         )
 
 
@@ -228,6 +236,7 @@ class CostEvaluator:
         # least weight from each state to some surveyed state, infinite
         # everywhere when there is none, shared by every evaluator of the cache
         self._to_surveyed = local_runs.distance_to(surveillance_prop)
+        self._moves: dict[int, tuple[list[int], dict[int, int], bool]] = {}
 
     def indicator(self, q: int, q_next: int) -> int:
         """1 when the move ``q -> q_next`` strictly shortens the least weight
@@ -238,14 +247,24 @@ class CostEvaluator:
         """The trade-off value of moving from ``q_k`` to ``chosen``, from the
         score table of ``q_k``'s fan (``StepInfo.scores``) and the weight
         since the latest surveyed position."""
-        # as a list: `in` on a small numpy array costs microseconds per step
-        successors = self.ts.successors(q_k).tolist()
+        successors, moves, missing = self._moves_from(q_k)
         if chosen not in successors:
             raise ContractError("cost is defined only for successors")
-        moves = self.local_runs.fan(q_k).moves
-        if len(moves) < len(successors):
+        if missing:
             raise ContractError("a local run set must contain at least one run")
         # the first segments of a fan are its moves
-        pots = scores[: len(moves)]
-        pref_value = float(self.preference(elapsed, float(pots.max())))
-        return float(pots[moves[chosen]]) + self.indicator(q_k, chosen) * pref_value
+        pots = scores[: len(moves)].tolist()
+        pref_value = float(self.preference(elapsed, max(pots)))
+        return pots[moves[chosen]] + self.indicator(q_k, chosen) * pref_value
+
+    def _moves_from(self, q_k: int) -> tuple[list[int], dict[int, int], bool]:
+        """The successors of ``q_k``, the root of each move its fan holds
+        runs after, and whether some move has none; looked up once per
+        state."""
+        found = self._moves.get(q_k)
+        if found is None:
+            # as a list: `in` on a small numpy array costs microseconds per step
+            successors = self.ts.successors(q_k).tolist()
+            moves = self.local_runs.fan(q_k).moves
+            found = self._moves[q_k] = (successors, moves, len(moves) < len(successors))
+        return found

@@ -15,9 +15,10 @@ import json
 import math
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .rewards import DecaySpawnDynamics, RewardField, make_potential, make_prefe
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One row of the per-step trace.
 
     The step-0 row describes the initial position; no decision was taken to
@@ -173,6 +173,19 @@ class ExperimentResult:
     @property
     def step_seconds(self) -> list[float]:
         return [s for run in self.runs for s in run.step_seconds]
+
+    @property
+    def survey_visits(self) -> list[dict[str, int]]:
+        """Per run, the records at each surveyed system state, by name in
+        state order: the trace rows whose survey flag is set, the step-0
+        row included."""
+        ts, prop = self.scenario.ts, self.scenario.surveillance_prop
+        names = [ts.state_name(q) for q, label in enumerate(ts.labels) if prop in label]
+        visits = []
+        for run in self.runs:
+            counts = Counter(rec.ts_state for rec in run.records if rec.survey)
+            visits.append({name: counts[name] for name in names})
+        return visits
 
 
 def compute_stats(runs: Sequence[RunResult]) -> ExperimentStats:
@@ -449,6 +462,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "longest_core_gap": [
             dict(zip(("steps", "weight"), run.longest_core_gap)) for run in result.runs
         ],
+        "survey_visits": result.survey_visits,
     }
     paths["stats_json"].write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return paths

@@ -15,7 +15,7 @@ from surplan.errors import ContractError
 from surplan import localruns
 from surplan.localruns import LocalRunCache, class_cells, path_sums
 from surplan.planner import CostEvaluator
-from surplan.product import build_product, offline_phase, trim_product
+from surplan.product import build_product, compute_indicators, offline_phase, trim_product
 from surplan.rewards import (
     MaxSinglePotential,
     MaxSumPotential,
@@ -148,11 +148,21 @@ def assert_fans_match_oracle(cache, oracle):
                 assert np.array_equal(mine, reference)
 
 
+def with_decision_fields(product):
+    """``product`` with the recurrent sets and indicators a decision view
+    reads, taken from its marks and distances where it has none."""
+    if product.f_inf is None:
+        product.f_inf, product.s_pi_inf = product.accepting, product.surveillance
+    if product.ind_pi is None:
+        product.ind_pi, product.ind_phi = compute_indicators(product)
+    return product
+
+
 def check_against_reference(ts, trimmed, visibility, horizon, fields):
     """Every fan equals the per-move recurrence, and every system edge and
     every trimmed edge scores exactly like the enumeration it replaces;
     returns the number of scores compared."""
-    cache = LocalRunCache(ts, trimmed, visibility, horizon)
+    cache = LocalRunCache(ts, with_decision_fields(trimmed), visibility, horizon)
     assert_fans_match_oracle(cache, LocalRunOracle(ts, trimmed, visibility, horizon))
     tables = {}
 
@@ -220,10 +230,10 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
         dsts = [int(trimmed.edge_dst[e]) for e in edges]
         if any(references[(q_k, dst)] is None for dst in dsts):
             with pytest.raises(ContractError):
-                cache.edge_segments(p)
+                cache.view(p)
             segments = None
         else:
-            segments = cache.edge_segments(p).tolist()
+            segments = cache.view(p).segments.tolist()
         for j, dst in enumerate(dsts):
             reference = references[(q_k, dst)]
             if reference is None:
@@ -432,7 +442,7 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
     else:
         pytest.fail("no system with a hidden sibling was drawn")
     q_k, q_hidden, siblings = split
-    product = random_trimmed_product(rng, ts)
+    product = with_decision_fields(random_trimmed_product(rng, ts))
     cache = LocalRunCache(ts, product, visibility, horizon)
     oracle = LocalRunOracle(ts, product, visibility, horizon)
     fan = cache.fan(q_k)
@@ -451,9 +461,9 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
         into = product.ts_of[product.edge_dst[edges.start : edges.stop]]
         if q_hidden in into:
             with pytest.raises(ContractError):
-                cache.edge_segments(p)
+                cache.view(p)
         else:
-            assert len(cache.edge_segments(p)) == len(edges)
+            assert len(cache.view(p).segments) == len(edges)
     assert cache.sizes()["fans"] == 1
     assert cache.misses == 1 and cache.hits >= 1
     assert_fans_match_oracle(cache, oracle)
@@ -804,6 +814,75 @@ def test_cell_scores_equal_node_scores_on_the_scenarios_and_workloads(tmp_path, 
         assert 0 < counts[1] <= counts[0]
         nodes, cells = nodes + counts[0], cells + counts[1]
     assert 2 * cells < nodes
+
+
+def assert_views_hold_the_product_rows(cache):
+    """On every state of the cache's product, the view's fields equal the
+    product's rows, read one edge at a time, and the segments the fan gives
+    each edge; every field but the segments holds Python values."""
+    product = cache.product
+    for p in range(product.n):
+        view = cache.view(p)
+        edges = edges_from(product, p)
+        dst = [int(product.edge_dst[e]) for e in edges]
+        fan = cache.fan(int(product.ts_of[p]))
+        assert view.ts_state == product.ts_of[p]
+        assert view.candidates == tuple(dst)
+        assert view.weights == [float(product.edge_weight[e]) for e in edges]
+        assert view.ind_pi == [bool(product.ind_pi[e]) for e in edges]
+        assert view.ind_phi == [bool(product.ind_phi[e]) for e in edges]
+        segments = [fan.subsets[fan.moves[int(product.ts_of[d])], product.ba_of[d]] for d in dst]
+        assert np.array_equal(view.segments, segments)
+        assert view.next_ts == [int(product.ts_of[d]) for d in dst]
+        assert view.next_ba == [int(product.ba_of[d]) for d in dst]
+        assert view.next_survey == [bool(product.surveillance[d]) for d in dst]
+        assert view.next_s_pi_inf == [bool(product.s_pi_inf[d]) for d in dst]
+        assert view.next_f_inf == [bool(product.f_inf[d]) for d in dst]
+        assert view.s_pi_inf == product.s_pi_inf[p]
+        assert view.f_inf == product.f_inf[p]
+        values = [view.ts_state, view.s_pi_inf, view.f_inf]
+        for field in view._fields:
+            if field not in ("ts_state", "segments", "s_pi_inf", "f_inf"):
+                values += getattr(view, field)
+        assert all(type(value) in (int, float, bool) for value in values)
+        assert cache.view(p) is view
+    assert cache.sizes()["views"] == len(cache.views) == product.n
+
+
+def test_each_decision_view_holds_the_product_rows_it_caches(tmp_path, workloads):
+    """The shipped scenarios and shrunk workloads, and random products whose
+    flags and indicators are drawn apart, so no two rows a view reads agree
+    by chance."""
+    for cache in cell_score_cases(workloads, tmp_path):
+        assert_views_hold_the_product_rows(cache)
+    rng = np.random.default_rng(1819)
+    for _ in range(10):
+        ts = random_ts(rng, int(rng.integers(3, 10)), extra_edges=10, weights=(0.5, 1.0, 2.0))
+        product = random_trimmed_product(rng, ts)
+        n, m = product.n, len(product.edge_dst)
+        product.f_inf, product.s_pi_inf = rng.random(n) < 0.5, rng.random(n) < 0.5
+        product.ind_pi, product.ind_phi = rng.random(m) < 0.5, rng.random(m) < 0.5
+        assert_views_hold_the_product_rows(LocalRunCache(ts, product, 6.0, 9.0))
+
+
+def test_a_second_experiment_over_one_offline_result_builds_no_view(monkeypatch):
+    scenario = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 2, "iterations": 60})
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    builds = Counter()
+    original = LocalRunCache._build_view
+
+    def counted(self, p_k):
+        builds[p_k] += 1
+        return original(self, p_k)
+
+    monkeypatch.setattr(LocalRunCache, "_build_view", counted)
+    first = run_experiment(scenario, offline=offline)
+    built = sum(builds.values())
+    second = run_experiment(scenario, offline=offline)
+    assert sum(builds.values()) == built == first.local_runs["views"] > 0
+    assert max(builds.values()) == 1
+    assert second.local_runs["views"] == built
+    assert [run.records for run in second.runs] == [run.records for run in first.runs]
 
 
 class WeightedEverywhere(Potential):

@@ -115,7 +115,7 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     block = payload["local_runs"]
     assert set(block) == {
         "fans", "nodes", "classes", "cells", "segments", "hits", "misses", "relations",
-        "build_seconds",
+        "build_seconds", "views",
     }
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     # the relations interned for admission, at least the roots' identities
@@ -135,6 +135,10 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     assert block["hits"] > block["misses"]
     # the time spent building the fans, a part of the run's decisions
     assert 0 < block["build_seconds"] <= cache.sizes()["build_seconds"]
+    # one decision view per product state some decision left, whose system
+    # and automaton states name it
+    left = {(rec.ts_state, rec.ba_state) for run in result.runs for rec in run.records[:-1]}
+    assert block["views"] == len(left) == len(cache.views)
 
 
 @pytest.mark.parametrize(
@@ -200,6 +204,37 @@ def test_stats_json_reports_the_longest_accepting_core_gap(tmp_path):
     assert payload["longest_core_gap"] == expected
     # the runs visit the core, and not only at their ends
     assert all(0 < gap["steps"] < scenario.iterations for gap in expected)
+
+
+@pytest.mark.parametrize("name", ["default_grid.ini", "triangle.ini"])
+def test_stats_json_reports_survey_visits_counted_from_the_trace(tmp_path, name):
+    """Each run's visits to each surveyed system state, by name, equal a
+    recount of trace.csv's rows with the survey flag set; a surveyed state
+    no row visits reads 0."""
+    scenario = load_scenario(SCENARIOS / name, {"runs": 2, "iterations": 120})
+    result = run_experiment(scenario)
+    paths = emit_outputs(result, tmp_path)
+    ts = scenario.ts
+    surveyed = [
+        ts.state_name(q) for q in range(ts.n) if scenario.surveillance_prop in ts.label(q)
+    ]
+    expected = [dict.fromkeys(surveyed, 0) for _ in range(scenario.runs)]
+    with open(paths["trace"], newline="") as handle:
+        for row in csv.DictReader(handle):
+            if row["survey"] == "1":
+                expected[int(row["run"])][row["ts_state"]] += 1
+    payload = json.loads(paths["stats_json"].read_text())
+    assert payload["survey_visits"] == expected
+    assert all(sum(visits.values()) > 0 for visits in expected)
+
+
+def test_step_records_refuse_assignment_and_compare_by_field():
+    record = StepRecord(0, 1, 2.0, "q1", 0, "mission", 1.5, 2.5, 3.0, 0.0, True)
+    with pytest.raises(AttributeError):
+        record.reward = 1.0
+    assert record == StepRecord(0, 1, 2.0, "q1", 0, "mission", 1.5, 2.5, 3.0, 0.0, True)
+    assert record != StepRecord(0, 1, 2.0, "q1", 0, "mission", 1.5, 2.5, 4.0, 0.0, True)
+    assert hash(record) == hash(StepRecord(*record))
 
 
 def test_stats_json_reports_step_latency_tail(tmp_path, triangle_result):
