@@ -137,59 +137,41 @@ def build_product(
         raise ValidationError("automaton propositions incompatible with system")
     table = letter_table(ts, ba)
     n_ba = ba.n_states
-    # a state (q, s) is keyed q * n_ba + s; the id of every key numbered so
-    # far, -1 for the others
-    id_of = np.full(ts.n * n_ba, -1, dtype=np.int64)
-    level = np.array([ts.initial * n_ba + ba.initial])
-    id_of[level] = 0
-    levels: list[np.ndarray] = []
-    edge_src: list[np.ndarray] = []
-    edge_dst: list[np.ndarray] = []
-    edge_weight: list[np.ndarray] = []
-    # Level by level: a FIFO search numbers the states one level reaches in
-    # order of their first edge from it, parent-major. The level's states
-    # hold the ids from lo on, and the next level's follow them.
-    lo = 0
-    while len(level):
-        levels.append(level)
-        q, s = np.divmod(level, n_ba)
-        move_lo = ts.move_ptr[q]
-        n_moves = ts.move_ptr[q + 1] - move_lo
-        row = table.letter_of[q] * n_ba + s
-        target_lo = table.ptr[row]
-        n_targets = table.ptr[row + 1] - target_lo
-        # every state's system moves times its automaton targets
-        counts = n_moves * n_targets
-        parent = np.repeat(np.arange(len(level)), counts)
-        within = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        move, target = np.divmod(within, n_targets[parent])
-        move += move_lo[parent]
-        key = ts.move_dst[move] * n_ba + table.target[target_lo[parent] + target]
-        new = key[id_of[key] < 0]
-        distinct, first = np.unique(new, return_index=True)
-        edge_src.append(parent + lo)
-        lo += len(level)
-        level = distinct[np.argsort(first)]
-        id_of[level] = np.arange(lo, lo + len(level))
-        edge_dst.append(id_of[key])
-        edge_weight.append(ts.move_weight[move])
-    ts_of, ba_of = np.divmod(np.concatenate(levels), n_ba)
-    accepting = np.zeros(n_ba, dtype=bool)
-    accepting[list(ba.accepting)] = True
+    n_keys = ts.n * n_ba
+    # The key graph: state (q, s) is keyed q * n_ba + s, and its row lists its
+    # edges, reached or not, by system move, then by automaton target. Both
+    # are stored ascending, so the columns strictly ascend in every row.
+    row = (table.letter_of[:, None] * n_ba + np.arange(n_ba)).ravel()
+    n_moves = np.repeat(np.diff(ts.move_ptr), n_ba)
+    n_targets = np.diff(table.ptr)[row]
+    indptr = np.concatenate(([0], np.cumsum(n_moves * n_targets)))
+    # ids fit int32 below 2**31 keys and edges, where scipy switches too
+    index = np.int32 if max(n_keys, indptr[-1]) < 2**31 else np.int64
+    # the (key, move) pairs, key-major: pair p has count[p] targets (intp, as
+    # np.repeat takes it), and a key-graph edge e of p's reads table.target[skip[p] + e]
+    skip = np.repeat(ts.move_ptr[:-1], n_ba) - np.cumsum(n_moves) + n_moves
+    move = np.repeat(skip.astype(index), n_moves) + np.arange(n_moves.sum(), dtype=index)
+    count = np.repeat(n_targets, n_moves)
+    skip = (np.repeat(table.ptr[row], n_moves) - np.cumsum(count) + count).astype(index)
+    column = np.repeat(skip, count)
+    column += np.arange(len(column), dtype=index)
+    column = table.target.astype(index)[column]
+    column += np.repeat((ts.move_dst.astype(index) * n_ba)[move], count)
+    weight = np.repeat(ts.move_weight[move], count)
+    graph = csr_array((weight, column, indptr.astype(index)), shape=(n_keys, n_keys))
+    del row, n_moves, n_targets, indptr, skip, move, count, column, weight
+    # One search numbers the states in the order a FIFO search first meets
+    # them. The product's edges are their rows, whose targets are all reached.
+    order = breadth_first_order(graph, ts.initial * n_ba + ba.initial, return_predecessors=False)
+    graph = graph[order]
+    id_of = np.empty(n_keys, dtype=np.int64)
+    id_of[order] = np.arange(len(order))
+    ts_of, ba_of = np.divmod(order, n_ba)
     surveillance = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
     return ProductAutomaton(
-        ts,
-        ba,
-        table,
-        ts_of,
-        ba_of,
-        0,
-        np.concatenate(edge_src),
-        np.concatenate(edge_dst),
-        np.concatenate(edge_weight),
-        accepting[ba_of],
-        surveillance[table.letter_of[ts_of]],
-        surveillance_prop,
+        ts, ba, table, ts_of, ba_of, 0, np.repeat(np.arange(len(order)), np.diff(graph.indptr)),
+        id_of[graph.indices], graph.data, np.isin(ba_of, list(ba.accepting)),
+        surveillance[table.letter_of[ts_of]], surveillance_prop,
     )
 
 
