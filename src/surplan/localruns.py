@@ -5,10 +5,15 @@ from ``q`` inside the visibility region of ``q_k`` that, with the move's
 weight, fit the horizon. One cache holds them for every run over an offline
 result as one prefix tree (a fan) per ``q_k``, built one level per run
 length; only the runs whose state's lightest move still fits the horizon
-offer their moves to the next level. A move into product state ``dst``
-allows the runs some trimmed product path from ``dst`` projects onto. To
-find them, each node carries the id of one relation, from every start
-automaton state to the states that can end its run. A child's relation
+offer their moves to the next level. The visibility region comes from one
+bounded search per neighbourhood: a fan whose region no earlier search found
+searches from ``q_k`` and from each successor the trimmed product holds
+whose region is not found yet, and keeps their regions, as the next decision
+leaves one of them; a kept region is dropped once its fan is built. A move
+into product state ``dst`` allows the runs some trimmed product path from
+``dst`` projects onto. To find them, each node carries the id of one
+relation, from every start automaton state to the states that can end its
+run. A child's relation
 depends only on its parent's and on the class of the move between them: the
 letter the move's source emits and the automaton states kept with its
 target. The expansion reads it from one lazy table, ``child[relation, move
@@ -38,7 +43,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError
-from .ts import TransitionSystem, visible_distances
+from .ts import TransitionSystem
 
 
 def path_sums(values: np.ndarray, parent: np.ndarray, bounds: list[int]) -> np.ndarray:
@@ -183,8 +188,8 @@ class LocalRunCache:
     first use, with the subsets of their runs that the trimmed ``product``
     admits from each automaton state, and a decision view of each product
     state a decision leaves. ``hits`` and ``misses`` count fan lookups that
-    found the fan built or not, and ``build_seconds`` is the time spent
-    building fans.
+    found the fan built or not, ``searches`` the bounded visibility searches
+    run, and ``build_seconds`` is the time spent building fans.
     """
 
     def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
@@ -204,8 +209,12 @@ class LocalRunCache:
         self.fans: dict[int, Fan] = {}
         self.hits = 0
         self.misses = 0
+        self.searches = 0
         self.build_seconds = 0.0
         self.views: dict[int, DecisionView] = {}
+        # the states visible from a state whose fan is not built yet, found
+        # by an earlier search; each is dropped when its fan is built
+        self._visible: dict[int, np.ndarray] = {}
         self._cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._distances_to: dict[str, np.ndarray] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
@@ -218,6 +227,9 @@ class LocalRunCache:
         delta.reshape(-1, n_ba)[rows, table.target] = True
         kept = np.zeros((ts.n, n_ba), dtype=bool)
         kept[product.ts_of, product.ba_of] = True
+        # the system states the trimmed product holds, the only ones a
+        # decision can leave
+        self._held = kept.any(axis=1)
         # the distinct rows of automaton states kept with a system state,
         # in row order, found by a 1-D unique of the rows packed to bytes
         packed = np.packbits(kept, axis=1)
@@ -247,13 +259,14 @@ class LocalRunCache:
         self._root = self._intern(np.eye(n_ba, dtype=bool) & kept[:, None, :])
 
     def sizes(self) -> dict[str, float]:
-        """Fans built, the nodes, run classes, class cells and segments they
-        hold, fan lookups, the automaton-state relations interned for
-        admission, the seconds spent building the fans and the decision
-        views built."""
+        """Fans built, the bounded visibility searches run for them, the
+        nodes, run classes, class cells and segments they hold, fan lookups,
+        the automaton-state relations interned for admission, the seconds
+        spent building the fans and the decision views built."""
         fans = self.fans.values()
         return dict(
             fans=len(fans),
+            searches=self.searches,
             nodes=sum(len(f.state) for f in fans),
             classes=sum(len(f.starts) for f in fans),
             cells=sum(len(cells[0]) for cells in self._cells.values()),
@@ -348,7 +361,7 @@ class LocalRunCache:
         """The tree of every move out of ``q_k``: one frontier expansion from
         every visible successor whose entry weight fits the horizon."""
         ts, horizon = self.ts, self.horizon
-        allowed = visible_distances(ts, q_k, self.visibility) <= self.visibility
+        allowed = self._allowed(q_k)
         ptr, succ, weight = ts.move_ptr, ts.move_dst, ts.move_weight
         lightest, move_class = self._lightest, self._move_class
         span = slice(ptr[q_k], ptr[q_k + 1])
@@ -362,9 +375,9 @@ class LocalRunCache:
         # horizon test: rounding is monotone, so no other move fits when
         # that one does not.
         n_moves = len(roots)
-        states, cums, root = roots, np.zeros(n_moves), np.arange(n_moves)
+        states, cums = roots, np.zeros(n_moves)
         rel = self._root[self._kept_id[roots]]
-        levels = [(np.full(n_moves, -1), states, cums, root, rel)]
+        levels = [(np.full(n_moves, -1), states, cums, rel)]
         bounds = [0, n_moves]
         while True:
             live = ((cums + lightest[states]) + entry <= horizon).nonzero()[0]
@@ -376,18 +389,21 @@ class LocalRunCache:
             if not len(kept):
                 break
             parent, move = parent[kept], move[kept]
-            states, cums, entry, root = nxt[kept], total[kept], reach[kept], root[parent]
+            states, cums, entry = nxt[kept], total[kept], reach[kept]
             rel = self._children(rel[parent], move_class[move])
-            levels.append((parent + bounds[-2], states, cums, root, rel))
+            levels.append((parent + bounds[-2], states, cums, rel))
             bounds.append(bounds[-1] + len(kept))
-        parent, state, cumw, root, rel = (np.concatenate(field) for field in zip(*levels))
+        parent, state, cumw, rel = (np.concatenate(field) for field in zip(*levels))
 
         # a state is novel unless it is q_k or an ancestor's; up holds the
-        # d-th ancestors of the nodes from bounds[d] on
+        # d-th ancestors of the nodes from bounds[d] on, so those of depth d
+        # find their roots, numbered as the nodes of depth 0
         novel = state != q_k
+        root = np.arange(len(state))
         up = parent[bounds[1] :]
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             novel[lo:] &= state[up] != state[lo:]
+            root[lo:hi] = up[: hi - lo]
             up = parent[up[hi - lo :]]
 
         # the classes, by root and then by relation id, each in node order
@@ -414,17 +430,43 @@ class LocalRunCache:
             segment_starts,
         )
 
+    def _allowed(self, q_k: int) -> np.ndarray:
+        """The states visible from ``q_k``, as a mask. Its set is kept if an
+        earlier search found it; otherwise one bounded search starts from
+        ``q_k`` and from each of its successors that the trimmed product
+        holds and that has neither a fan nor a kept set, since the next
+        decision leaves one of them, and their sets are kept."""
+        visible = self._visible.pop(q_k, None)
+        if visible is not None:
+            allowed = np.zeros(self.ts.n, dtype=bool)
+            allowed[visible] = True
+            return allowed
+        ts = self.ts
+        successors = ts.successors(q_k)
+        sources = [
+            q
+            for q in successors[self._held[successors]].tolist()
+            if q != q_k and q not in self.fans and q not in self._visible
+        ]
+        self.searches += 1
+        distances = dijkstra(ts.graph, indices=[q_k, *sources], limit=self.visibility)
+        within = distances <= self.visibility
+        for q, row in zip(sources, within[1:]):
+            self._visible[q] = row.nonzero()[0].astype(np.int32)
+        return within[0]
+
     def _children(self, rel: np.ndarray, move_class: np.ndarray) -> np.ndarray:
         """``child[rel, move_class]``: each relation read on through the
         class's step. Each entry not filled yet is made first, one batch for
         the distinct missing keys."""
-        found = self._child[rel, move_class]
+        width = self._child.shape[1]
+        keys = rel * width + move_class
+        found = self._child.ravel().take(keys)
         if found.min() < 0:
-            width = self._child.shape[1]
-            keys = np.unique((rel * width + move_class)[found < 0])
-            rows, classes = keys // width, keys % width
+            missing = np.unique(keys[found < 0])
+            rows, classes = missing // width, missing % width
             self._child[rows, classes] = self._intern(self._relations[rows] @ self._step[classes])
-            found = self._child[rel, move_class]
+            found = self._child.ravel().take(keys)
         return found
 
     def _intern(self, relations: np.ndarray) -> np.ndarray:

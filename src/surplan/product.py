@@ -96,7 +96,8 @@ class ProductAutomaton:
         self.edge_weight = np.asarray(edge_weight, dtype=np.float64)
         self.accepting = np.asarray(accepting, dtype=bool)
         self.surveillance = np.asarray(surveillance, dtype=bool)
-        if np.any(np.diff(self.edge_src) < 0):
+        # one bool per edge, where np.diff would allocate int64s
+        if (self.edge_src[1:] < self.edge_src[:-1]).any():
             raise ValidationError("product edges must be sorted by source state")
         # CSR row pointer over the edge arrays: the edges leaving p are the
         # ids edge_ptr[p] up to edge_ptr[p + 1]

@@ -1,10 +1,12 @@
 """Breadth-first product build over Python dicts and a FIFO queue: the oracle
 for ``surplan.product.build_product``.
 
-``build_product`` expands a whole search level at a time with numpy, over
-the letter table. This is the search it replaces, one state at a time, asking
-the automaton for its successors on each state's label; the products must be
-equal in every array, so in every state number and every edge.
+``build_product`` numbers the reachable states by one scipy breadth-first
+search over a key graph of every (system state, automaton state) pair, whose
+rows it builds with numpy from the letter table. This oracle searches the
+product itself, one state at a time from a FIFO queue, asking the automaton
+for its successors on each state's label; the products must be equal in
+every array, so in every state number and every edge.
 """
 
 from __future__ import annotations

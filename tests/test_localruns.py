@@ -26,7 +26,7 @@ from surplan.rewards import (
 )
 from surplan.scenario import load_scenario
 from surplan.sim import run_experiment
-from surplan.ts import enumerate_budget_runs
+from surplan.ts import enumerate_budget_runs, visible_distances
 
 from conftest import (
     LocalRunOracle,
@@ -670,6 +670,73 @@ def test_fans_built_in_another_state_order_equal_the_unpruned_build(tmp_path, wo
         n = offline.ts.n
         states = range(n - 1, -1, -1) if order == "reversed" else rng.permutation(n).tolist()
         assert_fans_equal_reference(cache, states)
+
+
+def visibility_cases(count):
+    """``(ts, trimmed, visibility, horizon)`` for the shipped ``default_grid``
+    and ``triangle``, then for ``count`` random systems on non-dyadic
+    weights, whose distances depend on the order of summation, each with a
+    random trimmed product that leaves some system states out."""
+    for name in ("default_grid.ini", "triangle.ini"):
+        scenario = load_scenario(SCENARIOS / name)
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        yield offline.ts, offline.trimmed, scenario.visibility, scenario.horizon
+    rng = np.random.default_rng(1819)
+    for _ in range(count):
+        ts = random_ts(rng, int(rng.integers(4, 12)), extra_edges=12, weights=(0.3, 0.7, 1.5))
+        visibility = float(rng.choice([1.0, 2.2]))
+        yield ts, random_trimmed_product(rng, ts), visibility, 3.0
+
+
+def test_every_kept_visible_set_equals_the_bounded_search():
+    """After every fan build, in a shuffled state order, each visible set a
+    search kept is an int32 index array of the states one bounded search
+    from its own state reaches, kept for a state the trimmed product holds
+    and that has no fan yet."""
+    rng = np.random.default_rng(1820)
+    checked = 0
+    for ts, trimmed, visibility, horizon in visibility_cases(20):
+        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        held = set(trimmed.ts_of.tolist())
+        for q_k in rng.permutation(ts.n).tolist():
+            cache.fan(q_k)
+            for q, visible in cache._visible.items():
+                assert q in held and q not in cache.fans
+                assert visible.dtype == np.int32
+                expected = np.flatnonzero(visible_distances(ts, q, visibility) <= visibility)
+                assert np.array_equal(visible, expected)
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled 1", "shuffled 2", "shuffled 3"])
+def test_fans_equal_the_unpruned_build_whether_searched_or_kept(order):
+    """Fans built in ascending, descending or shuffled state order each equal
+    the unpruned build, and every order builds some fans after a search of
+    their own and some from a set an earlier search kept."""
+    rng = np.random.default_rng(int(order[-1]) if order.startswith("shuffled") else 0)
+    searches = fans = 0
+    for ts, trimmed, visibility, horizon in visibility_cases(8):
+        if order == "ascending":
+            states = range(ts.n)
+        elif order == "descending":
+            states = range(ts.n - 1, -1, -1)
+        else:
+            states = rng.permutation(ts.n).tolist()
+        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        assert_fans_equal_reference(cache, states)
+        searches += cache.searches
+        fans += cache.sizes()["fans"]
+    assert 0 < searches < fans
+
+
+def test_a_default_grid_run_searches_fewer_times_than_it_builds_fans():
+    """The next decision leaves a successor of the state just left, so over
+    a run most fans find their visible set kept by an earlier search."""
+    scenario = load_scenario(SCENARIOS / "default_grid.ini")
+    sizes = run_experiment(dataclasses.replace(scenario, runs=1, iterations=100)).local_runs
+    assert list(sizes)[:2] == ["fans", "searches"]
+    assert 0 < sizes["searches"] < sizes["fans"]
 
 
 def test_a_fan_holds_one_index_entry_per_node():

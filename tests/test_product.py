@@ -227,7 +227,7 @@ def assert_product_matches_fifo_search(ts, ba, surveillance_prop="sur"):
             assert moves == list(ba.successors(s, letter)), (a, s)
 
 
-def test_level_by_level_product_matches_the_fifo_search(workloads, tmp_path):
+def test_the_one_search_product_matches_the_fifo_search(workloads, tmp_path):
     rng = np.random.default_rng(91)
     for formula, props in random_formula_cases(120):
         n_states = int(rng.integers(2, 31))

@@ -114,13 +114,15 @@ def test_stats_json_reports_local_run_cache_sizes(tmp_path, triangle_result):
     payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
     block = payload["local_runs"]
     assert set(block) == {
-        "fans", "nodes", "classes", "cells", "segments", "hits", "misses", "relations",
-        "build_seconds", "views",
+        "fans", "searches", "nodes", "classes", "cells", "segments", "hits", "misses",
+        "relations", "build_seconds", "views",
     }
     cache = result.offline.local_run_cache(scenario.visibility, scenario.horizon)
     # the relations interned for admission, at least the roots' identities
     assert block["relations"] == cache.sizes()["relations"] >= 1
     assert 1 <= block["fans"] <= len(cache.fans)
+    # the first fan searches; a fan whose set an earlier search kept does not
+    assert 1 <= block["searches"] <= block["fans"]
     assert block["nodes"] <= sum(len(fan.state) for fan in cache.fans.values())
     # every fan holds at least one run, and a segment for its move and for
     # the subset the automaton state of the product move admits
