@@ -134,43 +134,6 @@ class BuchiAutomaton:
         """Mask of the letters that hold ``prop``."""
         return (self._masks & self._bit.get(prop, 0)) != 0
 
-    def successors(self, state: int, letter: Letter) -> np.ndarray:
-        """Targets of ``state`` over ``letter``, ascending: a view of ``target``."""
-        a = int(self.letter_ids([letter])[0])
-        if a < 0:
-            return self.target[:0]
-        row = a * self.n_states + state
-        return self.target[self.ptr[row] : self.ptr[row + 1]]
-
-    @property
-    def transitions(self) -> tuple[tuple[int, Letter, int], ...]:
-        """The distinct letter edges as ``(source, letter, target)`` tuples,
-        by letter, then source, then target."""
-        row = np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
-        letter, src = np.divmod(row, self.n_states)
-        letters = [self.letters[a] for a in letter.tolist()]
-        return tuple(zip(src.tolist(), letters, self.target.tolist()))
-
-    def to_text(self) -> str:
-        """Plain adjacency listing for debugging."""
-        lines = [
-            f"states: {self.n_states}",
-            f"initial: {self.initial}",
-            f"accepting: {sorted(self.accepting)}",
-        ]
-        listed: list[list[str]] = [[] for _ in range(self.n_states)]
-        for s, letter, t in sorted(
-            self.transitions, key=lambda e: (e[0], sorted(e[1]), e[2])
-        ):
-            listed[s].append(f"  --{{{','.join(sorted(letter)) or ''}}}--> {t}")
-        for i in range(self.n_states):
-            if i < len(self.descriptions):
-                lines.append(f"state {i}: {self.descriptions[i]}")
-            else:
-                lines.append(f"state {i}:")
-            lines.extend(listed[i])
-        return "\n".join(lines)
-
 
 def until_like_subformulas(formula: Formula) -> list[Formula]:
     """Until and eventually subformulas in first-occurrence order."""

@@ -43,7 +43,6 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ContractError
-from .ts import TransitionSystem
 
 
 def path_sums(values: np.ndarray, parent: np.ndarray, bounds: list[int]) -> np.ndarray:
@@ -184,15 +183,17 @@ class DecisionView(NamedTuple):
 
 
 class LocalRunCache:
-    """Local-run fans of one system, visibility range and horizon, built on
-    first use, with the subsets of their runs that the trimmed ``product``
-    admits from each automaton state, and a decision view of each product
-    state a decision leaves. ``hits`` and ``misses`` count fan lookups that
-    found the fan built or not, ``searches`` the bounded visibility searches
-    run, and ``build_seconds`` is the time spent building fans.
+    """Local-run fans of the trimmed ``product``'s system, for one visibility
+    range and horizon, built on first use, with the subsets of their runs
+    that the product admits from each automaton state, and a decision view
+    of each product state a decision leaves. ``hits`` and ``misses`` count
+    fan lookups that found the fan built or not, ``searches`` the bounded
+    visibility searches run, and ``build_seconds`` is the time spent
+    building fans.
     """
 
-    def __init__(self, ts: TransitionSystem, product, visibility: float, horizon: float):
+    def __init__(self, product, visibility: float, horizon: float):
+        ts = product.ts
         visibility, horizon = float(visibility), float(horizon)
         if not (math.isfinite(visibility) and math.isfinite(horizon)):
             raise ContractError("visibility range and planning horizon must be finite")

@@ -80,15 +80,9 @@ class Planner:
         horizon: float,
         rng: np.random.Generator,
     ):
-        product = offline.trimmed
-        if (
-            product.initial is None
-            or product.f_inf is None
-            or not product.f_inf.any()
-        ):
+        if not offline.feasible:
             raise MissionInfeasible(INFEASIBLE_MESSAGE)
-        if product.ind_pi is None or product.ind_phi is None:
-            raise ContractError("product must carry shortening indicators")
+        product = offline.trimmed
         self.local_runs = offline.local_run_cache(visibility, horizon)
         self.product = product
         self.potential = potential

@@ -81,12 +81,10 @@ class ProductAutomaton:
         edge_weight: np.ndarray,
         accepting: np.ndarray,
         surveillance: np.ndarray,
-        surveillance_prop: str = "sur",
     ):
         self.ts = ts
         self.ba = ba
         self.letters = letters
-        self.surveillance_prop = surveillance_prop
         self.ts_of = np.asarray(ts_of, dtype=np.int64)
         self.ba_of = np.asarray(ba_of, dtype=np.int64)
         self.n = len(self.ts_of)
@@ -172,7 +170,7 @@ def build_product(
     return ProductAutomaton(
         ts, ba, table, ts_of, ba_of, 0, np.repeat(np.arange(len(order)), np.diff(graph.indptr)),
         id_of[graph.indices], graph.data, np.isin(ba_of, list(ba.accepting)),
-        surveillance[table.letter_of[ts_of]], surveillance_prop,
+        surveillance[table.letter_of[ts_of]],
     )
 
 
@@ -325,7 +323,6 @@ def trim_product(product: ProductAutomaton) -> ProductAutomaton:
         product.edge_weight[edge_ok],
         product.accepting[kept],
         product.surveillance[kept],
-        product.surveillance_prop,
     )
     trimmed.f_inf = product.f_inf[kept] if product.f_inf is not None else None
     trimmed.s_pi_inf = product.s_pi_inf[kept] if product.s_pi_inf is not None else None
@@ -366,7 +363,7 @@ class OfflineResult:
         key = (float(visibility), float(horizon))
         cache = self.local_run_caches.get(key)
         if cache is None:
-            cache = self.local_run_caches[key] = LocalRunCache(self.ts, self.trimmed, *key)
+            cache = self.local_run_caches[key] = LocalRunCache(self.trimmed, *key)
         return cache
 
 

@@ -31,8 +31,8 @@ class RewardField:
             self.values = np.asarray(list(values), dtype=np.float64).copy()
             if self.values.shape != (n_states,):
                 raise ValidationError("initial reward vector has wrong length")
-            if (self.values < 0).any():
-                raise ValidationError("rewards must be non-negative")
+            if not ((self.values >= 0) & (self.values < math.inf)).all():
+                raise ValidationError("rewards must be finite and non-negative")
 
 
 class DecaySpawnDynamics:
@@ -186,8 +186,10 @@ class MaxSumPotential(Potential):
     combine = np.add
 
     def __init__(self, refresh_value: float = 15.0):
-        if refresh_value < 0:
-            raise ValidationError("refresh value must be non-negative")
+        if not (math.isfinite(refresh_value) and refresh_value >= 0):
+            raise ValidationError(
+                f"refresh value must be finite and non-negative, not {refresh_value}"
+            )
         self.refresh_value = float(refresh_value)
 
 
@@ -199,40 +201,46 @@ class MaxSinglePotential(Potential):
     combine = np.maximum
 
 
-class ThresholdPreference:
+class Preference:
+    """Weighs the weight elapsed since the last survey against the largest
+    potential; ``threshold``, a finite positive weight, is where each kind
+    catches up with that potential."""
+
+    name: str
+
+    def __init__(self, threshold: float = 50.0):
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValidationError(
+                f"preference threshold must be finite and positive, not {threshold}"
+            )
+        self.threshold = float(threshold)
+
+
+class ThresholdPreference(Preference):
     """Zero until the elapsed weight passes the threshold, then strictly
     above every potential."""
 
     name = "threshold"
 
-    def __init__(self, threshold: float = 50.0):
-        self.threshold = float(threshold)
-
     def __call__(self, elapsed: float, max_potential: float) -> float:
         return 0.0 if elapsed <= self.threshold else max_potential + 1.0
 
 
-class CubicRampPreference:
+class CubicRampPreference(Preference):
     """Grows with the cube of elapsed weight, crossing the maximal potential
     exactly at the threshold."""
 
     name = "cubic"
 
-    def __init__(self, threshold: float = 50.0):
-        self.threshold = float(threshold)
-
     def __call__(self, elapsed: float, max_potential: float) -> float:
         return (elapsed / self.threshold) ** 3 * max_potential
 
 
-class CubeRootRampPreference:
+class CubeRootRampPreference(Preference):
     """Grows with the cube root of elapsed weight: steep early, flat late,
     crossing the maximal potential exactly at the threshold."""
 
     name = "cube-root"
-
-    def __init__(self, threshold: float = 50.0):
-        self.threshold = float(threshold)
 
     def __call__(self, elapsed: float, max_potential: float) -> float:
         return (elapsed / self.threshold) ** (1.0 / 3.0) * max_potential

@@ -380,34 +380,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
                 f"[experiment] run-seeds lists {len(run_seeds)} seeds for {runs} runs"
             )
 
-    return _validated_scenario(
-        name=path.stem,
-        ts=ts,
-        formula_text=formula_text,
-        surveillance_prop=surveillance_prop,
-        visibility=visibility,
-        horizon=horizon,
-        potential_name=potential_name,
-        preference_name=preference_name,
-        refresh_value=refresh_value,
-        preference_threshold=preference_threshold,
-        spawn_probability=spawn_probability,
-        burn_in=burn_in,
-        seed=seed,
-        iterations=iterations,
-        runs=runs,
-        run_seeds=run_seeds,
-    )
-
-
-def _validated_scenario(**kwargs) -> Scenario:
-    ts: TransitionSystem = kwargs["ts"]
-    formula = _mission_formula(
-        kwargs["formula_text"], kwargs["surveillance_prop"], set(ts.propositions)
-    )
-
-    visibility = kwargs["visibility"]
-    horizon = kwargs["horizon"]
+    formula = _mission_formula(formula_text, surveillance_prop, set(ts.propositions))
     if not math.isfinite(visibility) or visibility <= 0:
         raise ScenarioError(f"visibility must be finite and positive, got {visibility}")
     if not math.isfinite(horizon):
@@ -422,34 +395,36 @@ def _validated_scenario(**kwargs) -> Scenario:
     except ValidationError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    if kwargs["potential_name"] not in POTENTIALS:
+    if potential_name not in POTENTIALS:
+        raise ScenarioError(f"unknown potential {potential_name!r}; known: {sorted(POTENTIALS)}")
+    if preference_name not in PREFERENCES:
         raise ScenarioError(
-            f"unknown potential {kwargs['potential_name']!r}; known: {sorted(POTENTIALS)}"
+            f"unknown preference {preference_name!r}; known: {sorted(PREFERENCES)}"
         )
-    if kwargs["preference_name"] not in PREFERENCES:
+    if not 0.0 <= spawn_probability <= 1.0:
+        raise ScenarioError(f"spawn-probability must lie in [0, 1], got {spawn_probability}")
+    if not (math.isfinite(refresh_value) and refresh_value >= 0):
+        raise ScenarioError(f"refresh-value must be finite and non-negative, got {refresh_value}")
+    if not (math.isfinite(preference_threshold) and preference_threshold > 0):
         raise ScenarioError(
-            f"unknown preference {kwargs['preference_name']!r}; known: {sorted(PREFERENCES)}"
+            f"pref-threshold must be finite and positive, got {preference_threshold}"
         )
-    if not 0.0 <= kwargs["spawn_probability"] <= 1.0:
-        raise ScenarioError(f"spawn-probability must lie in [0, 1], got {kwargs['spawn_probability']}")
-    if not (math.isfinite(kwargs["refresh_value"]) and kwargs["refresh_value"] >= 0):
-        raise ScenarioError(
-            f"refresh-value must be finite and non-negative, got {kwargs['refresh_value']}"
-        )
-    if not (math.isfinite(kwargs["preference_threshold"]) and kwargs["preference_threshold"] > 0):
-        raise ScenarioError(
-            f"pref-threshold must be finite and positive, got {kwargs['preference_threshold']}"
-        )
-    if kwargs["burn_in"] < 0:
-        raise ScenarioError(f"burn-in must be non-negative, got {kwargs['burn_in']}")
-    if kwargs["iterations"] < 1:
-        raise ScenarioError(f"iterations must be at least 1, got {kwargs['iterations']}")
-    if kwargs["runs"] < 1:
-        raise ScenarioError(f"runs must be at least 1, got {kwargs['runs']}")
+    if burn_in < 0:
+        raise ScenarioError(f"burn-in must be non-negative, got {burn_in}")
+    if iterations < 1:
+        raise ScenarioError(f"iterations must be at least 1, got {iterations}")
+    if runs < 1:
+        raise ScenarioError(f"runs must be at least 1, got {runs}")
     # numpy seeds its generators from non-negative integers only
-    seeds = [kwargs["seed"], *(kwargs["run_seeds"] or ())]
+    seeds = [seed, *(run_seeds or ())]
     if min(seeds) < 0:
         raise ScenarioError(f"seeds must be non-negative, got {min(seeds)}")
 
-    return Scenario(formula=formula, **kwargs)
-
+    return Scenario(
+        name=path.stem, ts=ts, formula=formula, formula_text=formula_text,
+        surveillance_prop=surveillance_prop, visibility=visibility, horizon=horizon,
+        potential_name=potential_name, preference_name=preference_name,
+        refresh_value=refresh_value, preference_threshold=preference_threshold,
+        spawn_probability=spawn_probability, burn_in=burn_in, seed=seed,
+        iterations=iterations, runs=runs, run_seeds=run_seeds,
+    )

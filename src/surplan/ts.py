@@ -110,12 +110,6 @@ class TransitionSystem:
         """Targets of the moves out of ``i``, ascending: a view of ``move_dst``."""
         return self.move_dst[self.move_ptr[i] : self.move_ptr[i + 1]]
 
-    def label(self, i: int) -> frozenset[str]:
-        return self.labels[i]
-
-    def state_id(self, name: str) -> int:
-        return self.index[name]
-
     def state_name(self, i: int) -> str:
         return self.names[i]
 

@@ -36,6 +36,8 @@ from surplan.ltl import (
 from surplan.product import ProductAutomaton, build_product, letter_table, trim_product
 from surplan.ts import TransitionSystem
 
+from automaton_views import successors
+
 INF = math.inf
 
 
@@ -164,8 +166,9 @@ def run_history(product: ProductAutomaton, infos) -> tuple[list[float], list[boo
     return times, surveys
 
 
-def alpha_bar(planner) -> list[tuple[int, frozenset]]:
-    """The planner's executed prefix with surveillance labels masked.
+def alpha_bar(planner, prop: str) -> list[tuple[int, frozenset]]:
+    """The planner's executed prefix with the surveillance label ``prop``
+    masked.
 
     A position keeps the surveillance label only when some earlier
     position visited the recurrent accepting set and no position from
@@ -179,13 +182,13 @@ def alpha_bar(planner) -> list[tuple[int, frozenset]]:
     out: list[tuple[int, frozenset]] = []
     for i, p in enumerate(planner.prefix):
         q = int(product.ts_of[p])
-        labels = product.ts.label(q)
+        labels = product.ts.labels[q]
         if sur[i]:
             kept = any(
                 accepting[j] and not any(sur[j:i]) for j in range(i)
             )
             if not kept:
-                labels = labels - {product.surveillance_prop}
+                labels = labels - {prop}
         out.append((q, labels))
     return out
 
@@ -542,7 +545,7 @@ class LocalRunOracle:
         }
         for letter, matrix in self.delta.items():
             for s in range(ba.n_states):
-                matrix[s, list(ba.successors(s, letter))] = True
+                matrix[s, list(successors(ba, s, letter))] = True
         self.kept = np.zeros((ts.n, ba.n_states), dtype=bool)
         self.kept[product.ts_of, product.ba_of] = True
 

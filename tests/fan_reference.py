@@ -22,6 +22,8 @@ import numpy as np
 from surplan.localruns import LocalRunCache
 from surplan.ts import visible_distances
 
+from automaton_views import successors
+
 
 @dataclass(frozen=True)
 class ReferenceFan:
@@ -54,7 +56,7 @@ class FirstAdmission:
         self._delta = np.zeros((len(letters), ba.n_states, ba.n_states), dtype=np.float32)
         for i, letter in enumerate(letters):
             for s in range(ba.n_states):
-                self._delta[i, s, list(ba.successors(s, letter))] = 1.0
+                self._delta[i, s, list(successors(ba, s, letter))] = 1.0
         self._kept = np.zeros((ts.n, ba.n_states), dtype=bool)
         self._kept[product.ts_of, product.ba_of] = True
 

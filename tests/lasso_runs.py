@@ -15,6 +15,7 @@ from surplan.buchi import BuchiAutomaton
 from surplan.errors import ContractError
 from surplan.ltl import Letter
 
+from automaton_views import successors, transitions
 from conftest import tarjan_scc
 
 
@@ -46,7 +47,7 @@ def find_accepting_lasso_run(
         node = queue.pop()
         state, pos = node
         targets = []
-        for t in ba.successors(state, word[pos]):
+        for t in successors(ba, state, word[pos]):
             nxt = (t, succ_pos(pos))
             targets.append(nxt)
             if nxt not in parents:
@@ -149,7 +150,7 @@ def lasso_acceptance_table(
         acc[s] = True
     letter_index = {letter: i for i, letter in enumerate(letters)}
     step = np.zeros((n_letters, size, size), dtype=bool)
-    for s, letter, t in ba.transitions:
+    for s, letter, t in transitions(ba):
         step[letter_index[letter], s, t] = True
     step_f = step & acc[None, None, :]
 

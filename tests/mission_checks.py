@@ -14,7 +14,7 @@ def check_never_visits(records: Sequence[StepRecord], ts, prop: str) -> list[int
     return [
         rec.step
         for rec in records
-        if prop in ts.label(ts.state_id(rec.ts_state))
+        if prop in ts.labels[ts.index[rec.ts_state]]
     ]
 
 
@@ -28,7 +28,7 @@ def check_alternation(records: Sequence[StepRecord], ts, first: str, second: str
     violations = []
     last: str | None = None
     for rec in records:
-        label = ts.label(ts.state_id(rec.ts_state))
+        label = ts.labels[ts.index[rec.ts_state]]
         has_first = first in label
         has_second = second in label
         if has_first and has_second:

@@ -20,6 +20,8 @@ from surplan.errors import ValidationError
 from surplan.product import ProductAutomaton, letter_table
 from surplan.ts import TransitionSystem
 
+from automaton_views import successors
+
 
 def reference_build_product(
     ts: TransitionSystem, ba: BuchiAutomaton, surveillance_prop: str = "sur"
@@ -43,8 +45,8 @@ def reference_build_product(
     while queue:
         q, s = queue.popleft()
         src = index[(q, s)]
-        letter = ts.label(q)
-        ba_targets = ba.successors(s, letter)
+        letter = ts.labels[q]
+        ba_targets = successors(ba, s, letter)
         lo, hi = ts.move_ptr[q], ts.move_ptr[q + 1]
         for q2, w in zip(ts.move_dst[lo:hi].tolist(), ts.move_weight[lo:hi].tolist()):
             for s2 in ba_targets:
@@ -60,7 +62,7 @@ def reference_build_product(
     ba_of = np.array([s for _, s in order], dtype=np.int64)
     accepting = np.array([s in ba.accepting for _, s in order], dtype=bool)
     surveillance = np.array(
-        [surveillance_prop in ts.label(q) for q, _ in order], dtype=bool
+        [surveillance_prop in ts.labels[q] for q, _ in order], dtype=bool
     )
     return ProductAutomaton(
         ts,
@@ -74,5 +76,4 @@ def reference_build_product(
         np.array(edge_weight, dtype=np.float64),
         accepting,
         surveillance,
-        surveillance_prop,
     )

@@ -500,7 +500,7 @@ def _drive_checking_surveillance_optimality(offline, scenario, run_seed, cache):
                 violations += 1
         dynamics.on_collect(field, info.ts_state)
         dynamics.evolve(field, info.weight)
-        surveyed = scenario.surveillance_prop in ts.label(info.ts_state)
+        surveyed = scenario.surveillance_prop in ts.labels[info.ts_state]
         elapsed = 0.0 if surveyed else elapsed + info.weight
     return checked, violations
 

@@ -46,7 +46,7 @@ class CostReplay:
 
     def __init__(self, scenario):
         ts = self.ts = scenario.ts
-        self.surveyed = [q for q in range(ts.n) if scenario.surveillance_prop in ts.label(q)]
+        self.surveyed = [q for q in range(ts.n) if scenario.surveillance_prop in ts.labels[q]]
         self.runs = {}
         self.indicators = {}
 
@@ -68,7 +68,7 @@ class CostReplay:
         """Asserts every decision row's cost; returns how many were checked."""
         ts = self.ts
         refresh = scenario.refresh_value if scenario.potential_name == "max-sum" else 0.0
-        prefix = [ts.state_id(rec.ts_state) for rec in records]
+        prefix = [ts.index[rec.ts_state] for rec in records]
         for k in range(1, len(records)):
             q_k, chosen, values = prefix[k - 1], prefix[k], fields[k - 1]
             pots = {

@@ -162,7 +162,7 @@ def check_against_reference(ts, trimmed, visibility, horizon, fields):
     """Every fan equals the per-move recurrence, and every system edge and
     every trimmed edge scores exactly like the enumeration it replaces;
     returns the number of scores compared."""
-    cache = LocalRunCache(ts, with_decision_fields(trimmed), visibility, horizon)
+    cache = LocalRunCache(with_decision_fields(trimmed), visibility, horizon)
     assert_fans_match_oracle(cache, LocalRunOracle(ts, trimmed, visibility, horizon))
     tables = {}
 
@@ -262,7 +262,7 @@ def admitted_pairs(fan):
 def assert_admission_matches_first_formulation(ts, trimmed, visibility, horizon):
     """Every fan admits the same (node, start state) pairs, read through its
     classes, as the first formulation; returns the cache."""
-    cache = LocalRunCache(ts, trimmed, visibility, horizon)
+    cache = LocalRunCache(trimmed, visibility, horizon)
     first = FirstAdmission(ts, trimmed)
     for q_k in range(ts.n):
         fan = cache.fan(q_k)
@@ -396,7 +396,7 @@ def test_move_scores_equal_the_literal_left_to_right_oracle():
     compared = longest = 0
     for _ in range(6):
         ts = random_ts(rng, 5, extra_edges=6, weights=(0.1, 0.2, 0.3, 0.7))
-        cache = LocalRunCache(ts, random_trimmed_product(products, ts), visibility, horizon)
+        cache = LocalRunCache(random_trimmed_product(products, ts), visibility, horizon)
         for q_k in range(ts.n):
             fan = cache.fan(q_k)
             longest = max(longest, len(fan.bounds) - 1)
@@ -443,7 +443,7 @@ def test_a_move_out_of_sight_raises_only_when_asked_for():
         pytest.fail("no system with a hidden sibling was drawn")
     q_k, q_hidden, siblings = split
     product = with_decision_fields(random_trimmed_product(rng, ts))
-    cache = LocalRunCache(ts, product, visibility, horizon)
+    cache = LocalRunCache(product, visibility, horizon)
     oracle = LocalRunOracle(ts, product, visibility, horizon)
     fan = cache.fan(q_k)
     assert sorted(fan.moves) == sorted(siblings)
@@ -596,7 +596,7 @@ def test_fans_equal_the_unpruned_build_on_exact_horizons():
     exact = boundary = 0
     for ts, trimmed, visibility, horizon, _ in exact_horizon_cases(rng, 60):
         lightest = lightest_moves(ts)
-        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        cache = LocalRunCache(trimmed, visibility, horizon)
         for q_k, fan in enumerate(assert_fans_equal_reference(cache)):
             if len(fan.state):
                 entry = node_entries(ts, q_k, fan)
@@ -621,7 +621,7 @@ def test_the_expansion_offers_moves_only_from_runs_whose_lightest_move_fits(monk
     pruned = 0
     for ts, trimmed, visibility, horizon, q_k in exact_horizon_cases(rng, 60):
         offered.clear()
-        fan = LocalRunCache(ts, trimmed, visibility, horizon).fan(q_k)
+        fan = LocalRunCache(trimmed, visibility, horizon).fan(q_k)
         if not len(fan.state):
             assert offered == []
             continue
@@ -641,7 +641,7 @@ def test_fans_equal_the_unpruned_build_on_default_grid():
     scenario = load_scenario(SCENARIOS / "default_grid.ini")
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     assert_fans_equal_reference(
-        LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
     )
 
 
@@ -652,7 +652,7 @@ def test_fans_equal_the_unpruned_build_on_the_workloads(tmp_path, workloads, nam
     scenario = load_scenario(path)
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
     assert_fans_equal_reference(
-        LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
     )
 
 
@@ -666,7 +666,7 @@ def test_fans_built_in_another_state_order_equal_the_unpruned_build(tmp_path, wo
     path.write_text(workloads.scenario_text(workloads.WORKLOADS["case_study"], 1000))
     for scenario in (load_scenario(SCENARIOS / "default_grid.ini"), load_scenario(path)):
         offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-        cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        cache = LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
         n = offline.ts.n
         states = range(n - 1, -1, -1) if order == "reversed" else rng.permutation(n).tolist()
         assert_fans_equal_reference(cache, states)
@@ -696,7 +696,7 @@ def test_every_kept_visible_set_equals_the_bounded_search():
     rng = np.random.default_rng(1820)
     checked = 0
     for ts, trimmed, visibility, horizon in visibility_cases(20):
-        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        cache = LocalRunCache(trimmed, visibility, horizon)
         held = set(trimmed.ts_of.tolist())
         for q_k in rng.permutation(ts.n).tolist():
             cache.fan(q_k)
@@ -723,7 +723,7 @@ def test_fans_equal_the_unpruned_build_whether_searched_or_kept(order):
             states = range(ts.n - 1, -1, -1)
         else:
             states = rng.permutation(ts.n).tolist()
-        cache = LocalRunCache(ts, trimmed, visibility, horizon)
+        cache = LocalRunCache(trimmed, visibility, horizon)
         assert_fans_equal_reference(cache, states)
         searches += cache.searches
         fans += cache.sizes()["fans"]
@@ -744,7 +744,7 @@ def test_a_fan_holds_one_index_entry_per_node():
     admitted from several start states."""
     scenario = load_scenario(SCENARIOS / "default_grid.ini")
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    cache = LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
     pairs = 0
     for q_k in range(offline.ts.n):
         fan = cache.fan(q_k)
@@ -761,7 +761,7 @@ def test_every_interned_relation_is_carried_by_a_node():
     for name in ("default_grid.ini", "triangle.ini"):
         scenario = load_scenario(SCENARIOS / name)
         offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-        cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        cache = LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
         for q_k in range(offline.ts.n):
             cache.fan(q_k)
         in_use = set(cache._root.tolist()) | set(cache._child[cache._child >= 0].tolist())
@@ -778,7 +778,7 @@ def test_relations_past_the_child_table_capacity_keep_equal_score_tables():
     for _ in range(4):
         ts = random_ts(rng, int(rng.integers(5, 8)), extra_edges=12, weights=FRACTIONAL)
         trimmed = random_trimmed_product(rng, ts, (65, 90), (300, 500))
-        cache = LocalRunCache(ts, trimmed, 1.5, 1.6)
+        cache = LocalRunCache(trimmed, 1.5, 1.6)
         capacity = len(cache._child)
         assert_fans_equal_reference(cache)
         grown += cache.sizes()["relations"] > capacity
@@ -803,7 +803,7 @@ def test_wide_class_keys_sort_in_sixteen_bits(monkeypatch):
     for _ in range(3):
         ts = random_ts(rng, int(rng.integers(5, 8)), extra_edges=12)
         trimmed = random_trimmed_product(rng, ts, (65, 90), (300, 500))
-        cache = LocalRunCache(ts, trimmed, 5.0, 7.0)
+        cache = LocalRunCache(trimmed, 5.0, 7.0)
         for q_k in range(ts.n):
             calls.clear()
             cache.fan(q_k)
@@ -864,7 +864,7 @@ def cell_score_cases(workloads, tmp_path):
         scenarios.append(load_scenario(path))
     for scenario in scenarios:
         offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-        yield LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+        yield LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
 
 
 def test_cell_scores_equal_node_scores_on_the_scenarios_and_workloads(tmp_path, workloads):
@@ -929,7 +929,7 @@ def test_each_decision_view_holds_the_product_rows_it_caches(tmp_path, workloads
         n, m = product.n, len(product.edge_dst)
         product.f_inf, product.s_pi_inf = rng.random(n) < 0.5, rng.random(n) < 0.5
         product.ind_pi, product.ind_phi = rng.random(m) < 0.5, rng.random(m) < 0.5
-        assert_views_hold_the_product_rows(LocalRunCache(ts, product, 6.0, 9.0))
+        assert_views_hold_the_product_rows(LocalRunCache(product, 6.0, 9.0))
 
 
 def test_a_second_experiment_over_one_offline_result_builds_no_view(monkeypatch):
@@ -974,7 +974,7 @@ def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weig
     close = nodes = 0
     for trial in range(10):
         ts = random_ts(rng, int(rng.integers(4, 8)), extra_edges=10, weights=(0.3, 0.7, 1.5))
-        cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 3.0, 3.4)
+        cache = LocalRunCache(random_trimmed_product(rng, ts), 3.0, 3.4)
         nodes += assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 3))[0]
         assert_cells_are_the_distinct_node_cells(cache)
         for fan in cache.fans.values():
@@ -982,7 +982,7 @@ def test_cell_scores_equal_node_scores_for_a_custom_potential_on_fractional_weig
     assert nodes > 1000 and close > 0
     # a visibility range below every weight leaves every fan without runs
     ts = random_ts(rng, 5, extra_edges=4, weights=(0.3, 0.7, 1.5))
-    cache = LocalRunCache(ts, random_trimmed_product(rng, ts), 0.2, 3.4)
+    cache = LocalRunCache(random_trimmed_product(rng, ts), 0.2, 3.4)
     assert_cell_scores_equal_node_scores(cache, potential, reward_fields(rng, ts.n, 1))
     assert cache.sizes()["nodes"] == cache.sizes()["cells"] == 0
 
@@ -1007,7 +1007,7 @@ def test_cells_of_large_whole_weights_take_no_more_room_than_the_fan(tmp_path):
     path.write_text(text)
     scenario = load_scenario(path)
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    cache = LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
     rng = np.random.default_rng(1820)
     fields = [1e6 * values for values in reward_fields(rng, cache.ts.n, 3)]
     for potential in (MaxSinglePotential(), WeightedEverywhere()):
@@ -1028,7 +1028,7 @@ def test_cells_are_indexed_only_for_best_position_potentials():
     best-position score of a fan indexes its cells, once."""
     scenario = load_scenario(SCENARIOS / "triangle.ini")
     offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    cache = LocalRunCache(offline.ts, offline.trimmed, scenario.visibility, scenario.horizon)
+    cache = LocalRunCache(offline.trimmed, scenario.visibility, scenario.horizon)
     values = np.arange(offline.ts.n, dtype=float)
     for q_k in range(offline.ts.n):
         cache.scores(q_k, MaxSumPotential(15.0), values)

@@ -112,6 +112,37 @@ def test_infeasible_mission_is_refused(triangle_ts):
     assert str(err.value) == INFEASIBLE_MESSAGE == "Mission cannot be accomplished."
 
 
+def test_the_planner_refuses_exactly_the_infeasible_offline_results():
+    """``OfflineResult.feasible`` is the planner's one feasibility rule: on
+    random systems, with feasible and infeasible missions mixed, the planner
+    raises MissionInfeasible exactly when it is false. It agrees with the
+    rule the planner once kept, a kept initial state and a nonempty
+    recurrent accepting set."""
+    missions = (
+        "G F a & G F sur",
+        "G F a & G F b & G F sur",
+        "G (a -> X !a) & G F sur",
+        "F G b & G F sur",
+        "G !a & G F a & G F sur",
+        "G !sur & G F sur",
+    )
+    rng = np.random.default_rng(43)
+    feasible = []
+    for k in range(48):
+        ts = random_ts(rng, int(rng.integers(3, 8)), extra_edges=int(rng.integers(0, 8)))
+        offline = offline_phase(ts, missions[k % len(missions)], "sur")
+        trimmed = offline.trimmed
+        assert offline.feasible == (trimmed.initial is not None and trimmed.f_inf.any())
+        try:
+            make_planner(offline)
+        except MissionInfeasible:
+            assert not offline.feasible
+        else:
+            assert offline.feasible
+        feasible.append(offline.feasible)
+    assert 10 <= sum(feasible) <= len(feasible) - 10, sum(feasible)
+
+
 def test_parameter_validation(triangle_offline):
     with pytest.raises(ContractError):
         make_planner(triangle_offline, horizon=2.0)
@@ -132,7 +163,7 @@ def test_non_finite_parameters_are_refused_on_construction(
     with pytest.raises(ContractError):
         make_planner(triangle_offline, visibility=visibility, horizon=horizon)
     with pytest.raises(ContractError):
-        LocalRunCache(triangle_ts, triangle_offline.trimmed, visibility, horizon)
+        LocalRunCache(triangle_offline.trimmed, visibility, horizon)
     assert (visibility, horizon) not in triangle_offline.local_run_caches
 
 
@@ -206,14 +237,14 @@ def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
         planner, rng = make_planner(offline)
         product = planner.product
         ts = product.ts
-        surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
+        surveyed = [q for q in range(ts.n) if "sur" in ts.labels[q]]
         infos, elapsed = [], []
         for info in steps(planner, rng, 70):
             infos.append(info)
             elapsed.append((planner.elapsed_raw, planner.elapsed_masked))
             assert planner.elapsed_raw == elapsed_walkback(ts, planner.alpha(), surveyed)
         times, surveys = run_history(product, infos)
-        kept = [product.surveillance_prop in labels for _, labels in alpha_bar(planner)]
+        kept = ["sur" in labels for _, labels in alpha_bar(planner, "sur")]
         for k, (raw, masked) in enumerate(elapsed, start=2):
             assert raw == pytest.approx(since_latest(times[:k], surveys[:k]))
             assert masked == pytest.approx(since_latest(times[:k], kept[:k]))
@@ -222,9 +253,9 @@ def test_elapsed_bookkeeping_matches_recomputation(grid_offline):
 def test_masked_prefix_agrees_with_incremental_flags(grid_offline):
     planner, rng = make_planner(grid_offline)
     counted = counted_surveys(planner, rng, 80)
-    masked = alpha_bar(planner)
+    prop = "sur"
+    masked = alpha_bar(planner, prop)
     product = planner.product
-    prop = product.surveillance_prop
     for i, (q, labels) in enumerate(masked):
         assert q == int(product.ts_of[planner.prefix[i]])
         raw = bool(product.surveillance[planner.prefix[i]])
@@ -309,7 +340,7 @@ def test_zero_rewards_still_accomplish_the_mission(grid_offline):
 
 def test_ts_shortening_indicator(triangle_ts):
     ts = triangle_ts
-    q0, q1, q2 = (ts.state_id(q) for q in ("q0", "q1", "q2"))
+    q0, q1, q2 = (ts.index[q] for q in ("q0", "q1", "q2"))
     # moving q1 -> q0 reaches a surveyed state: distance drops 1 -> 0
     assert ts_shortening_indicator(ts, q1, q0, [q0]) == 1
     assert ts_shortening_indicator(ts, q0, q1, [q0]) == 0
@@ -319,9 +350,9 @@ def test_ts_shortening_indicator(triangle_ts):
 
 def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts, triangle_offline):
     ts = triangle_ts
-    cache = LocalRunCache(ts, triangle_offline.trimmed, 3.0, 6.0)
+    cache = LocalRunCache(triangle_offline.trimmed, 3.0, 6.0)
     ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
-    q0, q1, q2 = (ts.state_id(q) for q in ("q0", "q1", "q2"))
+    q0, q1, q2 = (ts.index[q] for q in ("q0", "q1", "q2"))
     cases = [
         ([q0], 0.0),
         ([q1], 0.0),
@@ -332,15 +363,15 @@ def test_cost_evaluator_elapsed_walks_back_to_latest_survey(triangle_ts, triangl
         # a surveyed final position resets the count
         ([q1, q0], 0.0),
     ]
-    surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
+    surveyed = [q for q in range(ts.n) if "sur" in ts.labels[q]]
     for prefix, expected in cases:
         assert elapsed_walkback(ts, prefix, surveyed) == expected
 
 
 def test_cost_evaluator_rejects_non_successor(triangle_ts, triangle_offline):
-    cache = LocalRunCache(triangle_ts, triangle_offline.trimmed, 3.0, 6.0)
+    cache = LocalRunCache(triangle_offline.trimmed, 3.0, 6.0)
     ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
-    q0, q1, q2 = (triangle_ts.state_id(q) for q in ("q0", "q1", "q2"))
+    q0, q1, q2 = (triangle_ts.index[q] for q in ("q0", "q1", "q2"))
     values = RewardField(triangle_ts.n).values
     scores = cache.scores(q0, MaxSumPotential(15.0), values)
     move = cache.fan(q0).moves[q1]
@@ -364,9 +395,9 @@ def test_cost_evaluator_indicator_matches_definition(triangle_ts):
         for _ in range(8)
     ]
     for ts in (grid.ts, triangle_ts, *dyadic):
-        cache = LocalRunCache(ts, random_trimmed_product(products, ts), 6.0, 9.0)
+        cache = LocalRunCache(random_trimmed_product(products, ts), 6.0, 9.0)
         ev = CostEvaluator(cache, ThresholdPreference(50.0), "sur")
-        surveyed = [q for q in range(ts.n) if "sur" in ts.label(q)]
+        surveyed = [q for q in range(ts.n) if "sur" in ts.labels[q]]
         assert surveyed
         for q, q_next in move_weights(ts):
             assert ev.indicator(q, q_next) == ts_shortening_indicator(ts, q, q_next, surveyed)
@@ -385,7 +416,7 @@ def test_cost_evaluators_of_one_cache_share_the_distances_to_surveyed_states(nam
     evaluator = CostEvaluator(cache, ThresholdPreference(50.0), prop)
     to_surveyed = cache.distance_to(prop)
     assert cache.distance_to(prop) is to_surveyed
-    surveyed = [q for q in range(ts.n) if prop in ts.label(q)]
+    surveyed = [q for q in range(ts.n) if prop in ts.labels[q]]
     distances = dijkstra_oracle(ts.n, move_weights(ts))
     expected = [min(distances[q][s] for s in surveyed) for q in range(ts.n)]
     # integer weights: the backward search and the forward oracle sum alike

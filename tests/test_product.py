@@ -36,6 +36,7 @@ from surplan.product import (
 from surplan.scenario import load_scenario
 from surplan.ts import TransitionSystem
 
+from automaton_views import successors, transitions
 from conftest import (
     chain_product,
     dijkstra_oracle,
@@ -168,7 +169,7 @@ def test_build_product_matches_definition():
         product = build_product(ts, ba, "sur")
         weights = move_weights(ts)
         delta = {}
-        for s, letter, t in ba.transitions:
+        for s, letter, t in transitions(ba):
             delta.setdefault((s, letter), set()).add(t)
 
         # reachable closure of the definitional edge relation
@@ -179,7 +180,7 @@ def test_build_product_matches_definition():
         while frontier:
             q, s = frontier.pop()
             for q2 in ts.successors(q).tolist():
-                for s2 in delta.get((s, ts.label(q) & ba.propositions), ()):
+                for s2 in delta.get((s, ts.labels[q] & ba.propositions), ()):
                     edges.add(((q, s), (q2, s2), weights[q, q2]))
                     if (q2, s2) not in seen:
                         seen.add((q2, s2))
@@ -201,7 +202,7 @@ def test_build_product_matches_definition():
         for p in range(product.n):
             q, s = int(product.ts_of[p]), int(product.ba_of[p])
             assert bool(product.accepting[p]) == (s in ba.accepting)
-            assert bool(product.surveillance[p]) == ("sur" in ts.label(q))
+            assert bool(product.surveillance[p]) == ("sur" in ts.labels[q])
         sizes.append((product.n, len(product.edge_src)))
     assert sizes[:2] == [(3, 4), (3, 4)]
 
@@ -224,7 +225,7 @@ def assert_product_matches_fifo_search(ts, ba, surveillance_prop="sur"):
         for s in range(ba.n_states):
             row = a * ba.n_states + s
             moves = table.target[table.ptr[row] : table.ptr[row + 1]].tolist()
-            assert moves == list(ba.successors(s, letter)), (a, s)
+            assert moves == list(successors(ba, s, letter)), (a, s)
 
 
 def test_the_one_search_product_matches_the_fifo_search(workloads, tmp_path):
@@ -668,7 +669,7 @@ def test_surveillance_states_flagged_from_system_labels(triangle_ts):
     product = result.product
     for p in range(product.n):
         q = int(product.ts_of[p])
-        assert bool(product.surveillance[p]) == ("sur" in triangle_ts.label(q))
+        assert bool(product.surveillance[p]) == ("sur" in triangle_ts.labels[q])
 
 
 # the benchmark's 7-proposition patrol mission on a 9x9 grid

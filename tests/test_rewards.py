@@ -37,6 +37,19 @@ def test_field_validation_and_collect():
     assert field.values[2] == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rewards_and_refresh_values_are_refused(bad):
+    """A NaN reward scored the refresh value where it lay and was collected
+    as NaN, and a NaN refresh value scored every run NaN; the loader
+    already refuses both."""
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        RewardField(3, [0.0, bad, 1.0])
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        MaxSumPotential(bad)
+    with pytest.raises(ValidationError):
+        make_potential("max-sum", refresh_value=bad)
+
+
 def test_decay_by_whole_units():
     dyn = DecaySpawnDynamics(np.random.default_rng(0), spawn_probability=0.0)
     field = RewardField(3, [5.0, 1.0, 0.0])
@@ -273,7 +286,7 @@ def test_potentials_match_literal_oracles():
 
 def test_leaving_state_never_scores_its_reward(triangle_ts):
     ts = triangle_ts
-    q0, q1 = ts.state_id("q0"), ts.state_id("q1")
+    q0, q1 = ts.index["q0"], ts.index["q1"]
     values = np.zeros(ts.n)
     values[q0] = 50.0
     runs = [(r.states, run_times(ts, r)) for r in local_runs(ts, q1, q0, 3.0, 6.0)]
@@ -316,6 +329,18 @@ def test_preference_shapes():
     assert root(10.0, m) > cubic(10.0, m)
     assert root(100.0, m) < cubic(100.0, m)
     assert cubic(0.0, m) == 0.0 and root(0.0, m) == 0.0
+
+
+@pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
+def test_preferences_refuse_a_threshold_that_is_not_finite_and_positive(threshold):
+    """As the loader's ``pref-threshold`` does: a zero threshold made the
+    cubic ramp divide by zero, and a negative one made the cube-root ramp
+    complex, which a step cannot turn into a float."""
+    for preference in (ThresholdPreference, CubicRampPreference, CubeRootRampPreference):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            preference(threshold)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            make_preference(preference.name, threshold=threshold)
 
 
 def test_registry_lookup_and_rejection():

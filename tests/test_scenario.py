@@ -85,16 +85,16 @@ def test_loading_a_grid_holds_no_all_pairs_matrix(tmp_path):
 def test_grid_structure():
     ts = build_grid(3, 4, {"p": {(0, 0)}}, initial=(1, 1))
     assert ts.n == 12
-    corner = ts.state_id(grid_state_name(0, 0))
-    center = ts.state_id(grid_state_name(1, 1))
+    corner = ts.index[grid_state_name(0, 0)]
+    center = ts.index[grid_state_name(1, 1)]
     assert len(ts.successors(corner)) == 3
     assert len(ts.successors(center)) == 8
     weights = move_weights(ts)
-    assert weights[corner, ts.state_id(grid_state_name(0, 1))] == 2.0
-    assert weights[corner, ts.state_id(grid_state_name(1, 0))] == 2.0
-    assert weights[corner, ts.state_id(grid_state_name(1, 1))] == 3.0
+    assert weights[corner, ts.index[grid_state_name(0, 1)]] == 2.0
+    assert weights[corner, ts.index[grid_state_name(1, 0)]] == 2.0
+    assert weights[corner, ts.index[grid_state_name(1, 1)]] == 3.0
     assert ts.initial == center
-    assert ts.label(corner) == {"p"}
+    assert ts.labels[corner] == {"p"}
 
 
 def test_grid_validation():
@@ -179,7 +179,7 @@ def test_shipped_scenarios_load():
     assert default.ts.n == 100
     assert default.visibility == 6.0 and default.horizon == 9.0
     # the unsafe band spans row 4, columns 1 through 8
-    band = [q for q in range(default.ts.n) if "u" in default.ts.label(q)]
+    band = [q for q in range(default.ts.n) if "u" in default.ts.labels[q]]
     assert len(band) == 8
     assert {default.ts.state_name(q) for q in band} == {
         grid_state_name(4, c) for c in range(1, 9)
@@ -187,7 +187,7 @@ def test_shipped_scenarios_load():
     triangle = load_scenario(SCENARIOS / "triangle.ini")
     assert triangle.ts.n == 3
     assert move_weights(triangle.ts)[
-        triangle.ts.state_id("q1"), triangle.ts.state_id("q2")
+        triangle.ts.index["q1"], triangle.ts.index["q2"]
     ] == 2.0
     infeasible = load_scenario(SCENARIOS / "infeasible.ini")
     assert infeasible.ts.n == 9
@@ -206,6 +206,40 @@ def test_overrides(tmp_path):
         load_scenario(path, {"bogus": 1})
     with pytest.raises(ScenarioError):
         load_scenario(path, {"potential": "nope"})
+
+
+@pytest.mark.parametrize(
+    "override, edit, message",
+    [
+        ({"runs": 0}, ("seed = 1", "seed = 1\nruns = 0"), "runs must be at least 1, got 0"),
+        (
+            {"iterations": 0},
+            ("seed = 1", "seed = 1\niterations = 0"),
+            "iterations must be at least 1, got 0",
+        ),
+        ({"seed": -1}, ("seed = 1", "seed = -1"), "seeds must be non-negative, got -1"),
+        (
+            {"preference": "nope"},
+            ("horizon = 6", "horizon = 6\npref = nope"),
+            "unknown preference 'nope'",
+        ),
+    ],
+)
+def test_an_override_is_refused_as_the_same_value_in_the_file(tmp_path, override, edit, message):
+    """Overrides replace the file's values before the checks run, so each is
+    refused with the message the same value written in the file gets."""
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(write(tmp_path, MINIMAL_GRID), override)
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(write(tmp_path, MINIMAL_GRID.replace(*edit), "edited.ini"))
+
+
+def test_a_runs_override_must_agree_with_the_run_seeds(tmp_path):
+    text = MINIMAL_GRID.replace("seed = 1", "seed = 1\nruns = 3\nrun-seeds = 11 22 33")
+    path = write(tmp_path, text)
+    assert load_scenario(path, {"runs": 3}).run_seeds == (11, 22, 33)
+    with pytest.raises(ScenarioError, match="run-seeds lists 3 seeds for 2 runs"):
+        load_scenario(path, {"runs": 2})
 
 
 def test_explicit_transition_section(tmp_path):
@@ -229,9 +263,9 @@ horizon = 4
 """
     sc = load_scenario(write(tmp_path, text))
     assert sc.ts.n == 2
-    x, y = sc.ts.state_id("x"), sc.ts.state_id("y")
+    x, y = sc.ts.index["x"], sc.ts.index["y"]
     assert move_weights(sc.ts) == {(x, y): 1.5, (y, x): 2.5, (y, y): 1.0}
-    assert sc.ts.label(y) == {"sur"}
+    assert sc.ts.labels[y] == {"sur"}
 
 
 def test_a_repeated_target_is_refused(tmp_path):
@@ -279,8 +313,8 @@ def test_explicit_systems_load_in_linear_time_numbered_by_first_mention(tmp_path
     sc = load_scenario(path)
     elapsed = time.perf_counter() - started
     assert sc.ts.names == tuple(mentioned)
-    assert sc.ts.successors(sc.ts.state_id("c7")).tolist() == [sc.ts.state_id("c8")]
-    assert sc.ts.label(sc.ts.state_id("c7")) == {"sur"}
+    assert sc.ts.successors(sc.ts.index["c7"]).tolist() == [sc.ts.index["c8"]]
+    assert sc.ts.labels[sc.ts.index["c7"]] == {"sur"}
     assert elapsed < 5.0, elapsed
 
 
@@ -402,7 +436,7 @@ horizon = 4
 """
     sc = load_scenario(write(tmp_path, text))
     assert sc.surveillance_prop == "SUR"
-    assert "SUR" in sc.ts.label(sc.ts.state_id("Camp"))
+    assert "SUR" in sc.ts.labels[sc.ts.index["Camp"]]
 
 
 @pytest.mark.parametrize("weight", ["-1", "0", "nan", "inf"])

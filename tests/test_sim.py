@@ -218,7 +218,7 @@ def test_stats_json_reports_survey_visits_counted_from_the_trace(tmp_path, name)
     paths = emit_outputs(result, tmp_path)
     ts = scenario.ts
     surveyed = [
-        ts.state_name(q) for q in range(ts.n) if scenario.surveillance_prop in ts.label(q)
+        ts.state_name(q) for q in range(ts.n) if scenario.surveillance_prop in ts.labels[q]
     ]
     expected = [dict.fromkeys(surveyed, 0) for _ in range(scenario.runs)]
     with open(paths["trace"], newline="") as handle:

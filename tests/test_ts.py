@@ -26,13 +26,13 @@ def test_states_and_labels(triangle_ts):
     ts = triangle_ts
     assert ts.n == 3
     assert ts.state_name(ts.initial) == "q0"
-    assert ts.label(ts.state_id("q0")) == {"a", "sur"}
-    assert ts.label(ts.state_id("q1")) == frozenset()
-    assert ts.successors(ts.state_id("q1")).tolist() == [
-        ts.state_id("q0"),
-        ts.state_id("q2"),
+    assert ts.labels[ts.index["q0"]] == {"a", "sur"}
+    assert ts.labels[ts.index["q1"]] == frozenset()
+    assert ts.successors(ts.index["q1"]).tolist() == [
+        ts.index["q0"],
+        ts.index["q2"],
     ]
-    assert move_weights(ts)[ts.state_id("q1"), ts.state_id("q2")] == 2.0
+    assert move_weights(ts)[ts.index["q1"], ts.index["q2"]] == 2.0
     assert ts.max_weight == 3.0
 
 
@@ -163,14 +163,14 @@ def test_moves_in_csr_form_follow_successor_order():
 
 def test_run_weight_and_times(triangle_ts):
     ts = triangle_ts
-    run = FiniteRun(tuple(ts.state_id(q) for q in ("q0", "q1", "q2", "q0")))
+    run = FiniteRun(tuple(ts.index[q] for q in ("q0", "q1", "q2", "q0")))
     assert run_weight(ts, run) == 6.0
     assert run_times(ts, run) == (0.0, 1.0, 3.0, 6.0)
     assert run_weight(ts, FiniteRun((ts.initial,))) == 0.0
     with pytest.raises(ValidationError):
         FiniteRun(())
     with pytest.raises(ValidationError):
-        run_weight(ts, FiniteRun((ts.state_id("q0"), ts.state_id("q2"))))
+        run_weight(ts, FiniteRun((ts.index["q0"], ts.index["q2"])))
 
 
 def test_visibility_set_matches_brute_filter():
@@ -216,7 +216,7 @@ def test_visibility_check_searches_only_from_sources_of_long_moves(monkeypatch):
     assert sources == []
     # x -> y weighs 5 but y is 2 away through z
     validate_visibility_assumption(ts, 2.0)
-    assert sources == [ts.state_id("x")]
+    assert sources == [ts.index["x"]]
     with pytest.raises(ValidationError, match="'y' of 'x'"):
         validate_visibility_assumption(ts, 1.5)
 
@@ -274,7 +274,7 @@ def test_budget_runs_match_recursive_oracle():
 def test_budget_runs_boundary_is_inclusive(triangle_ts):
     ts = triangle_ts
     allowed = np.ones(ts.n, dtype=bool)
-    q0, q1 = ts.state_id("q0"), ts.state_id("q1")
+    q0, q1 = ts.index["q0"], ts.index["q1"]
     weights = move_weights(ts)
     runs = {
         states
@@ -285,7 +285,7 @@ def test_budget_runs_boundary_is_inclusive(triangle_ts):
     # entry 1 leaves exactly 1 unit of budget: q1->q0 fits, q1->q2 (2) does not
     assert (q1,) in runs
     assert (q1, q0) in runs
-    assert (q1, ts.state_id("q2")) not in runs
+    assert (q1, ts.index["q2"]) not in runs
 
 
 def test_budget_runs_allow_revisits():
@@ -318,9 +318,9 @@ def test_local_runs_stay_visible_and_within_budget(triangle_ts):
                 assert run.states[0] == q
                 assert run_weight(sys, run) + entry <= h
     with pytest.raises(ContractError):
-        local_runs(ts, ts.state_id("q2"), ts.state_id("q0"), 3.0, 6.0)
+        local_runs(ts, ts.index["q2"], ts.index["q0"], 3.0, 6.0)
     with pytest.raises(ContractError):
-        local_runs(ts, ts.state_id("q1"), ts.state_id("q0"), 3.0, 2.0)
+        local_runs(ts, ts.index["q1"], ts.index["q0"], 3.0, 2.0)
 
 
 @settings(max_examples=60, deadline=None)
