@@ -220,11 +220,22 @@ class CostEvaluator:
     position (since the start when there is none). Used for post-hoc
     reporting, not for control. The system, visibility range and horizon are
     those of ``local_runs``, usually the cache of the planner being reported
-    on.
+    on. ``surveillance_prop`` must be the label the cache's product was
+    flagged from: one that disagrees with the product's ``surveillance``
+    flags is refused with ``ContractError``.
     """
 
     def __init__(self, local_runs: LocalRunCache, preference, surveillance_prop: str):
         self.ts = local_runs.ts
+        product = local_runs.product
+        # the flags build_product sets: one per letter, gathered per state
+        table = product.letters
+        surveyed = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
+        if not (surveyed[table.letter_of[product.ts_of]] == product.surveillance).all():
+            raise ContractError(
+                f"surveillance label {surveillance_prop!r} does not mark the states"
+                " the product flags as surveyed"
+            )
         self.preference = preference
         self.local_runs = local_runs
         # least weight from each state to some surveyed state, infinite

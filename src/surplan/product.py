@@ -346,8 +346,6 @@ def check_accepting_label_condition(ba: BuchiAutomaton, sur_prop: str) -> bool:
 class OfflineResult:
     """Everything the online planner needs, plus diagnostics."""
 
-    ts: TransitionSystem
-    ba: BuchiAutomaton
     product: ProductAutomaton
     trimmed: ProductAutomaton
     feasible: bool
@@ -357,6 +355,16 @@ class OfflineResult:
     local_run_caches: dict[tuple[float, float], LocalRunCache] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def ts(self) -> TransitionSystem:
+        """The system both products are built over."""
+        return self.trimmed.ts
+
+    @property
+    def ba(self) -> BuchiAutomaton:
+        """The mission automaton both products are built with."""
+        return self.trimmed.ba
 
     def local_run_cache(self, visibility: float, horizon: float) -> LocalRunCache:
         """The cache every run over this result shares for these values."""
@@ -406,8 +414,6 @@ def offline_phase(
     feasible = trimmed.initial is not None
     label_ok = check_accepting_label_condition(ba, surveillance_prop)
     return OfflineResult(
-        ts=ts,
-        ba=ba,
         product=product,
         trimmed=trimmed,
         feasible=feasible,

@@ -78,9 +78,13 @@ class DecaySpawnDynamics:
         count = np.count_nonzero(spawn)
         if count:
             small = self._rng.random(count) < 0.5
-            low = self._rng.integers(0, 16, count)
-            high = self._rng.integers(16, 61, count)
-            values[spawn] = np.where(small, low, high).astype(np.float64)
+            # `integers` takes `np.prod` of its size: an int or a tuple costs
+            # that a caught AttributeError and the numpy scalar `count` a call
+            # of its own `prod`, a 0-d array neither; the draws are the same
+            size = np.array(count)
+            low = self._rng.integers(0, 16, size)
+            high = self._rng.integers(16, 61, size)
+            values[spawn] = np.where(small, low, high)
 
     def on_collect(self, field: RewardField, state: int) -> float:
         reward = float(field.values[state])

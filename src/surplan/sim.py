@@ -223,14 +223,17 @@ def run_single(
     )
     evaluator = CostEvaluator(planner.local_runs, preference, scenario.surveillance_prop)
     product = planner.product
+    names = ts.names
 
     initial = planner.current
+    # the system state left by the next step
+    q_k = int(product.ts_of[initial])
     records = [
         StepRecord(
             run=run_index,
             step=0,
             time=0.0,
-            ts_state=ts.state_name(int(product.ts_of[initial])),
+            ts_state=names[q_k],
             ba_state=int(product.ba_of[initial]),
             subgoal=planner.subgoal,
             attraction=None,
@@ -243,30 +246,31 @@ def run_single(
     step_seconds: list[float] = []
 
     for _ in range(scenario.iterations):
-        # the system state left and the weight since its latest surveyed
-        # position, for the cost column
-        q_k, elapsed = int(product.ts_of[planner.current]), planner.elapsed_raw
+        # the weight since the latest surveyed position, for the cost column
+        elapsed = planner.elapsed_raw
         started = time.perf_counter()
         info = planner.step(fld)
         step_seconds.append(time.perf_counter() - started)
         cost = evaluator.cost(q_k, info.ts_state, info.scores, elapsed)
         reward = dynamics.on_collect(fld, info.ts_state)
         dynamics.evolve(fld, info.weight)
+        # in field order: built from keywords, a record costs 0.7 us more
         records.append(
             StepRecord(
-                run=run_index,
-                step=info.step,
-                time=info.time,
-                ts_state=ts.state_name(info.ts_state),
-                ba_state=info.ba_state,
-                subgoal=info.subgoal_after,
-                attraction=info.attraction,
-                cost=cost,
-                reward=reward,
-                elapsed=info.elapsed_used,
-                survey=info.survey,
+                run_index,
+                info.step,
+                info.time,
+                names[info.ts_state],
+                info.ba_state,
+                info.subgoal_after,
+                info.attraction,
+                cost,
+                reward,
+                info.elapsed_used,
+                info.survey,
             )
         )
+        q_k = info.ts_state
 
     return RunResult(
         index=run_index,

@@ -384,6 +384,19 @@ def test_cost_evaluator_rejects_non_successor(triangle_ts, triangle_offline):
     assert cache.hits + cache.misses <= lookups + 1
 
 
+def test_cost_evaluator_refuses_a_label_the_product_does_not_flag():
+    """The cost column measures progress toward the states the product flags
+    as surveyed; on default_grid, whose product flags ``sur``, an evaluator
+    given ``a`` would measure progress toward ``a`` states instead."""
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini")
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    cache = offline.local_run_cache(6, 9)
+    for label in ("a", "undeclared"):
+        with pytest.raises(ContractError, match=f"surveillance label {label!r}"):
+            CostEvaluator(cache, ThresholdPreference(50.0), label)
+    CostEvaluator(cache, ThresholdPreference(50.0), "sur")
+
+
 def test_cost_evaluator_indicator_matches_definition(triangle_ts):
     grid = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "default_grid.ini")
     # the indicator reads the system alone; the products, which the cache

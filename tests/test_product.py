@@ -6,6 +6,7 @@ components, distances through explicit minimization, all without touching
 the library's vectorized code paths or scipy.
 """
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -22,6 +23,7 @@ from surplan.buchi import BuchiAutomaton, to_buchi
 from surplan.errors import InternalConsistencyError, ValidationError
 from surplan.ltl import parse
 from surplan.product import (
+    OfflineResult,
     ProductAutomaton,
     build_product,
     check_accepting_label_condition,
@@ -638,6 +640,19 @@ def test_offline_phase_on_triangle(triangle_ts):
     assert np.all(product.w_phi_v < INF)
     verify_descent(product)
     assert set(result.timings) == {"automaton", "product", "distances", "trim"}
+
+
+def test_a_result_reads_its_system_and_automaton_from_its_products(triangle_ts):
+    """One owner: a result's system and automaton are its trimmed product's,
+    so a result cannot be built with others."""
+    result = offline_phase(triangle_ts, "G F a & G F b", "sur")
+    assert result.ts is result.trimmed.ts is result.product.ts is triangle_ts
+    assert result.ba is result.trimmed.ba is result.product.ba
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    with pytest.raises(TypeError):
+        OfflineResult(**fields, ba=result.ba)
+    with pytest.raises(AttributeError):
+        result.ts = triangle_ts
 
 
 def test_only_the_searched_product_builds_a_reversed_graph():

@@ -77,15 +77,24 @@ def reference_unit_step(rng, values, spawn_probability):
 
 @pytest.mark.parametrize("n, probability", [(100, 0.05), (900, 0.05), (40, 0.5)])
 def test_unit_steps_replay_the_first_formulation_bit_for_bit(n, probability):
-    dyn = DecaySpawnDynamics(np.random.default_rng(17), spawn_probability=probability)
+    """Values and the generator's state match the first formulation, which
+    sizes its draws by an int and casts them, also when planner-style tie
+    draws, which take 32-bit halves from the buffer the bounded spawn draws
+    use, fall between units."""
+    planner_rng = np.random.default_rng(17)
+    dyn = DecaySpawnDynamics(planner_rng, spawn_probability=probability)
     rng = np.random.default_rng(17)
     # fractional starting values also decay through (0, 1)
     field = RewardField(n, np.random.default_rng(4).uniform(0.0, 5.0, n))
     reference = field.values.copy()
-    for _ in range(3000):
+    for unit in range(3000):
         dyn.burn_in(field, 1)
         reference_unit_step(rng, reference, probability)
         assert field.values.tobytes() == reference.tobytes()
+        if unit % 7 == 0:
+            ties = 2 + unit % 5
+            assert planner_rng.integers(ties) == rng.integers(ties)
+    assert planner_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_fractional_time_accumulates():
