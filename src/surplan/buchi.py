@@ -44,6 +44,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import ContractError, ValidationError
+from .localruns import group, key_type
 from .ltl import (
     And,
     Atom,
@@ -116,7 +117,9 @@ class BuchiAutomaton:
             raise ValidationError("transition letter id out of range")
         if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
             raise ValidationError("transition endpoint out of range")
-        row, self.target = np.divmod(_distinct((letter * n + src) * n + dst), n)
+        row, self.target = np.divmod(
+            _distinct((letter * n + src) * n + dst, len(self.letters) * n * n), n
+        )
         self.ptr = np.searchsorted(row, np.arange(len(self.letters) * n + 1))
 
     def _masks_of(self, letters: Iterable[Letter]) -> np.ndarray:
@@ -137,11 +140,9 @@ class BuchiAutomaton:
 
 def until_like_subformulas(formula: Formula) -> list[Formula]:
     """Until and eventually subformulas in first-occurrence order."""
-    seen: list[Formula] = []
-    for sub in subformulas(formula):
-        if isinstance(sub, (Until, Eventually)) and sub not in seen:
-            seen.append(sub)
-    return seen
+    return list(
+        dict.fromkeys(sub for sub in subformulas(formula) if isinstance(sub, (Until, Eventually)))
+    )
 
 
 # A guarded choice is (obligations passed to the next position,
@@ -297,7 +298,7 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     # prune dead states; the initial state stays, without moves when dead.
     # The reversed graph holds each distinct (src, dst) pair once.
     n = len(pairs)
-    head, tail = np.divmod(_distinct(dst * n + src), n)
+    head, tail = np.divmod(_distinct(dst * n + src, n * n), n)
     reverse = csr_array(
         (np.ones(len(head)), tail, np.searchsorted(head, np.arange(n + 1))), shape=(n, n)
     )
@@ -322,7 +323,9 @@ def to_buchi(formula: Formula, propositions: Iterable[str] | None = None) -> Buc
     accepting = np.isin(np.arange(n_blocks), blocks[accepting])
     # distinct moves between blocks, expanded to letters
     n_sets = len(sets)
-    moves = _distinct((blocks[src] * n_sets + lset) * n_blocks + blocks[dst])
+    moves = _distinct(
+        (blocks[src] * n_sets + lset) * n_blocks + blocks[dst], n_blocks * n_sets * n_blocks
+    )
     rest, dst = np.divmod(moves, n_blocks)
     src, lset = np.divmod(rest, n_sets)
     src, letter, dst = _expand(sets, src, lset, dst)
@@ -407,10 +410,10 @@ def _obligation_automaton(
                 for nxt, dis, pro, _, _ in choices
             ]
             # the choices grouped by move, in choice order within a move
-            n = len(choices)
-            move_of = np.array(move_of_choice, dtype=np.int64)
-            at = np.argsort(move_of, kind="stable")
-            starts = np.searchsorted(move_of[at], np.arange(len(choice_moves)))
+            n, n_moves = len(choices), len(choice_moves)
+            move_of = np.array(move_of_choice, dtype=key_type(n_moves))
+            at = move_of.argsort(kind="stable")
+            starts = move_of[at].searchsorted(np.arange(n_moves, dtype=move_of.dtype))
             pos = np.array([c[3] for c in choices], dtype=np.int64)[at]
             neg = np.array([c[4] for c in choices], dtype=np.int64)[at]
             # a letter matches when, of the guarded propositions, it holds
@@ -497,13 +500,14 @@ def _counter_levels(
     level_zero = [move_target * width for move_target, _, _, _ in moves]
 
     # the id of every counter state numbered so far, -1 for the others
-    id_of = np.full(len(moves) * width, -1, dtype=np.int64)
+    n_pairs = len(moves) * width
+    id_of = np.full(n_pairs, -1, dtype=np.int64)
     id_of[0] = 0
     numbered = [np.zeros(1, dtype=np.int64)]
     n_ids = 1
     # done flags, read one at a time as bytes and many at a time through a
     # boolean view of the same memory
-    done_flags = bytearray(len(moves) * width)
+    done_flags = bytearray(n_pairs)
     done = np.frombuffer(done_flags, dtype=bool)
     pending = [0]
     explored: list[int] = []
@@ -523,12 +527,7 @@ def _counter_levels(
         state, level = divmod(pair, width)
         _, move_marks, _, last = moves[state]
         targets = level_zero[state] + table[level][move_marks]
-        by_target = np.argsort(targets, kind="stable")
-        ordered = targets[by_target]
-        run_start = np.ones(len(ordered), dtype=bool)
-        run_start[1:] = ordered[1:] != ordered[:-1]
-        starts = np.flatnonzero(run_start)
-        distinct = ordered[starts]
+        by_target, distinct, starts = group(targets, n_pairs)
         unseen = id_of[distinct] < 0
         if unseen.any():
             # with the stable sort a run's first move is its target's first edge
@@ -547,14 +546,15 @@ def _counter_levels(
     return np.concatenate(numbered), explored_states, src, dst
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer array. numpy 2's ``np.unique``
-    without ``return_*`` arguments goes through a hash table, which is
-    several times slower than sorting on the arrays met here."""
-    values = np.sort(values)
+def _distinct(values: np.ndarray, bound: int) -> np.ndarray:
+    """Sorted distinct values, as int64, of an integer array whose values
+    lie below ``bound``, sorted in the ``key_type`` of ``bound``. numpy 2's
+    ``np.unique`` without ``return_*`` arguments goes through a hash table,
+    which is several times slower than sorting on the arrays met here."""
+    values = np.sort(values.astype(key_type(bound)))
     first = np.ones(len(values), dtype=bool)
     first[1:] = values[1:] != values[:-1]
-    return values[first]
+    return values[first].astype(np.int64)
 
 
 def alive_states(reverse: csr_array, marks: Sequence[np.ndarray]) -> np.ndarray:
@@ -625,7 +625,7 @@ def _signatures(
     base = int(blocks.max()) + 1
     sigs = [(b, -1) for b in blocks.tolist()]
     # distinct (state, letter set, block) moves, grouped by state
-    moves = _distinct((src * n_sets + lset) * base + blocks[dst])
+    moves = _distinct((src * n_sets + lset) * base + blocks[dst], len(blocks) * n_sets * base)
     if not len(moves):
         return sigs
     state, rest = np.divmod(moves, n_sets * base)
@@ -643,7 +643,9 @@ def _signatures(
     first[list(first_of.values())] = True
     state, rest = state[first[state]], rest[first[state]]
     state, move_letter, move_block = _expand(letter_sets, state, *np.divmod(rest, base))
-    keys = _distinct((state * n_letters + move_letter) * base + move_block)
+    keys = _distinct(
+        (state * n_letters + move_letter) * base + move_block, len(blocks) * n_letters * base
+    )
     state, rest = np.divmod(keys, n_letters * base)
     move_letter, move_block = np.divmod(rest, base)
     new_state = np.ones(len(keys), dtype=bool)

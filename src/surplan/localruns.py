@@ -71,12 +71,18 @@ def out_moves(
     return node, move
 
 
+def key_type(bound: int) -> np.dtype:
+    """The narrowest unsigned type that holds integers below ``bound``, the
+    type integer keys are sorted in: integers sort faster the narrower they
+    are, and for up to 16 bits numpy's stable sort is a radix sort."""
+    return np.min_scalar_type(max(bound - 1, 0))
+
+
 def group(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stable sort of ``key``, whose values lie below ``bound``: the
     order, the distinct keys and where each starts in the order. The keys are
-    sorted, and returned, in the narrowest unsigned type that holds them; for
-    up to 16 bits numpy's stable sort is a radix sort."""
-    small = key.astype(np.min_scalar_type(max(bound - 1, 0)))
+    sorted, and returned, in the ``key_type`` of ``bound``."""
+    small = key.astype(key_type(bound))
     order = small.argsort(kind="stable")
     ordered = small[order]
     first = np.empty(len(ordered), dtype=bool)
@@ -185,8 +191,9 @@ class DecisionView(NamedTuple):
 class LocalRunCache:
     """Local-run fans of the trimmed ``product``'s system, for one visibility
     range and horizon, built on first use, with the subsets of their runs
-    that the product admits from each automaton state, and a decision view
-    of each product state a decision leaves. ``hits`` and ``misses`` count
+    that the product admits from each automaton state, a decision view of
+    each product state a decision leaves, and the moves of each system state
+    the cost column reads. ``hits`` and ``misses`` count
     fan lookups that found the fan built or not, ``searches`` the bounded
     visibility searches run, and ``build_seconds`` is the time spent
     building fans.
@@ -218,6 +225,7 @@ class LocalRunCache:
         self._visible: dict[int, np.ndarray] = {}
         self._cells: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._distances_to: dict[str, np.ndarray] = {}
+        self._moves_from: dict[int, tuple[list[int], dict[int, int], bool]] = {}
         # each state's lightest move; TransitionSystem refuses a state without one
         self._lightest = np.minimum.reduceat(ts.move_weight, ts.move_ptr[:-1])
         ba, table = product.ba, product.letters
@@ -300,6 +308,18 @@ class LocalRunCache:
             distances = dijkstra(self.ts.graph.T.tocsr(), indices=labelled, min_only=True)
             self._distances_to[prop] = distances
         return distances
+
+    def moves_from(self, q_k: int) -> tuple[list[int], dict[int, int], bool]:
+        """The successors of ``q_k``, the root of each move its fan holds
+        runs after, and whether some move has none; looked up once per
+        state."""
+        found = self._moves_from.get(q_k)
+        if found is None:
+            # as a list: `in` on a small numpy array costs microseconds per step
+            successors = self.ts.successors(q_k).tolist()
+            moves = self.fan(q_k).moves
+            found = self._moves_from[q_k] = (successors, moves, len(moves) < len(successors))
+        return found
 
     def view(self, p_k: int) -> DecisionView:
         """The decision view of trimmed product state ``p_k``, built the

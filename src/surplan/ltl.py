@@ -18,18 +18,43 @@ Letter = frozenset[str]
 
 
 class Formula:
-    """Base class of all formula nodes."""
+    """Base class of all formula nodes.
+
+    A node's hash is its fields' hash, as a frozen dataclass's, but computed
+    once and kept on the node: the generated hash walks the whole subtree on
+    every call. Pickling leaves the kept hash out, so a node moved to a
+    process with another hash seed computes it again.
+    """
 
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = self._fields_hash()
+            return value
 
-@dataclass(frozen=True)
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
+
+def _node(cls: type) -> type:
+    """A frozen dataclass node hashed through ``Formula.__hash__``; its
+    generated hash of the fields is kept as ``_fields_hash``."""
+    cls = dataclass(frozen=True)(cls)
+    cls._fields_hash = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class TrueConst(Formula):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
@@ -37,7 +62,7 @@ class Atom(Formula):
         return self.name
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
@@ -45,7 +70,7 @@ class Not(Formula):
         return f"! {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
@@ -54,7 +79,7 @@ class And(Formula):
         return f"{_wrap(self.left)} & {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
@@ -63,7 +88,7 @@ class Or(Formula):
         return f"{_wrap(self.left)} | {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Next(Formula):
     sub: Formula
 
@@ -71,7 +96,7 @@ class Next(Formula):
         return f"X {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
@@ -80,7 +105,7 @@ class Until(Formula):
         return f"{_wrap(self.left)} U {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Always(Formula):
     sub: Formula
 
@@ -88,7 +113,7 @@ class Always(Formula):
         return f"G {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(Formula):
     sub: Formula
 

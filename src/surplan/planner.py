@@ -226,7 +226,6 @@ class CostEvaluator:
     """
 
     def __init__(self, local_runs: LocalRunCache, preference, surveillance_prop: str):
-        self.ts = local_runs.ts
         product = local_runs.product
         # the flags build_product sets: one per letter, gathered per state
         table = product.letters
@@ -237,11 +236,11 @@ class CostEvaluator:
                 " the product flags as surveyed"
             )
         self.preference = preference
-        self.local_runs = local_runs
         # least weight from each state to some surveyed state, infinite
-        # everywhere when there is none, shared by every evaluator of the cache
+        # everywhere when there is none, and each state's moves; both are
+        # shared by every evaluator of the cache
         self._to_surveyed = local_runs.distance_to(surveillance_prop)
-        self._moves: dict[int, tuple[list[int], dict[int, int], bool]] = {}
+        self._moves_from = local_runs.moves_from
 
     def indicator(self, q: int, q_next: int) -> int:
         """1 when the move ``q -> q_next`` strictly shortens the least weight
@@ -261,15 +260,3 @@ class CostEvaluator:
         pots = scores[: len(moves)].tolist()
         pref_value = float(self.preference(elapsed, max(pots)))
         return pots[moves[chosen]] + self.indicator(q_k, chosen) * pref_value
-
-    def _moves_from(self, q_k: int) -> tuple[list[int], dict[int, int], bool]:
-        """The successors of ``q_k``, the root of each move its fan holds
-        runs after, and whether some move has none; looked up once per
-        state."""
-        found = self._moves.get(q_k)
-        if found is None:
-            # as a list: `in` on a small numpy array costs microseconds per step
-            successors = self.ts.successors(q_k).tolist()
-            moves = self.local_runs.fan(q_k).moves
-            found = self._moves[q_k] = (successors, moves, len(moves) < len(successors))
-        return found

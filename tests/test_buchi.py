@@ -26,6 +26,7 @@ from surplan.buchi import (
 )
 from surplan.errors import ContractError, ValidationError
 from surplan.scenario import load_scenario
+from surplan import ltl
 from surplan.ltl import And, Atom, Eventually, Next, atoms, canonical_letters, nnf, parse
 
 from automaton_views import successors, to_text, transitions
@@ -429,6 +430,25 @@ def test_closures_wider_than_64_bits_build_the_letter_wise_automaton():
         got = to_buchi(formula)
         assert to_text(got) == to_text(expected), str(formula)
         assert Counter(transitions(got)) == Counter(transitions(expected)), str(formula)
+
+
+def test_seven_proposition_mission_hashes_each_formula_node_once(monkeypatch):
+    """A frozen dataclass's generated hash walks the whole subtree; a node
+    keeps its hash instead, so compiling computes each node's once."""
+    computed = Counter()
+    # every node counted, kept alive so that no id is reused
+    kept = []
+    for cls in ltl.Formula.__subclasses__():
+
+        def counted(node, fields_hash=cls._fields_hash):
+            computed[id(node)] += 1
+            kept.append(node)
+            return fields_hash(node)
+
+        monkeypatch.setattr(cls, "_fields_hash", counted)
+    to_buchi(parse(LARGE_MISSION, LARGE_MISSION_PROPS), LARGE_MISSION_PROPS)
+    assert len(computed) >= 20, len(computed)
+    assert max(computed.values()) == 1
 
 
 def test_seven_proposition_mission_compiles_in_bounded_memory():

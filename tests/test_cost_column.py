@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surplan import sim
 from surplan.ltl import parse
 from surplan.planner import Planner
 from surplan.product import offline_phase
 from surplan.scenario import load_scenario
 from surplan.sim import run_single
+from surplan.ts import TransitionSystem
 
 from conftest import elapsed_walkback, random_ts, ts_shortening_indicator
 from system_runs import literal_potential, local_runs, run_times
@@ -152,3 +154,28 @@ def test_cost_column_replays_from_definitions_on_random_systems(
             continue
         systems += 1
         assert replay_pairs(scenario, offline, recorded_fields, systems) == 6 * 40
+
+
+def test_later_runs_look_up_no_state_an_earlier_run_looked_up(monkeypatch):
+    """Every run builds its own cost evaluator, but the per-state lookups of
+    successors and fan moves live on the shared local-run cache: the second
+    run looks up no state the first run did, its initial state included."""
+    scenario = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 2, "iterations": 40})
+    offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+    lookups = []
+    run, successors = sim.run_single, TransitionSystem.successors
+
+    def counted_run(*args, **kwargs):
+        lookups.append([])
+        return run(*args, **kwargs)
+
+    def counted_successors(self, q):
+        lookups[-1].append(q)
+        return successors(self, q)
+
+    monkeypatch.setattr(sim, "run_single", counted_run)
+    monkeypatch.setattr(TransitionSystem, "successors", counted_successors)
+    sim.run_experiment(scenario, offline=offline)
+    first, second = (set(states) for states in lookups)
+    assert scenario.ts.initial in first
+    assert not first & second, sorted(first & second)

@@ -13,7 +13,8 @@ import pytest
 
 from surplan.errors import ContractError
 from surplan import localruns
-from surplan.localruns import LocalRunCache, class_cells, path_sums
+from surplan.buchi import _distinct
+from surplan.localruns import LocalRunCache, class_cells, group, key_type, path_sums
 from surplan.planner import CostEvaluator
 from surplan.product import build_product, compute_indicators, offline_phase, trim_product
 from surplan.rewards import (
@@ -368,6 +369,32 @@ def test_subsets_cut_short_by_the_automaton_keep_the_reference_width():
                 for segment in fan.subsets[fan.subsets >= 0].tolist()
             )
     assert narrower > 0
+
+
+@pytest.mark.parametrize(
+    "bound, itemsize",
+    [(0, 1), (2**8 - 1, 1), (2**8, 1), (2**16 - 1, 2), (2**16, 2), (2**32, 4), (2**32 + 1, 8)],
+)
+def test_keys_sort_in_their_narrowest_type_as_in_int64(bound, itemsize):
+    """``group`` and ``_distinct`` sort keys in their ``key_type``; the
+    stable order, the distinct keys and where each starts equal those of the
+    same keys as int64, the keys at the bound's edges and an empty array
+    included. No workload's keys need more than 16 bits."""
+    assert key_type(bound).itemsize == itemsize
+    rng = np.random.default_rng(bound)
+    drawn = rng.integers(0, max(bound, 1), 300)
+    keys = [np.zeros(0, dtype=np.int64)]
+    if bound:
+        keys.append(np.concatenate([[bound - 1, 0], drawn, drawn[:100], [bound - 1, 0]]))
+    for key in keys:
+        order, distinct, starts = group(key, bound)
+        expected = np.argsort(key, kind="stable")
+        values = np.unique(key)
+        assert np.array_equal(order, expected)
+        assert np.array_equal(distinct.astype(np.int64), values)
+        assert np.array_equal(starts, key[expected].searchsorted(values))
+        assert np.array_equal(_distinct(key, bound), values)
+        assert _distinct(key, bound).dtype == np.int64
 
 
 def test_path_sums_add_in_travel_order_at_every_width():

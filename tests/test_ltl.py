@@ -1,10 +1,17 @@
-"""Formula parsing, normal form, and lasso-word semantics."""
+"""Formula parsing, normal form, hashing, and lasso-word semantics."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surplan
 from surplan.errors import LtlSyntaxError
 from surplan.ltl import (
     Always,
@@ -180,3 +187,37 @@ def test_empty_loop_rejected_and_stem_optional(seed):
     with pytest.raises(Exception):
         formula_satisfied_on_lasso(f, [frozenset()], [])
     formula_satisfied_on_lasso(f, [], [frozenset()])
+
+
+def test_a_formula_pickled_under_another_hash_seed_hashes_again(tmp_path):
+    """A node keeps its hash once computed, but not through pickling: a
+    formula hashed and pickled by a process with another hash seed equals,
+    hashes like and looks up like the same formula parsed here, at every
+    subformula."""
+    text = "G (a -> X (!a U b)) & G F sur"
+    script = (
+        "import pickle, sys\n"
+        "from surplan.ltl import parse\n"
+        "formula = parse(sys.argv[1])\n"
+        "with open(sys.argv[2], 'wb') as f:\n"
+        "    pickle.dump((hash(formula), formula), f)\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(surplan.__file__).resolve().parent.parent)
+    path = tmp_path / "formula.pickle"
+    subprocess.run(
+        [sys.executable, "-c", script, text, str(path)],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        timeout=60,
+        check=True,
+    )
+    with open(path, "rb") as f:
+        foreign_hash, loaded = pickle.load(f)
+    fresh = parse(text)
+    # the other seed hashes the formula's names, and so the formula, otherwise
+    assert foreign_hash != hash(fresh)
+    assert loaded == fresh
+    assert hash(loaded) == hash(fresh)
+    assert {fresh: "found"}[loaded] == "found"
+    index = {sub: i for i, sub in enumerate(subformulas(fresh))}
+    assert [index[sub] for sub in subformulas(loaded)] == [index[sub] for sub in subformulas(fresh)]
