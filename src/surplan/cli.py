@@ -90,7 +90,10 @@ def command_run(args: argparse.Namespace) -> int:
     except MissionInfeasible as exc:
         _say(exc)
         return 1
-    paths = emit_outputs(result, args.out)
+    try:
+        paths = emit_outputs(result, args.out)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write outputs to {args.out}: {exc}") from exc
     _say(format_stats(result.stats))
     _say()
     for kind, path in paths.items():

@@ -57,6 +57,10 @@ class DecaySpawnDynamics:
         self._rng = rng
         self.spawn_probability = float(spawn_probability)
         self._fraction = 0.0
+        # bounds of the spawn draws, `_width` small ones then `_width` large
+        # ones; they grow only, past the largest spawn count seen
+        self._width = 0
+        self._low = self._high = np.empty(0, dtype=np.int64)
 
     def evolve(self, field: RewardField, dt: float) -> None:
         if not 0 <= dt < math.inf:
@@ -78,13 +82,16 @@ class DecaySpawnDynamics:
         count = np.count_nonzero(spawn)
         if count:
             small = self._rng.random(count) < 0.5
-            # `integers` takes `np.prod` of its size: an int or a tuple costs
-            # that a caught AttributeError and the numpy scalar `count` a call
-            # of its own `prod`, a 0-d array neither; the draws are the same
-            size = np.array(count)
-            low = self._rng.integers(0, 16, size)
-            high = self._rng.integers(16, 61, size)
-            values[spawn] = np.where(small, low, high)
+            if count > self._width:
+                self._width = 2 * count
+                self._low = np.repeat([0, 16], self._width)
+                self._high = np.repeat([16, 61], self._width)
+            # one call with per-element bounds draws the same 32-bit values
+            # in the same order as `count` draws in [0, 16) and then `count`
+            # in [16, 61); contiguous slices keep it off numpy's strided path
+            at = slice(self._width - count, self._width + count)
+            drawn = self._rng.integers(self._low[at], self._high[at])
+            values[spawn] = np.where(small, drawn[:count], drawn[count:])
 
     def on_collect(self, field: RewardField, state: int) -> float:
         reward = float(field.values[state])

@@ -224,6 +224,15 @@ def test_run_with_out_naming_an_existing_file_exits_with_usage_error(tmp_path, c
     assert taken.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("name", ["trace.csv", "timeseries.csv", "stats.txt", "stats.json"])
+def test_run_with_an_output_file_that_cannot_be_written_exits_with_usage_error(
+    tmp_path, capsys, name
+):
+    (tmp_path / name).mkdir()
+    assert main(["run", TRIANGLE, "--iterations", "5", "--out", str(tmp_path)]) == 2
+    assert "error: cannot write outputs" in capsys.readouterr().err
+
+
 # SHA-256 of the files `surplan run` writes for each shipped scenario
 SHIPPED_OUTPUTS = {
     "default_grid.ini": {

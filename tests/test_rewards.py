@@ -75,7 +75,9 @@ def reference_unit_step(rng, values, spawn_probability):
         values[spawn] = np.where(small, low, high).astype(np.float64)
 
 
-@pytest.mark.parametrize("n, probability", [(100, 0.05), (900, 0.05), (40, 0.5)])
+@pytest.mark.parametrize(
+    "n, probability", [(100, 0.05), (900, 0.05), (40, 0.5), (900, 1.0), (1, 0.5)]
+)
 def test_unit_steps_replay_the_first_formulation_bit_for_bit(n, probability):
     """Values and the generator's state match the first formulation, which
     sizes its draws by an int and casts them, also when planner-style tie
