@@ -22,8 +22,9 @@ class Formula:
 
     A node's hash is its fields' hash, as a frozen dataclass's, but computed
     once and kept on the node: the generated hash walks the whole subtree on
-    every call. Pickling leaves the kept hash out, so a node moved to a
-    process with another hash seed computes it again.
+    every call. Its text is kept the same way, since a node's text holds its
+    operands' texts. Pickling leaves both out, so a node moved to a process
+    with another hash seed computes its hash again.
     """
 
     __slots__ = ()
@@ -35,8 +36,34 @@ class Formula:
             value = self.__dict__["_hash"] = self._fields_hash()
             return value
 
+    def __str__(self) -> str:
+        try:
+            return self.__dict__["_text"]
+        except KeyError:
+            pass
+        # Each node below that has no text yet gets it after its operands do:
+        # a loop, where printing an operand from its parent's text would nest
+        # one call deeper per level.
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            missing = [
+                sub for sub in node.__dict__.values()
+                if isinstance(sub, Formula) and "_text" not in sub.__dict__
+            ]
+            if missing:
+                stack += missing
+            else:
+                stack.pop()
+                node.__dict__["_text"] = node._render()
+        return self.__dict__["_text"]
+
     def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_hash", "_text")
+        }
 
 
 def _node(cls: type) -> type:
@@ -50,7 +77,7 @@ def _node(cls: type) -> type:
 
 @_node
 class TrueConst(Formula):
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return "true"
 
 
@@ -58,7 +85,7 @@ class TrueConst(Formula):
 class Atom(Formula):
     name: str
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return self.name
 
 
@@ -66,7 +93,7 @@ class Atom(Formula):
 class Not(Formula):
     sub: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"! {_wrap(self.sub)}"
 
 
@@ -75,7 +102,7 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{_wrap(self.left)} & {_wrap(self.right)}"
 
 
@@ -84,7 +111,7 @@ class Or(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{_wrap(self.left)} | {_wrap(self.right)}"
 
 
@@ -92,7 +119,7 @@ class Or(Formula):
 class Next(Formula):
     sub: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"X {_wrap(self.sub)}"
 
 
@@ -101,7 +128,7 @@ class Until(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"{_wrap(self.left)} U {_wrap(self.right)}"
 
 
@@ -109,7 +136,7 @@ class Until(Formula):
 class Always(Formula):
     sub: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"G {_wrap(self.sub)}"
 
 
@@ -117,7 +144,7 @@ class Always(Formula):
 class Eventually(Formula):
     sub: Formula
 
-    def __str__(self) -> str:
+    def _render(self) -> str:
         return f"F {_wrap(self.sub)}"
 
 

@@ -114,10 +114,13 @@ class ProductAutomaton:
         """The edges turned around (dst -> src), built on first read: every
         offline analysis searches backwards from a target set over this one
         sparse graph, and the trimmed product, which none searches, holds
-        none."""
-        return csr_array(
-            (self.edge_weight, (self.edge_dst, self.edge_src)), shape=(self.n, self.n)
+        none. The edge arrays are already the forward graph's CSR form, and
+        its transpose is converted in linear time (Gustavson 1978), with each
+        row's columns in ascending source order, as a sort would leave them."""
+        forward = csr_array(
+            (self.edge_weight, self.edge_dst, self.edge_ptr), shape=(self.n, self.n)
         )
+        return forward.T.tocsr()
 
 
 def build_product(
@@ -162,14 +165,21 @@ def build_product(
     # One search numbers the states in the order a FIFO search first meets
     # them. The product's edges are their rows, whose targets are all reached.
     order = breadth_first_order(graph, ts.initial * n_ba + ba.initial, return_predecessors=False)
-    graph = graph[order]
+    # the reached rows in that order, gathered from the key graph's arrays:
+    # edge e of the product is the key graph's entry at[e]
+    count = np.diff(graph.indptr)[order]
+    at = np.repeat(graph.indptr[order] - (np.cumsum(count) - count).astype(index), count)
+    at += np.arange(len(at), dtype=index)
     id_of = np.empty(n_keys, dtype=np.int64)
     id_of[order] = np.arange(len(order))
+    edge_dst = id_of[graph.indices[at]]
+    edge_weight = graph.data[at]
+    del graph, at, id_of
     ts_of, ba_of = np.divmod(order, n_ba)
     surveillance = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
     return ProductAutomaton(
-        ts, ba, table, ts_of, ba_of, 0, np.repeat(np.arange(len(order)), np.diff(graph.indptr)),
-        id_of[graph.indices], graph.data, np.isin(ba_of, list(ba.accepting)),
+        ts, ba, table, ts_of, ba_of, 0, np.repeat(np.arange(len(order)), count),
+        edge_dst, edge_weight, np.isin(ba_of, list(ba.accepting)),
         surveillance[table.letter_of[ts_of]],
     )
 
@@ -298,9 +308,13 @@ def trim_product(product: ProductAutomaton) -> ProductAutomaton:
     finite = (product.w_pi < INF) & (product.w_phi_v < INF)
     keep = np.zeros(product.n, dtype=bool)
     if product.initial is not None and finite[product.initial]:
+        # the edges between finite states, still sorted by source
         inside = finite[product.edge_src] & finite[product.edge_dst]
         src, dst = product.edge_src[inside], product.edge_dst[inside]
-        graph = csr_array((np.ones(len(src)), (src, dst)), shape=(product.n, product.n))
+        graph = csr_array(
+            (np.ones(len(src)), dst, np.searchsorted(src, np.arange(product.n + 1))),
+            shape=(product.n, product.n),
+        )
         keep[breadth_first_order(graph, product.initial, return_predecessors=False)] = True
     kept = np.flatnonzero(keep)
     remap = np.full(product.n, -1, dtype=np.int64)

@@ -9,9 +9,12 @@ experiment settings (seed, runs, iterations per run).
 
 from __future__ import annotations
 
-import configparser
 import math
+import os
+import re
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -184,12 +187,215 @@ def _parse_grid_cells(text: str, prop: str, rows: int, cols: int) -> set[tuple[i
     return cells
 
 
+# The INI dialect of Python's configparser as load_scenario has always set it
+# up: ConfigParser(interpolation=None) with case-kept keys (optionxform = str),
+# that is strict, with '=' and ':' as delimiters, '#' and ';' full-line
+# comments, no inline comments, blank lines kept inside values and no
+# valueless keys. These are configparser's own patterns for that dialect.
+_SECTION = re.compile(r"\[(?P<header>.+)\]")
+_OPTION = re.compile(r"(?P<option>.*?)\s*(?P<vi>=|:)\s*(?P<value>.*)$")
+_DEFAULT = "DEFAULT"
+# a plain line starts with none of these, and so is a key line at indent 0
+_IRREGULAR = re.compile(r"[\s#;\[]")
+
+
+def _parse_error(source: str, detail: str) -> ScenarioError:
+    return ScenarioError(f"cannot parse {source}: {detail}")
+
+
+def _no_section_header(source: str, lineno: int, line: str) -> ScenarioError:
+    return _parse_error(
+        source,
+        "File contains no section headers.\nfile: %r, line: %d\n%r" % (source, lineno, line),
+    )
+
+
+def _duplicate_key(source: str, section: str, key: str, lineno: int) -> ScenarioError:
+    return _parse_error(
+        source,
+        f"While reading from {source!r} [line {lineno:2d}]: option {key!r} in section"
+        f" {section!r} already exists",
+    )
+
+
+def _cut(text: str, count: int, delimiters: str, last: bool = False):
+    """Cut each of the ``count`` newline-ended pieces of ``text`` (the last
+    may lack its newline) at its first, or with ``last`` its last, character
+    among ``delimiters``.
+
+    Returns the parts before and after the cut of each piece that has one,
+    and a mask of those pieces. The text is cut in bulk: the cuts are found
+    in an array of its code points and replaced by newlines, and one split
+    gives every part in turn.
+    """
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    ends = np.append(np.flatnonzero(code == ord("\n")), len(code))[:count]
+    starts = np.concatenate(([0], ends + 1))[:count]
+    hit = code == ord(delimiters[0])
+    for c in delimiters[1:]:
+        hit |= code == ord(c)
+    at = np.flatnonzero(hit)
+    if last:
+        cut = np.concatenate(([-1], at))[np.searchsorted(at, ends)]
+        has = cut >= starts
+    else:
+        cut = np.append(at, len(code))[np.searchsorted(at, starts)]
+        has = cut < ends
+    marked = code.copy()
+    marked[cut[has]] = ord("\n")
+    parts = marked.tobytes().decode("utf-32-le", "surrogatepass").split("\n")
+    if has.all():
+        return parts[0 : 2 * count : 2], parts[1 : 2 * count : 2], has
+    # a piece with no cut stays one part, and one with a cut gives two
+    head = (np.cumsum(1 + has) - 1 - has)[has].tolist()
+    return [parts[i] for i in head], [parts[i + 1] for i in head], has
+
+
+def _scan_ini(
+    lines: list[str], source: str
+) -> tuple[dict[str, dict[str, str]], list[tuple[int, str]]]:
+    """The sections of an INI text, ``[DEFAULT]`` among them, and its bad lines.
+
+    ``lines`` are the text's lines with their line ends, as iterating over a
+    file gives them. The reading is configparser's, in one pass: a line is
+    a comment or blank, a continuation of the last key's value (indented
+    deeper than that key), a section header, or a ``key = value`` line. A
+    repeated section or key, or a key line before any section header,
+    raises at once; lines that are none of these are returned, as
+    configparser reports them all at the end. Runs of plain lines, which
+    start at indent 0 with a character that makes them key lines, are split
+    in bulk; the rest are read one by one.
+    """
+    store: dict[str, dict[str, str]] = {_DEFAULT: {}}
+    more: dict[tuple[str, str], list[str]] = {}
+    errors: list[tuple[int, str]] = []
+    section: str | None = None
+    key: str | None = None
+    indent = 0
+    # the positions of the lines that are not plain, by their first character
+    heads = "".join(map(itemgetter(0), lines))
+    irregular = [match.start() for match in _IRREGULAR.finditer(heads)]
+    start = 0
+    for at in [*irregular, len(lines)]:
+        if start < at:
+            if section is None:
+                raise _no_section_header(source, start + 1, lines[start])
+            # a plain line is a key line: its key ends at its first delimiter
+            keys, found, has = _cut("".join(lines[start:at]), at - start, "=:")
+            keys, found = list(map(str.rstrip, keys)), list(map(str.strip, found))
+            numbers = range(start + 1, at + 1)
+            if not has.all():
+                # lines with no delimiter are bad, and leave the last key as it was
+                errors += [(n, lines[n - 1]) for n, ok in zip(numbers, has) if not ok]
+                numbers = list(compress(numbers, has.tolist()))
+            fresh = dict(zip(keys, found))
+            current = store[section]
+            if len(fresh) < len(keys) or not current.keys().isdisjoint(fresh):
+                seen = set(current)
+                for k, n in zip(keys, numbers):
+                    if k in seen:
+                        raise _duplicate_key(source, section, k, n)
+                    seen.add(k)
+            if "" in fresh:
+                n = numbers[keys.index("")]
+                errors.append((n, lines[n - 1]))
+                errors.sort()
+            if current:
+                current.update(fresh)
+            else:
+                store[section] = fresh
+            if keys:
+                key = keys[-1]
+            indent = 0
+        start = at + 1
+        if at == len(lines):
+            break
+        line = lines[at]
+        value = line.strip()
+        if not value or value[0] in "#;":
+            # a blank line belongs to the value being read; a comment does not
+            if not value and key:
+                more.setdefault((section, key), []).append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if section is not None and key and depth > indent:
+            more.setdefault((section, key), []).append(value)
+            continue
+        indent = depth
+        match = _SECTION.match(value)
+        if match:
+            section = match.group("header")
+            if section != _DEFAULT and section in store:
+                raise _parse_error(
+                    source,
+                    f"While reading from {source!r} [line {at + 1:2d}]: section"
+                    f" {section!r} already exists",
+                )
+            store.setdefault(section, {})
+            key = None
+        elif section is None:
+            raise _no_section_header(source, at + 1, line)
+        else:
+            match = _OPTION.match(value)
+            if match:
+                name, text = match.group("option", "value")
+                if not name:
+                    errors.append((at + 1, line))
+                key = name.rstrip()
+                if key in store[section]:
+                    raise _duplicate_key(source, section, key, at + 1)
+                store[section][key] = text.strip()
+            else:
+                errors.append((at + 1, line))
+    for (name, k), parts in more.items():
+        store[name][k] = "\n".join([store[name][k], *parts]).rstrip()
+    return store, errors
+
+
+def read_ini(lines: list[str], source: str) -> dict[str, dict[str, str]]:
+    """Each section of an INI text, ``[DEFAULT]`` aside, as a dict of its keys
+    and values with ``[DEFAULT]``'s keys merged in first.
+
+    It accepts and refuses what Python's configparser, set up as
+    ``ConfigParser(interpolation=None)`` with ``optionxform = str``, accepts
+    and refuses, and reads the same sections, keys and values; a refusal is
+    a ScenarioError carrying configparser's message.
+    """
+    store, errors = _scan_ini(lines, source)
+    if errors:
+        raise _parse_error(
+            source,
+            f"Source contains parsing errors: {source!r}"
+            + "".join("\n\t[line %2d]: %r" % error for error in errors),
+        )
+    defaults = store.pop(_DEFAULT)
+    if not defaults:
+        return store
+    return {name: {**defaults, **items} for name, items in store.items()}
+
+
+def _read_scenario_file(path: Path) -> dict[str, dict[str, str]]:
+    """The sections of a scenario file, read as UTF-8 text."""
+    source = os.fspath(path)
+    lines: list[str] = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines.extend(handle)
+    except UnicodeDecodeError as exc:
+        # a line read before the undecodable one may already be refused
+        _scan_ini(lines, source)
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from exc
+    return read_ini(lines, source)
+
+
 class _SectionView:
     """Typed access to one INI section with unknown-key detection."""
 
-    def __init__(self, parser: configparser.ConfigParser, section: str):
+    def __init__(self, sections: dict[str, dict[str, str]], section: str):
         self._name = section
-        self._items = dict(parser.items(section)) if parser.has_section(section) else {}
+        self._items = sections.get(section, {})
         self._seen: set[str] = set()
 
     def get(self, key: str, default=None):
@@ -226,16 +432,16 @@ class _SectionView:
             raise ScenarioError(f"[{self._name}] has unknown keys: {sorted(unknown)}")
 
 
-def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem:
-    has_grid = parser.has_section("grid")
-    has_explicit = parser.has_section("transitions")
+def _build_ts_from_config(sections: dict[str, dict[str, str]]) -> TransitionSystem:
+    has_grid = "grid" in sections
+    has_explicit = "transitions" in sections
     if has_grid == has_explicit:
         raise ScenarioError("scenario must have exactly one of [grid] or [transitions]")
 
-    labels_section = dict(parser.items("labels")) if parser.has_section("labels") else {}
+    labels_section = sections.get("labels", {})
 
     if has_grid:
-        grid = _SectionView(parser, "grid")
+        grid = _SectionView(sections, "grid")
         rows = grid.get_int("rows")
         cols = grid.get_int("cols")
         if rows is None or cols is None:
@@ -264,43 +470,69 @@ def _build_ts_from_config(parser: configparser.ConfigParser) -> TransitionSystem
         grid.check_unknown()
         return ts
 
-    ts_section = _SectionView(parser, "ts")
+    ts_section = _SectionView(sections, "ts")
     initial = ts_section.require("initial")
     ts_section.check_unknown()
-    # state ids in order of first mention
-    states: dict[str, int] = {}
-    src, dst, weight = [], [], []
-    for source, entry in parser.items("transitions"):
-        i = states.setdefault(source, len(states))
-        for token in entry.split():
-            try:
-                target, weight_text = token.rsplit(":", 1)
-                w = float(weight_text)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"[transitions] {source}: bad entry {token!r}, expected state:weight"
-                ) from exc
-            src.append(i)
-            dst.append(states.setdefault(target, len(states)))
-            weight.append(w)
-    labeling: dict[str, set[str]] = {}
+    transitions = sections["transitions"]
+    sources, entries = list(transitions), list(transitions.values())
+    counts = np.fromiter(map(len, map(str.split, entries)), np.int64, len(entries))
+    # every entry's tokens, one after another, each cut at its last colon
+    # into target and weight
+    tokens = " ".join(entries).split()
+    targets, weights, has = _cut("\n".join(tokens), len(tokens), ":", last=True)
+    try:
+        if not has.all():
+            raise ValueError("a token without a colon")
+        weight = np.fromiter(map(float, weights), np.float64, len(tokens))
+    except ValueError as exc:
+        for source, entry in transitions.items():
+            for token in entry.split():
+                if ":" not in token or not _is_float(token.rpartition(":")[2]):
+                    raise ScenarioError(
+                        f"[transitions] {source}: bad entry {token!r}, expected state:weight"
+                    ) from exc
+        raise
+    # The mentions in file order, each source before its targets. Each name
+    # keeps the position of its first mention, and states are numbered in
+    # the order of those positions.
+    line_of = np.repeat(np.arange(len(sources)), counts)
+    source_at = np.arange(len(sources)) + np.cumsum(counts) - counts
+    target_at = np.arange(len(targets)) + line_of + 1
+    mentions = np.empty(len(sources) + len(targets), dtype=object)
+    mentions[source_at] = sources
+    mentions[target_at] = targets
+    first: dict[str, int] = {}
+    at = np.fromiter(map(first.setdefault, mentions, range(len(mentions))), np.int64, len(mentions))
+    firsts, state_of = np.unique(at, return_inverse=True)
+    # each state's label, one shared set per proposition where it holds one
+    labeling: dict[str, frozenset[str]] = {}
     for prop, entry in labels_section.items():
-        for name in entry.split():
-            if name not in states:
-                raise ScenarioError(f"label {prop!r} names unknown state {name!r}")
-            labeling.setdefault(name, set()).add(prop)
+        held = dict.fromkeys(entry.split(), frozenset((prop,)))
+        if not held.keys() <= first.keys():
+            name = next(name for name in held if name not in first)
+            raise ScenarioError(f"label {prop!r} names unknown state {name!r}")
+        held.update({name: labeling[name] | {prop} for name in labeling.keys() & held.keys()})
+        labeling.update(held)
     try:
         return TransitionSystem(
-            names=list(states),
+            names=mentions[firsts].tolist(),
             initial=initial,
-            src=src,
-            dst=dst,
+            src=state_of[source_at][line_of],
+            dst=state_of[target_at],
             weight=weight,
             propositions=set(labels_section),
             labels=labeling,
         )
     except ValidationError as exc:
         raise ScenarioError(f"transition system rejected: {exc}") from exc
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
@@ -312,24 +544,16 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     """
     path = Path(path)
     # values are taken literally: a '%' is part of the value, not a reference
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ScenarioError(f"cannot parse {path}: {exc}") from exc
+    sections = _read_scenario_file(path)
 
-    ts = _build_ts_from_config(parser)
+    ts = _build_ts_from_config(sections)
 
-    mission = _SectionView(parser, "mission")
+    mission = _SectionView(sections, "mission")
     formula_text = mission.require("formula")
     surveillance_prop = mission.get("surveillance", "sur")
     mission.check_unknown()
 
-    planner = _SectionView(parser, "planner")
+    planner = _SectionView(sections, "planner")
     visibility = planner.get_float("visibility")
     horizon = planner.get_float("horizon")
     if visibility is None or horizon is None:
@@ -339,7 +563,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     preference_threshold = planner.get_float("pref-threshold", 50.0)
     planner.check_unknown()
 
-    dynamics = _SectionView(parser, "dynamics")
+    dynamics = _SectionView(sections, "dynamics")
     kind = dynamics.get("kind", "decay-spawn")
     if kind != "decay-spawn":
         raise ScenarioError(f"unknown dynamics kind {kind!r}")
@@ -348,7 +572,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     burn_in = dynamics.get_int("burn-in", 100)
     dynamics.check_unknown()
 
-    experiment = _SectionView(parser, "experiment")
+    experiment = _SectionView(sections, "experiment")
     seed = experiment.get_int("seed", 0)
     iterations = experiment.get_int("iterations", 100)
     runs = experiment.get_int("runs", 5)
@@ -356,7 +580,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     experiment.check_unknown()
 
     known = {"grid", "ts", "transitions", "labels", "mission", "planner", "dynamics", "experiment"}
-    unknown_sections = set(parser.sections()) - known
+    unknown_sections = set(sections) - known
     if unknown_sections:
         raise ScenarioError(f"unknown sections: {sorted(unknown_sections)}")
 

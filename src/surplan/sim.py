@@ -11,8 +11,11 @@ spread of per-run averages is reported as a percentage of their mean.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
+import secrets
 import statistics
 import time
 from collections import Counter
@@ -434,8 +437,23 @@ def format_stats(stats: ExperimentStats) -> str:
     return "\n".join(lines)
 
 
+def _reserve(path: Path) -> Path:
+    """A new empty file beside ``path`` and named after it, made with the
+    permissions a new ``path`` would get."""
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    os.close(os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return temporary
+
+
 def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write trace.csv, timeseries.csv, stats.txt and stats.json."""
+    """Write trace.csv, timeseries.csv, stats.txt and stats.json, all four or
+    none.
+
+    Each file is written under a temporary name in ``out_dir``. Only once
+    all four are written, and none of their names is taken by a directory,
+    are they renamed into place. On any failure the temporary files are
+    removed, so the files an earlier run left there stay as they were.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -444,9 +462,28 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         "stats_text": out / "stats.txt",
         "stats_json": out / "stats.json",
     }
-    write_trace(result.runs, paths["trace"])
-    write_timeseries(result.runs, paths["timeseries"])
-    paths["stats_text"].write_text(format_stats(result.stats) + "\n")
+    temporary: list[Path] = []
+    try:
+        for path in paths.values():
+            temporary.append(_reserve(path))
+        _write_outputs(result, *temporary)
+        for path in paths.values():
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for written, path in zip(temporary, paths.values()):
+            os.replace(written, path)
+    finally:
+        for written in temporary:
+            written.unlink(missing_ok=True)
+    return paths
+
+
+def _write_outputs(
+    result: ExperimentResult, trace: Path, timeseries: Path, stats_text: Path, stats_json: Path
+) -> None:
+    write_trace(result.runs, trace)
+    write_timeseries(result.runs, timeseries)
+    stats_text.write_text(format_stats(result.stats) + "\n")
     step_seconds = result.step_seconds
     payload = {
         "scenario": result.scenario.name,
@@ -468,5 +505,4 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> dict[str, Pat
         ],
         "survey_visits": result.survey_visits,
     }
-    paths["stats_json"].write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    return paths
+    stats_json.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")

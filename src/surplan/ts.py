@@ -46,31 +46,34 @@ class TransitionSystem:
         names = tuple(names)
         if not names:
             raise ValidationError("a transition system needs at least one state")
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate state names")
         self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        self.index = dict(zip(names, range(len(names))))
         self.n = len(names)
+        if len(self.index) != self.n:
+            raise ValidationError("duplicate state names")
         if initial not in self.index:
             raise ValidationError(f"initial state {initial!r} is not a state")
         self.initial = self.index[initial]
         self.propositions = frozenset(propositions)
 
-        label_map: dict[str, frozenset[str]] = {}
-        for name, props in labels.items():
-            if name not in self.index:
-                raise ValidationError(f"label given for unknown state {name!r}")
-            props = frozenset(props)
-            stray = props - self.propositions
-            if stray:
-                raise ValidationError(
-                    f"state {name!r} labeled with undeclared propositions {sorted(stray)}"
-                )
-            label_map[name] = props
-        unlabeled: frozenset[str] = frozenset()
-        self.labels: tuple[frozenset[str], ...] = tuple(
-            label_map.get(name, unlabeled) for name in names
-        )
+        # a frozenset given as a label is kept, not copied, so states may share one
+        props = list(map(frozenset, labels.values()))
+        try:
+            labeled = np.fromiter(map(self.index.__getitem__, labels), np.int64, len(props))
+        except KeyError:
+            labeled = None
+        if labeled is None or not self.propositions.issuperset(frozenset().union(*props)):
+            for name, held in zip(labels, props):
+                if name not in self.index:
+                    raise ValidationError(f"label given for unknown state {name!r}")
+                stray = held - self.propositions
+                if stray:
+                    raise ValidationError(
+                        f"state {name!r} labeled with undeclared propositions {sorted(stray)}"
+                    )
+        state_label = np.full(self.n, frozenset(), dtype=object)
+        state_label[labeled] = props
+        self.labels: tuple[frozenset[str], ...] = tuple(state_label.tolist())
 
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         weight = np.asarray(weight, dtype=np.float64)

@@ -233,6 +233,26 @@ def test_run_with_an_output_file_that_cannot_be_written_exits_with_usage_error(
     assert "error: cannot write outputs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["trace.csv", "timeseries.csv", "stats.txt", "stats.json"])
+def test_a_run_that_cannot_write_an_output_leaves_the_earlier_run_s_files(
+    tmp_path, capsys, name
+):
+    """The outputs are written all four or none: a later run whose outputs
+    cannot all be written leaves an earlier run's files byte for byte, and
+    no temporary file."""
+    assert main(["run", TRIANGLE, "--iterations", "5", "--out", str(tmp_path)]) == 0
+    outputs = ["trace.csv", "timeseries.csv", "stats.txt", "stats.json"]
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    earlier = {other: (tmp_path / other).read_bytes() for other in outputs if other != name}
+    capsys.readouterr()
+    # a run whose files would differ from the earlier run's
+    assert main(["run", TRIANGLE, "--iterations", "8", "--seed", "9", "--out", str(tmp_path)]) == 2
+    assert "error: cannot write outputs" in capsys.readouterr().err
+    assert {other: (tmp_path / other).read_bytes() for other in earlier} == earlier
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(outputs)
+
+
 # SHA-256 of the files `surplan run` writes for each shipped scenario
 SHIPPED_OUTPUTS = {
     "default_grid.ini": {

@@ -30,7 +30,7 @@ from surplan.ltl import (
     subformulas,
 )
 
-from conftest import random_formula
+from conftest import random_formula, random_formula_cases
 from lasso_semantics import enumerate_lassos, formula_satisfied_on_lasso, semantic_lasso_table
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -221,3 +221,43 @@ def test_a_formula_pickled_under_another_hash_seed_hashes_again(tmp_path):
     assert {fresh: "found"}[loaded] == "found"
     index = {sub: i for i, sub in enumerate(subformulas(fresh))}
     assert [index[sub] for sub in subformulas(loaded)] == [index[sub] for sub in subformulas(fresh)]
+
+
+def rendered(f) -> str:
+    """A formula's text, built from scratch: the operator, then each operand,
+    in parentheses unless it is ``true`` or a proposition."""
+
+    def operand(g) -> str:
+        return rendered(g) if isinstance(g, (TrueConst, Atom)) else f"({rendered(g)})"
+
+    if isinstance(f, TrueConst):
+        return "true"
+    if isinstance(f, Atom):
+        return f.name
+    unary = {Not: "!", Next: "X", Always: "G", Eventually: "F"}
+    if type(f) in unary:
+        return f"{unary[type(f)]} {operand(f.sub)}"
+    binary = {And: "&", Or: "|", Until: "U"}
+    return f"{operand(f.left)} {binary[type(f)]} {operand(f.right)}"
+
+
+def test_every_node_prints_its_from_scratch_rendering():
+    for formula, _ in random_formula_cases(200):
+        for f in (formula, nnf(formula)):
+            for sub in subformulas(f):
+                assert str(sub) == rendered(sub)
+                # kept on the node, and printed the same again
+                assert str(sub) is str(sub)
+
+
+def test_a_pickled_formula_prints_hashes_and_compares_as_before():
+    for formula, _ in random_formula_cases(60):
+        text, key = str(formula), hash(formula)
+        loaded = pickle.loads(pickle.dumps(formula))
+        # the kept text and hash stay behind at every node, as the kept hash always did
+        assert all(
+            "_text" not in vars(sub) and "_hash" not in vars(sub) for sub in subformulas(loaded)
+        )
+        assert str(loaded) == text == rendered(loaded)
+        assert hash(loaded) == key
+        assert loaded == formula

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import surplan.product as product_module
 from surplan import buchi
@@ -48,6 +49,7 @@ from conftest import (
     named_system,
     random_formula_cases,
     random_product,
+    random_trimmed_product,
     random_ts,
     tarjan_scc,
 )
@@ -653,6 +655,41 @@ def test_a_result_reads_its_system_and_automaton_from_its_products(triangle_ts):
         OfflineResult(**fields, ba=result.ba)
     with pytest.raises(AttributeError):
         result.ts = triangle_ts
+
+
+def assert_reverse_is_the_coo_build(product: ProductAutomaton, name) -> None:
+    """``product.reverse`` holds the arrays, dtypes included, of the graph
+    scipy builds from the turned-around edge list, which sorts each row's
+    columns: the order ``connected_components`` numbers by."""
+    expected = csr_array(
+        (product.edge_weight, (product.edge_dst, product.edge_src)), shape=(product.n, product.n)
+    )
+    got = product.reverse
+    assert got.shape == expected.shape, name
+    for field in ("indptr", "indices", "data"):
+        values, oracle = getattr(got, field), getattr(expected, field)
+        assert values.dtype == oracle.dtype, (name, field)
+        assert np.array_equal(values, oracle), (name, field)
+
+
+def test_the_reversed_graph_is_the_coo_build_array_for_array(workloads, tmp_path):
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.ini"))]
+    for name, workload in workloads.SHRUNK.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.scenario_text(workload, 1))
+        scenarios.append(load_scenario(path))
+    for scenario in scenarios:
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        assert_reverse_is_the_coo_build(offline.product, scenario.name)
+        assert_reverse_is_the_coo_build(offline.trimmed, scenario.name)
+    rng = np.random.default_rng(17)
+    for case in range(60):
+        n = int(rng.integers(1, 40))
+        product = random_product(rng, n, int(rng.integers(1, 4 * n + 1)))
+        assert_reverse_is_the_coo_build(product, case)
+    ts = random_ts(rng, 12, 30, n_props=2)
+    for case in range(20):
+        assert_reverse_is_the_coo_build(random_trimmed_product(rng, ts), case)
 
 
 def test_only_the_searched_product_builds_a_reversed_graph():

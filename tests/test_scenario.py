@@ -1,5 +1,7 @@
 """Scenario files: grids, explicit systems, validation, overrides."""
 
+import configparser
+import io
 import math
 import re
 import tempfile
@@ -12,15 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surplan.errors import ScenarioError
+from surplan.errors import ScenarioError, ValidationError
 from surplan.ltl import Always, And, Atom, Eventually, parse
 from surplan.scenario import (
     Scenario,
+    _build_ts_from_config,
     build_grid,
     grid_state_name,
     load_scenario,
+    read_ini,
 )
 from surplan.sim import run_seed_for
+from surplan.ts import TransitionSystem
 
 from conftest import move_weights
 from grid_reference import reference_build_grid
@@ -554,3 +559,114 @@ def test_mutated_shipped_scenarios_load_or_raise_scenario_error(data):
     ):
         assert math.isfinite(value)
     np.random.default_rng(run_seed_for(scenario, 0))
+
+
+def reference_explicit_system(parser):
+    """An explicit system as the configparser-based loader built it, one
+    token at a time: states numbered in order of first mention."""
+    initial = dict(parser.items("ts"))["initial"]
+    states: dict[str, int] = {}
+    src, dst, weight = [], [], []
+    for source, entry in parser.items("transitions"):
+        i = states.setdefault(source, len(states))
+        for token in entry.split():
+            try:
+                target, weight_text = token.rsplit(":", 1)
+                w = float(weight_text)
+            except ValueError as exc:
+                raise ScenarioError(
+                    f"[transitions] {source}: bad entry {token!r}, expected state:weight"
+                ) from exc
+            src.append(i)
+            dst.append(states.setdefault(target, len(states)))
+            weight.append(w)
+    labels_section = dict(parser.items("labels")) if parser.has_section("labels") else {}
+    labeling: dict[str, set[str]] = {}
+    for prop, entry in labels_section.items():
+        for name in entry.split():
+            if name not in states:
+                raise ScenarioError(f"label {prop!r} names unknown state {name!r}")
+            labeling.setdefault(name, set()).add(prop)
+    try:
+        return TransitionSystem(
+            list(states), initial, src, dst, weight, set(labels_section), labeling
+        )
+    except ValidationError as exc:
+        raise ScenarioError(f"transition system rejected: {exc}") from exc
+
+
+def built_system(build, text):
+    try:
+        ts = build(text)
+    except ScenarioError as exc:
+        return str(exc)
+    moves = np.repeat(np.arange(ts.n), np.diff(ts.move_ptr))
+    return (ts.names, ts.initial, moves.tolist(), ts.move_dst.tolist(),
+            ts.move_weight.tolist(), ts.labels, ts.propositions)
+
+
+def new_build(text):
+    return _build_ts_from_config(read_ini(list(io.StringIO(text)), "case.ini"))
+
+
+def old_build(text):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text)
+    return reference_explicit_system(parser)
+
+
+# a name that reads as a key: no delimiter in it
+SOURCE = st.sampled_from(["a", "b", "c", "d", "e"])
+STATE = st.one_of(SOURCE, SOURCE, SOURCE, st.sampled_from(["a:b", "", "f"]))
+WEIGHT = st.one_of(
+    st.sampled_from(["1", "2.5", "1e3", "1_0"]),
+    st.sampled_from(["0", "-1", "nan", "inf", "x", ""]),
+)
+TOKEN = st.one_of(
+    st.builds("{}:{}".format, SOURCE, st.sampled_from(["1", "2.5", "1e3"])),
+    st.builds("{}:{}".format, SOURCE, st.sampled_from(["1", "2.5", "1e3"])),
+    st.builds("{}:{}".format, STATE, WEIGHT),
+    st.sampled_from(["a", "b:", ":1", "a:b:2", "a::1"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(SOURCE, st.lists(TOKEN, max_size=3)), max_size=6,
+        unique_by=lambda line: line[0],
+    ),
+    labels=st.lists(st.tuples(st.sampled_from(["p", "q", "sur"]), st.lists(STATE, max_size=4)),
+                    max_size=3, unique_by=lambda label: label[0]),
+    initial=SOURCE,
+)
+def test_explicit_systems_build_as_the_token_by_token_loader_built_them(lines, labels, initial):
+    text = "\n".join(
+        ["[ts]", f"initial = {initial}", "[transitions]",
+         *(f"{source} = {' '.join(tokens)}" for source, tokens in lines),
+         "[labels]", *(f"{prop} = {' '.join(names)}" for prop, names in labels)]
+    )
+    assert built_system(new_build, text) == built_system(old_build, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_valid_explicit_systems_build_as_the_token_by_token_loader_built_them(data):
+    """Systems every state of which has a move, their lines in any order, so
+    that numbering by first mention differs from numbering by line."""
+    names = data.draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, unique=True), label="names")
+    lines = []
+    for source in data.draw(st.permutations(names), label="order"):
+        targets = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        lines.append(f"{source} = " + " ".join(f"{target}:{len(target) + 0.5}" for target in targets))
+    labels = [
+        f"{prop} = " + " ".join(data.draw(st.lists(st.sampled_from(names), max_size=5)))
+        for prop in data.draw(st.lists(st.sampled_from(["p", "q", "sur"]), unique=True))
+    ]
+    text = "\n".join(
+        ["[ts]", f"initial = {names[0]}", "[transitions]", *lines, "[labels]", *labels]
+    )
+    built = built_system(new_build, text)
+    assert isinstance(built, tuple), built
+    assert built == built_system(old_build, text)
