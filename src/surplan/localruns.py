@@ -126,6 +126,20 @@ def class_cells(fan: "Fan") -> tuple[np.ndarray, ...]:
     return states[at], weights[rank], novel == 1, keys.searchsorted(class_keys)
 
 
+def validate_planner_range(visibility: float, horizon: float, max_weight: float) -> None:
+    """Refuse, with ContractError, a visibility range that is not finite and
+    positive, or a horizon that is not finite or is below ``max_weight``."""
+    if not math.isfinite(visibility) or visibility <= 0:
+        raise ContractError(f"visibility must be finite and positive, got {visibility}")
+    if not math.isfinite(horizon):
+        raise ContractError(f"horizon must be finite, got {horizon}")
+    if horizon < max_weight:
+        raise ContractError(
+            f"horizon {horizon} is below the largest transition weight {max_weight};"
+            " the planner could not expand any run"
+        )
+
+
 def extended(table: np.ndarray, rows: int, fill) -> np.ndarray:
     """``table`` with ``rows`` rows of ``fill`` appended."""
     return np.concatenate([table, np.full((rows,) + table.shape[1:], fill, dtype=table.dtype)])
@@ -202,14 +216,7 @@ class LocalRunCache:
     def __init__(self, product, visibility: float, horizon: float):
         ts = product.ts
         visibility, horizon = float(visibility), float(horizon)
-        if not (math.isfinite(visibility) and math.isfinite(horizon)):
-            raise ContractError("visibility range and planning horizon must be finite")
-        if horizon < ts.max_weight:
-            raise ContractError(
-                "planning horizon must be at least the largest transition weight"
-            )
-        if visibility <= 0:
-            raise ContractError("visibility range must be positive")
+        validate_planner_range(visibility, horizon, ts.max_weight)
         self.ts = ts
         self.product = product
         self.visibility = visibility
@@ -304,7 +311,8 @@ class LocalRunCache:
         (infinite if none is reachable), searched once per ``prop``."""
         distances = self._distances_to.get(prop)
         if distances is None:
-            labelled = [q for q, label in enumerate(self.ts.labels) if prop in label]
+            table = self.product.letters
+            labelled = table.holding(prop)[table.letter_of].nonzero()[0]
             distances = dijkstra(self.ts.graph.T.tocsr(), indices=labelled, min_only=True)
             self._distances_to[prop] = distances
         return distances

@@ -229,8 +229,8 @@ class CostEvaluator:
         product = local_runs.product
         # the flags build_product sets: one per letter, gathered per state
         table = product.letters
-        surveyed = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
-        if not (surveyed[table.letter_of[product.ts_of]] == product.surveillance).all():
+        surveyed = table.holding(surveillance_prop)[table.letter_of[product.ts_of]]
+        if not (surveyed == product.surveillance).all():
             raise ContractError(
                 f"surveillance label {surveillance_prop!r} does not mark the states"
                 " the product flags as surveyed"

@@ -44,6 +44,10 @@ class LetterTable(NamedTuple):
     ptr: np.ndarray
     target: np.ndarray
 
+    def holding(self, prop: str) -> np.ndarray:
+        """Mask of the letters that hold ``prop``; gather it through ``letter_of``."""
+        return np.array([prop in letter for letter in self.letters], dtype=bool)
+
 
 def letter_table(ts: TransitionSystem, ba: BuchiAutomaton) -> LetterTable:
     """The letter table of a system and an automaton."""
@@ -176,11 +180,10 @@ def build_product(
     edge_weight = graph.data[at]
     del graph, at, id_of
     ts_of, ba_of = np.divmod(order, n_ba)
-    surveillance = np.array([surveillance_prop in letter for letter in table.letters], dtype=bool)
     return ProductAutomaton(
         ts, ba, table, ts_of, ba_of, 0, np.repeat(np.arange(len(order)), count),
         edge_dst, edge_weight, np.isin(ba_of, list(ba.accepting)),
-        surveillance[table.letter_of[ts_of]],
+        table.holding(surveillance_prop)[table.letter_of[ts_of]],
     )
 
 
@@ -362,7 +365,6 @@ class OfflineResult:
 
     product: ProductAutomaton
     trimmed: ProductAutomaton
-    feasible: bool
     accepting_label_condition: bool
     timings: dict[str, float] = field(default_factory=dict)
     # local-run caches by (visibility, horizon), filled during the online phase
@@ -379,6 +381,11 @@ class OfflineResult:
     def ba(self) -> BuchiAutomaton:
         """The mission automaton both products are built with."""
         return self.trimmed.ba
+
+    @property
+    def feasible(self) -> bool:
+        """Whether the initial product state survived trimming."""
+        return self.trimmed.initial is not None
 
     def local_run_cache(self, visibility: float, horizon: float) -> LocalRunCache:
         """The cache every run over this result shares for these values."""
@@ -425,12 +432,5 @@ def offline_phase(
     verify_descent(trimmed)
     timings["trim"] = time.perf_counter() - t0
 
-    feasible = trimmed.initial is not None
     label_ok = check_accepting_label_condition(ba, surveillance_prop)
-    return OfflineResult(
-        product=product,
-        trimmed=trimmed,
-        feasible=feasible,
-        accepting_label_condition=label_ok,
-        timings=timings,
-    )
+    return OfflineResult(product, trimmed, label_ok, timings)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LtlSyntaxError, ScenarioError, ValidationError
+from .errors import ContractError, LtlSyntaxError, ScenarioError, ValidationError
+from .localruns import validate_planner_range
 from .ltl import KEYWORDS, Always, And, Atom, Eventually, Formula, is_atom_name, parse
 from .rewards import PREFERENCES, POTENTIALS
 from .ts import TransitionSystem, validate_visibility_assumption
@@ -191,9 +192,8 @@ def _parse_grid_cells(text: str, prop: str, rows: int, cols: int) -> set[tuple[i
 # up: ConfigParser(interpolation=None) with case-kept keys (optionxform = str),
 # that is strict, with '=' and ':' as delimiters, '#' and ';' full-line
 # comments, no inline comments, blank lines kept inside values and no
-# valueless keys. These are configparser's own patterns for that dialect.
+# valueless keys. The section pattern is configparser's own.
 _SECTION = re.compile(r"\[(?P<header>.+)\]")
-_OPTION = re.compile(r"(?P<option>.*?)\s*(?P<vi>=|:)\s*(?P<value>.*)$")
 _DEFAULT = "DEFAULT"
 # a plain line starts with none of these, and so is a key line at indent 0
 _IRREGULAR = re.compile(r"[\s#;\[]")
@@ -264,7 +264,8 @@ def _scan_ini(
     raises at once; lines that are none of these are returned, as
     configparser reports them all at the end. Runs of plain lines, which
     start at indent 0 with a character that makes them key lines, are split
-    in bulk; the rest are read one by one.
+    in bulk; the rest are read one by one, a key line among them as a run of
+    one.
     """
     store: dict[str, dict[str, str]] = {_DEFAULT: {}}
     more: dict[tuple[str, str], list[str]] = {}
@@ -272,6 +273,36 @@ def _scan_ini(
     section: str | None = None
     key: str | None = None
     indent = 0
+
+    # store the count key lines of text, lines first + 1 on, in the section
+    def record(text: str, first: int, count: int) -> None:
+        nonlocal key
+        keys, found, has = _cut(text, count, "=:")
+        keys, found = list(map(str.rstrip, keys)), list(map(str.strip, found))
+        numbers = range(first + 1, first + count + 1)
+        if not has.all():
+            # lines with no delimiter are bad, and leave the last key as it was
+            errors.extend((n, lines[n - 1]) for n, ok in zip(numbers, has) if not ok)
+            numbers = list(compress(numbers, has.tolist()))
+        fresh = dict(zip(keys, found))
+        current = store[section]
+        if len(fresh) < len(keys) or not current.keys().isdisjoint(fresh):
+            seen = set(current)
+            for k, n in zip(keys, numbers):
+                if k in seen:
+                    raise _duplicate_key(source, section, k, n)
+                seen.add(k)
+        if "" in fresh:
+            n = numbers[keys.index("")]
+            errors.append((n, lines[n - 1]))
+            errors.sort()
+        if current:
+            current.update(fresh)
+        else:
+            store[section] = fresh
+        if keys:
+            key = keys[-1]
+
     # the positions of the lines that are not plain, by their first character
     heads = "".join(map(itemgetter(0), lines))
     irregular = [match.start() for match in _IRREGULAR.finditer(heads)]
@@ -280,32 +311,8 @@ def _scan_ini(
         if start < at:
             if section is None:
                 raise _no_section_header(source, start + 1, lines[start])
-            # a plain line is a key line: its key ends at its first delimiter
-            keys, found, has = _cut("".join(lines[start:at]), at - start, "=:")
-            keys, found = list(map(str.rstrip, keys)), list(map(str.strip, found))
-            numbers = range(start + 1, at + 1)
-            if not has.all():
-                # lines with no delimiter are bad, and leave the last key as it was
-                errors += [(n, lines[n - 1]) for n, ok in zip(numbers, has) if not ok]
-                numbers = list(compress(numbers, has.tolist()))
-            fresh = dict(zip(keys, found))
-            current = store[section]
-            if len(fresh) < len(keys) or not current.keys().isdisjoint(fresh):
-                seen = set(current)
-                for k, n in zip(keys, numbers):
-                    if k in seen:
-                        raise _duplicate_key(source, section, k, n)
-                    seen.add(k)
-            if "" in fresh:
-                n = numbers[keys.index("")]
-                errors.append((n, lines[n - 1]))
-                errors.sort()
-            if current:
-                current.update(fresh)
-            else:
-                store[section] = fresh
-            if keys:
-                key = keys[-1]
+            # a plain line is a key line at indent 0
+            record("".join(lines[start:at]), start, at - start)
             indent = 0
         start = at + 1
         if at == len(lines):
@@ -336,17 +343,7 @@ def _scan_ini(
         elif section is None:
             raise _no_section_header(source, at + 1, line)
         else:
-            match = _OPTION.match(value)
-            if match:
-                name, text = match.group("option", "value")
-                if not name:
-                    errors.append((at + 1, line))
-                key = name.rstrip()
-                if key in store[section]:
-                    raise _duplicate_key(source, section, key, at + 1)
-                store[section][key] = text.strip()
-            else:
-                errors.append((at + 1, line))
+            record(value, at, 1)
     for (name, k), parts in more.items():
         store[name][k] = "\n".join([store[name][k], *parts]).rstrip()
     return store, errors
@@ -605,18 +602,10 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
             )
 
     formula = _mission_formula(formula_text, surveillance_prop, set(ts.propositions))
-    if not math.isfinite(visibility) or visibility <= 0:
-        raise ScenarioError(f"visibility must be finite and positive, got {visibility}")
-    if not math.isfinite(horizon):
-        raise ScenarioError(f"horizon must be finite, got {horizon}")
-    if horizon < ts.max_weight:
-        raise ScenarioError(
-            f"horizon {horizon} is below the largest transition weight {ts.max_weight};"
-            " the planner could not expand any run"
-        )
     try:
+        validate_planner_range(visibility, horizon, ts.max_weight)
         validate_visibility_assumption(ts, visibility)
-    except ValidationError as exc:
+    except (ContractError, ValidationError) as exc:
         raise ScenarioError(str(exc)) from exc
 
     if potential_name not in POTENTIALS:

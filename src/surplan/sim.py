@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ContractError, ScenarioError
 from .planner import CostEvaluator, Planner
 from .product import OfflineResult, offline_phase
 from .rewards import DecaySpawnDynamics, RewardField, make_potential, make_preference
@@ -161,7 +161,6 @@ class ExperimentResult:
     offline: OfflineResult
     runs: list[RunResult]
     stats: ExperimentStats
-    offline_seconds: float
     # LocalRunCache.sizes() of the offline result's cache after the runs
     local_runs: dict[str, float]
 
@@ -182,8 +181,9 @@ class ExperimentResult:
         """Per run, the records at each surveyed system state, by name in
         state order: the trace rows whose survey flag is set, the step-0
         row included."""
-        ts, prop = self.scenario.ts, self.scenario.surveillance_prop
-        names = [ts.state_name(q) for q, label in enumerate(ts.labels) if prop in label]
+        table = self.offline.product.letters
+        surveyed = table.holding(self.scenario.surveillance_prop)[table.letter_of]
+        names = [self.offline.ts.state_name(q) for q in surveyed.nonzero()[0].tolist()]
         visits = []
         for run in self.runs:
             counts = Counter(rec.ts_state for rec in run.records if rec.survey)
@@ -209,7 +209,7 @@ def run_single(
     The planner and the reward dynamics share ``rng``, so a run is fully
     reproducible from its seed.
     """
-    ts = scenario.ts
+    ts = offline.ts
     potential = make_potential(scenario.potential_name, refresh_value=scenario.refresh_value)
     preference = make_preference(scenario.preference_name, threshold=scenario.preference_threshold)
     dynamics = DecaySpawnDynamics(rng, spawn_probability=scenario.spawn_probability)
@@ -296,11 +296,13 @@ def run_experiment(
     scenario: Scenario,
     offline: OfflineResult | None = None,
 ) -> ExperimentResult:
-    """Run the offline phase once and the planner ``scenario.runs`` times."""
-    started = time.perf_counter()
+    """Run the offline phase once, unless ``offline`` is given, and the
+    planner ``scenario.runs`` times. An ``offline`` result built over another
+    system than ``scenario.ts`` is refused with ContractError."""
     if offline is None:
         offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
-    offline_seconds = time.perf_counter() - started
+    elif offline.ts is not scenario.ts:
+        raise ContractError("the offline result is built over another system than the scenario's")
 
     runs = []
     for r in range(scenario.runs):
@@ -311,7 +313,6 @@ def run_experiment(
         offline=offline,
         runs=runs,
         stats=compute_stats(runs),
-        offline_seconds=offline_seconds,
         local_runs=offline.local_run_cache(scenario.visibility, scenario.horizon).sizes(),
     )
 
@@ -493,7 +494,7 @@ def _write_outputs(
         "runs": result.scenario.runs,
         "iterations": result.scenario.iterations,
         "stats": result.stats.as_dict(),
-        "offline_seconds": result.offline_seconds,
+        "offline_seconds": sum(result.offline.timings.values()),
         "offline_stages": result.offline.timings,
         "online_step_seconds_median": float(np.median(step_seconds)) if step_seconds else None,
         "online_step_seconds_p95": float(np.percentile(step_seconds, 95)) if step_seconds else None,

@@ -30,6 +30,7 @@ from surplan.product import (
     check_accepting_label_condition,
     compute_indicators,
     compute_inf_sets,
+    letter_table,
     mission_distance,
     offline_phase,
     surveillance_distance,
@@ -655,6 +656,41 @@ def test_a_result_reads_its_system_and_automaton_from_its_products(triangle_ts):
         OfflineResult(**fields, ba=result.ba)
     with pytest.raises(AttributeError):
         result.ts = triangle_ts
+
+
+def test_feasibility_is_read_from_the_trimmed_product(triangle_ts):
+    """``feasible`` is no field a result can be built or copied with: it reads
+    whether the trimmed product kept its initial state."""
+    for formula in ("G F a & G F b", "G !a & G F a"):
+        result = offline_phase(triangle_ts, formula, "sur")
+        assert result.feasible == (result.trimmed.initial is not None)
+        with pytest.raises(TypeError):
+            dataclasses.replace(result, feasible=not result.feasible)
+
+
+def test_the_letters_holding_a_label_mark_the_states_labelled_with_it(workloads, tmp_path):
+    """``LetterTable.holding``, gathered through ``letter_of``, marks exactly
+    the system states whose label holds the proposition, for every declared
+    proposition and one that no state holds."""
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.ini"))]
+    for name, workload in workloads.SHRUNK.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workloads.scenario_text(workload, 1))
+        scenarios.append(load_scenario(path))
+    tables = []
+    for scenario in scenarios:
+        offline = offline_phase(scenario.ts, scenario.formula, scenario.surveillance_prop)
+        tables.append((scenario.ts, offline.product.letters))
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        ts = random_ts(rng, n, int(rng.integers(0, 2 * n)), n_props=int(rng.integers(0, 4)))
+        tables.append((ts, letter_table(ts, to_buchi(parse("G F sur"), ts.propositions))))
+    for ts, table in tables:
+        for prop in [*sorted(ts.propositions), "unheld"]:
+            held = table.holding(prop)[table.letter_of]
+            assert held.dtype == bool
+            assert held.tolist() == [prop in label for label in ts.labels], prop
 
 
 def assert_reverse_is_the_coo_build(product: ProductAutomaton, name) -> None:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from surplan.errors import ContractError
 from surplan.planner import ATTRACTION_TIE_TOLERANCE, Planner
 from surplan.product import offline_phase
 from surplan.scenario import load_scenario
@@ -257,8 +258,28 @@ def test_stats_json_reports_offline_stage_timings(tmp_path):
     assert list(stages) == ["automaton", "product", "distances", "trim"]
     assert stages == result.offline.timings
     assert all(seconds >= 0.0 for seconds in stages.values())
-    # the stages are timed inside the offline phase that offline_seconds spans
-    assert sum(stages.values()) <= payload["offline_seconds"] + 1e-9
+    # offline_seconds is the stages' total, as `surplan check` prints it
+    assert payload["offline_seconds"] == sum(stages.values())
+
+
+def test_a_run_handed_an_offline_result_reports_its_stage_total(tmp_path, triangle_result):
+    """offline_seconds is the handed result's offline time, not the near-zero
+    time the run spent obtaining the result."""
+    _, result = triangle_result
+    payload = json.loads(emit_outputs(result, tmp_path)["stats_json"].read_text())
+    assert payload["offline_stages"] == result.offline.timings
+    assert payload["offline_seconds"] == sum(payload["offline_stages"].values()) > 0.0
+
+
+def test_a_run_refuses_an_offline_result_over_another_system():
+    """The runs name and reward the states of the offline result's system, so
+    one built over another system than the scenario's is refused, not read
+    with the scenario's state names."""
+    grid = load_scenario(SCENARIOS / "default_grid.ini", {"runs": 1, "iterations": 5})
+    triangle = load_scenario(SCENARIOS / "triangle.ini")
+    offline = offline_phase(triangle.ts, triangle.formula, triangle.surveillance_prop)
+    with pytest.raises(ContractError, match="another system"):
+        run_experiment(grid, offline=offline)
 
 
 def test_timeseries_accumulates_and_resets(tmp_path, triangle_result):
